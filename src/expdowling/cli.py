@@ -1,8 +1,9 @@
 """Command-line front end: build and export lattices, run named verification
 suites, print series and descent tables.
 
-Exit codes: 0 all checks exact or exact up to a documented constant sign,
-1 a check mismatched, 2 bad suite name or invalid parameters.
+Exit codes: 0 all checks exact, or exact up to the constant sign documented
+for that identity; 1 a check mismatched or showed an unexpected sign; 2 bad
+suite name, invalid parameters or an exceeded guard; 3 an internal error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import descents, identities, shelling
+from . import __version__, descents, identities, shelling
 from .poset import mobius_table
 from .series import UNIT, coeff_den
 from .structures import (
@@ -33,7 +34,7 @@ from .structures import (
     build_restricted_partition,
 )
 
-EXIT_OK, EXIT_MISMATCH, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 def _parse_int_set(text: str) -> frozenset:
@@ -65,8 +66,23 @@ def _emit(data, ns):
         sys.stdout.write(text)
 
 
+FAMILY_ARGS = {
+    "pi": ("m",),
+    "dowling": ("n", "s"),
+    "pi-r": ("m", "r"),
+    "pi-rj": ("m", "r", "j"),
+    "q-r": ("n", "r"),
+    "d-rk": ("n", "r", "k", "s"),
+    "q-I": ("n", "I"),
+    "r-IJ": ("n", "s", "I", "J"),
+}
+
+
 def build_family(ns):
     fam = ns.family
+    missing = [f"--{key}" for key in FAMILY_ARGS.get(fam, ()) if getattr(ns, key) is None]
+    if missing:
+        raise ValueError(f"family {fam} needs {', '.join(missing)}")
     if fam == "pi":
         return build_partition_lattice(ns.m, guard=ns.guard)
     if fam == "dowling":
@@ -317,19 +333,44 @@ def resolved_config(ns) -> dict:
     return out
 
 
+def _internal_error(where: str) -> int:
+    """Report the exception being handled, with its traceback, as a fault of
+    the program rather than of its arguments."""
+    import traceback  # imported here so that start-up imports stay as they are
+
+    print(f"internal error{where}:", file=sys.stderr)
+    traceback.print_exc()
+    return EXIT_INTERNAL
+
+
+def validate_suite_params(name, ns) -> None:
+    """Reject parameters that suite `name` cannot run with, before any suite
+    runs, so that an exception raised inside a suite is an internal error."""
+    for key in ("nmax", "s", "window", "jobs"):
+        if getattr(ns, key) < 1:
+            raise ValueError(f"--{key} must be >= 1, got {getattr(ns, key)}")
+    if not ns.s_list or min(ns.s_list) < 1:
+        raise ValueError(f"--s-list must be positive integers, got {ns.s_list}")
+    for key, least in (("I", 1), ("J", 0)):
+        values = getattr(ns, key)
+        if values and min(values) < least:
+            raise ValueError(f"--{key} entries must be >= {least}, got {sorted(values)}")
+    if SUITES[name] is suite_semigroup:
+        problem = identities.semigroup_violation(ns.I, ns.J, ns.window)
+        if problem:
+            raise ValueError(problem)
+
+
 def cmd_verify(ns) -> int:
     names = sorted(SUITES) if ns.suite == "all" else [ns.suite]
     if any(name not in SUITES for name in names):
         print(f"unknown suite: {ns.suite}", file=sys.stderr)
         return EXIT_USAGE
-    seen = set()
-    results = []
-    failed = False
+    runs = {}  # suite function -> (first name, resolved parameters)
     for name in names:
         fn = SUITES[name]
-        if fn in seen:
+        if fn in runs:
             continue
-        seen.add(fn)
         local = argparse.Namespace(**vars(ns))
         for key, value in SUITE_DEFAULTS.get(name, {}).items():
             if getattr(local, key, None) is None:
@@ -338,10 +379,21 @@ def cmd_verify(ns) -> int:
             if getattr(local, key, None) is None:
                 setattr(local, key, value)
         try:
-            reports = _wrap(fn(local))
-        except (ValueError, GuardError) as exc:
+            validate_suite_params(name, local)
+        except ValueError as exc:
             print(f"invalid parameters for {name}: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        runs[fn] = (name, local)
+    results = []
+    failed = False
+    for fn, (name, local) in runs.items():
+        try:
+            reports = _wrap(fn(local))
+        except GuardError as exc:
+            print(f"guard exceeded in {name}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except Exception:
+            return _internal_error(f" in {name}")
         for report in reports:
             results.append(report)
             if not report.passed:
@@ -370,7 +422,8 @@ def cmd_lattice(ns) -> int:
         key_src = json.dumps(
             {k: sorted(v) if isinstance(v, frozenset) else v
              for k, v in vars(ns).items()
-             if k in ("family", "m", "n", "r", "j", "k", "s", "I", "J")},
+             if k in ("family", "m", "n", "r", "j", "k", "s", "I", "J", "guard")}
+            | {"version": __version__},
             sort_keys=True,
         )
         key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
@@ -501,12 +554,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return ns.fn(ns)
-    except (GuardError,) as exc:
+    except GuardError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
+        # lattice, mobius and el-check hand their arguments straight to the
+        # builders, whose ValueErrors are argument checks
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        return _internal_error("")
 
 
 if __name__ == "__main__":

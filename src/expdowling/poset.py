@@ -129,32 +129,41 @@ def from_covers(n: int, covers: Iterable[tuple]) -> Poset:
     )
 
 
+def _masked_sum(masks: dict, segment: int) -> int:
+    """Sum of the values over the elements of `segment`, where `masks` maps
+    each value to the bitmask of the elements holding it."""
+    return sum(v * (segment & mask).bit_count() for v, mask in masks.items())
+
+
+def _mobius_sweep(start: int, members: int, size_rows: tuple, segment_rows: tuple) -> dict:
+    """The Mobius recursion mu(start, z) = -sum of mu(start, w) over the
+    half-open interval segment_rows[z] & members - {z}.
+
+    Elements are visited by decreasing popcount of `size_rows`, a linear
+    extension in which every element of a half-open interval is filled
+    before its end.  Instead of a lookup per interval element, the sweep keeps
+    one bitmask per distinct nonzero value filled so far; each sum is then a
+    popcount per value class (Stanley, EC1 3.6-3.7).  Only filled elements
+    sit in a mask, so segment_rows[z] needs no intersection with `members`.
+    """
+    table = {}
+    masks = {}
+    for z in sorted(_bits(members), key=lambda w: size_rows[w].bit_count(), reverse=True):
+        value = 1 if z == start else -_masked_sum(masks, segment_rows[z])
+        table[z] = value
+        if value:
+            masks[value] = masks.get(value, 0) | 1 << z
+    return table
+
+
 def mobius_table(P: Poset, x: int) -> dict:
     """mu(x, y) for every y >= x, by the bottom-up recursion."""
-    table = {}
-    order = sorted(_bits(P.up_rows[x]), key=lambda y: P.up_rows[y].bit_count(), reverse=True)
-    # Sorting by up-set size gives a linear extension of [x, ...) restricted
-    # upward, so strictly smaller elements are always filled in first.
-    for y in order:
-        if y == x:
-            table[y] = 1
-            continue
-        below = P.up_rows[x] & P.down_rows[y] & ~(1 << y)
-        table[y] = -sum(table[z] for z in _bits(below))
-    return table
+    return _mobius_sweep(x, P.up_rows[x], P.up_rows, P.down_rows)
 
 
 def mobius_table_to_top(P: Poset, y: int) -> dict:
     """mu(x, y) for every x <= y, by the top-down recursion."""
-    table = {}
-    order = sorted(_bits(P.down_rows[y]), key=lambda x: P.down_rows[x].bit_count(), reverse=True)
-    for x in order:
-        if x == y:
-            table[x] = 1
-            continue
-        above = P.down_rows[y] & P.up_rows[x] & ~(1 << x)
-        table[x] = -sum(table[z] for z in _bits(above))
-    return table
+    return _mobius_sweep(y, P.down_rows[y], P.down_rows, P.up_rows)
 
 
 def mobius(P: Poset, x: int, y: int) -> int:
@@ -165,12 +174,14 @@ def mobius(P: Poset, x: int, y: int) -> int:
 
 def verify_mobius_identity(P: Poset, x: int) -> bool:
     """Defining identity: sum of mu(x, z) over x <= z <= y vanishes for y > x."""
-    table = mobius_table(P, x)
-    for y in _bits(P.up_rows[x] & ~(1 << x)):
-        total = sum(table[z] for z in _bits(P.up_rows[x] & P.down_rows[y]))
-        if total != 0:
-            return False
-    return True
+    masks = {}
+    for z, value in mobius_table(P, x).items():
+        if value:
+            masks[value] = masks.get(value, 0) | 1 << z
+    return all(
+        _masked_sum(masks, P.down_rows[y]) == 0
+        for y in _bits(P.up_rows[x] & ~(1 << x))
+    )
 
 
 def maximal_chains(P: Poset, x: int, y: int) -> list:
@@ -241,16 +252,38 @@ def check_chain_axioms(P: Poset, expected_length: int) -> ChainAxiomReport:
     )
 
 
+def _heights(P: Poset) -> list:
+    """Longest-chain height of every element above a minimal one; it equals
+    the rank when P is graded and is strictly monotone in any poset."""
+    height = [0] * P.n
+    for z in sorted(range(P.n), key=lambda w: P.down_rows[w].bit_count()):
+        height[z] = max((height[c] + 1 for c in P.covers_down[z]), default=0)
+    return height
+
+
 def is_lattice(P: Poset) -> tuple[bool, str]:
-    """Whether every pair of elements has a join and a meet."""
+    """Whether every pair of elements has a join and a meet.
+
+    A finite poset with a bottom in which every pair has a join is a lattice
+    (Stanley, EC1 3.3.1), so only joins are tested.  The join of x and y, if
+    any, is the unique element of least height in their common upper set, so
+    each pair tests that one candidate, found by walking the height levels.
+    """
     if len(P.minimals) != 1 or len(P.maximals) != 1:
         return False, "missing unique bottom or top"
+    height = P.rank if P.rank is not None else _heights(P)
+    levels = [0] * (max(height) + 1)
+    for z, h in enumerate(height):
+        levels[h] |= 1 << z
+    up = P.up_rows
     for x in range(P.n):
         for y in range(x + 1, P.n):
-            uppers = P.up_rows[x] & P.up_rows[y]
-            if not any((uppers & ~P.up_rows[u]) == 0 for u in _bits(uppers)):
+            uppers = up[x] & up[y]  # never empty: the top lies above everything
+            h = max(height[x], height[y])
+            while not uppers & levels[h]:
+                h += 1
+            least = uppers & levels[h]
+            candidate = (least & -least).bit_length() - 1
+            if uppers & ~up[candidate]:
                 return False, f"no join for {x}, {y}"
-            lowers = P.down_rows[x] & P.down_rows[y]
-            if not any((lowers & ~P.down_rows[u]) == 0 for u in _bits(lowers)):
-                return False, f"no meet for {x}, {y}"
     return True, "ok"

@@ -65,7 +65,7 @@ class LabeledLattice:
         ordered = sorted(atoms, key=lambda a: a_tilde(built.elements[a]))
         expected = atom_count_closed_form(m, r, j)
         if len(ordered) != expected:
-            raise AssertionError(
+            raise RuntimeError(
                 f"atom count {len(ordered)} differs from closed form {expected}"
             )
         return cls(
@@ -90,7 +90,8 @@ class LabeledLattice:
         xp = set(self.built.elements[x])
         yp = set(self.built.elements[y])
         merged = sorted(xp - yp, key=max)
-        assert len(merged) == 2
+        if len(merged) != 2:
+            raise RuntimeError(f"cover {x} <| {y} merges {len(merged)} blocks, not 2")
         b1, b2 = merged
         if max(b1) > min(b2):
             return neg_label(max(b1))

@@ -507,7 +507,8 @@ def denominator_M_r(n: int, r: int) -> int:
     value = Fraction(
         math.factorial(r * n), math.factorial(n) * math.factorial(r) ** n
     )
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise RuntimeError(f"M^({r})({n}) is not an integer: {value}")
     return int(value)
 
 
@@ -517,7 +518,8 @@ def denominator_N_rk(n: int, r: int, k: int, s: int) -> int:
         math.factorial(r * n + k) * s ** ((r - 1) * n),
         math.factorial(k) * math.factorial(r) ** n * math.factorial(n),
     )
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise RuntimeError(f"N^({r},{k})({n}) at s={s} is not an integer: {value}")
     return int(value)
 
 
@@ -534,7 +536,8 @@ def extended_to_dowling(p: tuple, m: int, s: int = 1) -> DowlingElement:
             zero = tuple(e for e in block if e != m)
         else:
             blocks.append((block, (0,) * len(block)))
-    assert zero is not None
+    if zero is None:
+        raise ValueError(f"{m} lies in no block of {p}")
     return make_dowling(zero, blocks, s)
 
 

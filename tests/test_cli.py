@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from expdowling.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from expdowling import cli, identities
+from expdowling.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from expdowling.poset import PosetError
 
 
 def run(capsys, *argv):
@@ -108,3 +110,48 @@ def test_guard_exit_code(capsys):
 def test_jobs_flag_accepted(capsys):
     code, _ = run(capsys, "verify", "thm5.5", "--jobs", "4")
     assert code == EXIT_OK
+
+
+def test_flipped_sign_fails_verify(capsys, monkeypatch):
+    # a cor3.4 report whose brute values are minus the closed form: epsilon -1
+    # where +1 is expected
+    def flipped(ns):
+        report = identities.IdentityReport("mu-series-exponential", {})
+        report.add(1, 1, -1)
+        report.add(2, -1, 1)
+        return [report]
+
+    monkeypatch.setitem(cli.SUITES, "cor3.4", flipped)
+    code, out = run(capsys, "verify", "cor3.4")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["results"][0]["epsilon"] == -1
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(ns):
+        raise PosetError("poset has no unique minimal element")
+
+    monkeypatch.setitem(cli.SUITES, "thm5.5", broken)
+    code = main(["verify", "thm5.5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert "internal error in thm5.5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cor4.3", "--I", "2,3", "--J", "1"],  # I is not a semigroup
+    ["verify", "all", "--nmax", "0"],
+    ["verify", "thm4.1", "--I", "0,2"],
+    ["mobius", "--family", "pi"],  # --m missing
+])
+def test_invalid_parameters_exit_usage(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+def test_lattice_cache_keyed_on_guard(tmp_path, capsys):
+    args = ("lattice", "--family", "pi", "--m", "3", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args, "--guard", "9")[0] == EXIT_OK
+    assert run(capsys, *args, "--guard", "10")[0] == EXIT_OK
+    assert len(list(tmp_path.iterdir())) == 2

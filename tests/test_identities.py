@@ -171,3 +171,15 @@ def test_j1_vanishing():
         assert report.passed
         _, brute, closed = report.rows[0]
         assert brute == 0 and closed == 0
+
+
+def test_report_passes_only_with_expected_sign():
+    flipped = IdentityReport("mu-series-exponential", {})
+    flipped.add(1, 2, -2)
+    assert flipped.epsilon == -1 and not flipped.passed
+    exact = IdentityReport("mu-descent", {})
+    exact.add("m=4", 2, 2)
+    assert exact.epsilon == 1 and not exact.passed
+    zero = IdentityReport("d-rk-series", {})
+    zero.add(0, 0, 0)
+    assert zero.passed

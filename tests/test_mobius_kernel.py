@@ -1,0 +1,148 @@
+"""Differential tests of the value-class Mobius kernel and the one-candidate
+lattice check against the sum-over-bits recursion and the full upper-set scan
+they replaced.
+
+Oracle notes.
+[ORACLE] `oracle_mobius_table`, `oracle_mobius_table_to_top` and
+`oracle_is_lattice` are the previous implementations, kept verbatim: one dict
+lookup per interval element, and a scan of every common upper (lower) bound.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expdowling.poset import (
+    _bits,
+    from_covers,
+    is_lattice,
+    mobius_table,
+    mobius_table_to_top,
+    verify_mobius_identity,
+)
+from expdowling.structures import (
+    build_D_rk,
+    build_dowling_lattice,
+    build_extended,
+    build_partition_lattice,
+    build_Q_r,
+    build_restricted_partition,
+)
+
+
+def oracle_mobius_table(P, x):
+    table = {}
+    order = sorted(_bits(P.up_rows[x]), key=lambda y: P.up_rows[y].bit_count(), reverse=True)
+    for y in order:
+        if y == x:
+            table[y] = 1
+            continue
+        below = P.up_rows[x] & P.down_rows[y] & ~(1 << y)
+        table[y] = -sum(table[z] for z in _bits(below))
+    return table
+
+
+def oracle_mobius_table_to_top(P, y):
+    table = {}
+    order = sorted(_bits(P.down_rows[y]), key=lambda x: P.down_rows[x].bit_count(), reverse=True)
+    for x in order:
+        if x == y:
+            table[x] = 1
+            continue
+        above = P.down_rows[y] & P.up_rows[x] & ~(1 << x)
+        table[x] = -sum(table[z] for z in _bits(above))
+    return table
+
+
+def oracle_is_lattice(P):
+    if len(P.minimals) != 1 or len(P.maximals) != 1:
+        return False
+    for x in range(P.n):
+        for y in range(x + 1, P.n):
+            uppers = P.up_rows[x] & P.up_rows[y]
+            if not any((uppers & ~P.up_rows[u]) == 0 for u in _bits(uppers)):
+                return False
+            lowers = P.down_rows[x] & P.down_rows[y]
+            if not any((lowers & ~P.down_rows[u]) == 0 for u in _bits(lowers)):
+                return False
+    return True
+
+
+def extended_parameters(m_max):
+    # r = 1 stops one size short: Pi_m^{1,j} for small j is Pi_m with a 0-hat
+    # adjoined, already covered, and the oracles take seconds on it at m = 7
+    for m in range(1, m_max + 1):
+        for r in range(1, m + 1):
+            for j in range(1, m + 1):
+                if (m - j) % r == 0 and (r > 1 or m < m_max):
+                    yield m, r, j
+
+
+def bowtie():
+    # 0 < a, b < c, d < 1 with a, b both below c and d: a and b have two
+    # minimal upper bounds, so no join
+    return from_covers(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+
+
+CASES = (
+    [(f"pi{m}", lambda m=m: build_partition_lattice(m).poset) for m in range(1, 8)]
+    + [
+        (f"dowling{n},{s}", lambda n=n, s=s: build_dowling_lattice(n, s).poset)
+        for n in range(0, 5)
+        for s in range(1, 4)
+    ]
+    + [
+        (f"extended{m},{r},{j}", lambda m=m, r=r, j=j: build_extended(m, r, j).poset)
+        for m, r, j in extended_parameters(7)
+    ]
+    + [
+        (f"d-rk{n},{r},{k},{s}", lambda n=n, r=r, k=k, s=s: build_D_rk(n, r, k, s, adjoin=True).poset)
+        for n, r, k, s in [(1, 1, 1, 2), (2, 1, 2, 1), (2, 2, 0, 1), (1, 2, 1, 2), (2, 2, 1, 1)]
+    ]
+    + [
+        ("q-I6,{1,2}", lambda: build_restricted_partition(6, frozenset({1, 2})).poset),
+        ("q-I6,{2,3}", lambda: build_restricted_partition(6, frozenset({2, 3})).poset),
+        ("q-r3,2", lambda: build_Q_r(3, 2).poset),
+        ("q-r2,3", lambda: build_Q_r(2, 3).poset),
+        ("bowtie", bowtie),
+    ]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in CASES], ids=[name for name, _ in CASES])
+def test_kernel_matches_oracle(build):
+    P = build()
+    for x in range(P.n):
+        assert mobius_table(P, x) == oracle_mobius_table(P, x)
+        assert mobius_table_to_top(P, x) == oracle_mobius_table_to_top(P, x)
+    assert is_lattice(P)[0] == oracle_is_lattice(P)
+
+
+def test_bowtie_and_q_r_are_not_lattices():
+    ok, reason = is_lattice(bowtie())
+    assert not ok and reason == "no join for 1, 2"
+    ok, reason = is_lattice(build_Q_r(3, 2).poset)
+    assert not ok and reason == "missing unique bottom or top"
+
+
+@st.composite
+def random_bounded_poset(draw):
+    # a random DAG between an adjoined bottom 0 and top n + 1; its transitive
+    # edges make it non-graded, which exercises the height fallback
+    n = draw(st.integers(min_value=0, max_value=7))
+    edges = {(0, i) for i in range(1, n + 2)} | {(i, n + 1) for i in range(n + 1)}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if draw(st.booleans()):
+                edges.add((i, j))
+    return from_covers(n + 2, sorted(edges))
+
+
+@given(random_bounded_poset())
+@settings(max_examples=80, deadline=None)
+def test_random_bounded_posets_match_oracle(P):
+    for x in range(P.n):
+        assert mobius_table(P, x) == oracle_mobius_table(P, x)
+        assert mobius_table_to_top(P, x) == oracle_mobius_table_to_top(P, x)
+        assert verify_mobius_identity(P, x)
+    assert is_lattice(P)[0] == oracle_is_lattice(P)

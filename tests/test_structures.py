@@ -223,3 +223,8 @@ def test_partition_order_axioms(m, data):
 
 def test_canonical_partition_sorting():
     assert canonical_partition([(3, 1), (2,)]) == ((1, 3), (2,))
+
+
+def test_extended_to_dowling_rejects_partition_without_m():
+    with pytest.raises(ValueError):
+        extended_to_dowling(((1, 2), (3,)), 4)

@@ -22,6 +22,7 @@ from . import __version__, descents, identities, shelling
 from .poset import mobius_table
 from .series import UNIT, coeff_den
 from .structures import (
+    GUARD,
     DowlingElement,
     GuardError,
     build_D_rk,
@@ -86,7 +87,7 @@ def build_family(ns):
     if fam == "pi":
         return build_partition_lattice(ns.m, guard=ns.guard)
     if fam == "dowling":
-        return build_dowling_lattice(ns.n, ns.s, guard=max(ns.guard, 50000))
+        return build_dowling_lattice(ns.n, ns.s, guard=ns.guard)
     if fam == "pi-r":
         return build_r_divisible(ns.m, ns.r, guard=ns.guard)
     if fam == "pi-rj":
@@ -94,11 +95,11 @@ def build_family(ns):
     if fam == "q-r":
         return build_Q_r(ns.n, ns.r, guard=ns.guard)
     if fam == "d-rk":
-        return build_D_rk(ns.n, ns.r, ns.k, ns.s, adjoin=True)
+        return build_D_rk(ns.n, ns.r, ns.k, ns.s, guard=ns.guard, adjoin=True)
     if fam == "q-I":
         return build_restricted_partition(ns.n, ns.I, guard=ns.guard)
     if fam == "r-IJ":
-        return build_restricted_dowling(ns.n, ns.s, ns.I, ns.J)
+        return build_restricted_dowling(ns.n, ns.s, ns.I, ns.J, guard=ns.guard)
     raise argparse.ArgumentTypeError(f"unknown family {fam!r}")
 
 
@@ -485,7 +486,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--output")
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--guard", type=int, default=9)
+        p.add_argument("--guard", type=int, default=GUARD, help="element limit of a build")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")

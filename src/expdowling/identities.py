@@ -581,12 +581,12 @@ def hyperbolic_series_check(k: int, s: int, T: int) -> IdentityReport:
 # descent-statistic Mobius values
 
 
-def mu_descent_check(r: int, k: int, n: int, guard: int = 9) -> IdentityReport:
+def mu_descent_check(r: int, k: int, n: int) -> IdentityReport:
     """Brute mu of the extended r-divisible lattice against the signed descent
     count (m = r*n + k + 1)."""
     m = r * n + k + 1
     report = IdentityReport("mu-descent", {"r": r, "k": k, "n": n, "m": m})
-    built = build_extended(m, r, k + 1, guard=guard)
+    built = build_extended(m, r, k + 1)
     word = descents.eulerian_product_word(r, n, "a" * (k - 1))
     closed = (-1) ** n * descents.des_count(word)
     report.add(f"m={m}", brute_mu(built), closed)
@@ -595,12 +595,12 @@ def mu_descent_check(r: int, k: int, n: int, guard: int = 9) -> IdentityReport:
     return report
 
 
-def theorem_j1_check(r: int, n: int, guard: int = 9) -> IdentityReport:
+def theorem_j1_check(r: int, n: int) -> IdentityReport:
     """The j=1 case: mu vanishes, and the join of the atoms stays below the
     top."""
     m = r * n + 1
     report = IdentityReport("mu-j1-zero", {"r": r, "n": n, "m": m})
-    built = build_extended(m, r, 1, guard=guard)
+    built = build_extended(m, r, 1)
     P = built.poset
     report.add(f"m={m}", brute_mu(built), 0)
     atoms = P.covers_up[bottom_of(built)]

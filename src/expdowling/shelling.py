@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import descents
 from .poset import maximal_chains, mobius_table
-from .structures import BuiltLattice, GuardError, build_extended
+from .structures import GUARD, BuiltLattice, build_extended
 
 
 def atom_count_closed_form(m: int, r: int, j: int) -> int:
@@ -59,7 +59,7 @@ class LabeledLattice:
     atom_rank_of: dict = field(default_factory=dict)  # atom poset index -> 1-based i
 
     @classmethod
-    def build(cls, m: int, r: int, j: int, guard: int = 9) -> "LabeledLattice":
+    def build(cls, m: int, r: int, j: int, guard: int = GUARD) -> "LabeledLattice":
         built = build_extended(m, r, j, guard=guard)
         atoms = built.poset.covers_up[built.bottom]
         ordered = sorted(atoms, key=lambda a: a_tilde(built.elements[a]))
@@ -172,7 +172,7 @@ def f_sigma(sigma: tuple, r: int, j: int, L: LabeledLattice) -> tuple:
     return tuple(chain)
 
 
-def el_verify(m: int, r: int, j: int, guard: int = 9) -> dict:
+def el_verify(m: int, r: int, j: int, guard: int = GUARD) -> dict:
     """Full EL suite for one lattice: every interval has exactly one rising
     chain and it is lex-first; the falling chains are exactly the explicit
     ones; counts line up with descents and with |mu|."""

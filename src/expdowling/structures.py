@@ -9,8 +9,11 @@ Elements are kept in canonical form:
   enters only through residues mod s, and the representative of the scalar
   equivalence class is fixed by giving the minimum of each block the label 0.
 
-Factorial growth is everywhere, so every builder takes an explicit guard and
-fails fast instead of exhausting memory.
+Pi_m, L_n(s) and their upper sets Pi_m^r, Q^(r)_n, Pi_m^{r,j} and D_n^(r,k)
+all grow by cover moves from their minimal elements (the objects counted by
+M^(r) and N^(r,k)).  Only Q^I and R^{I,J}, which are not upper sets, are
+filtered from an enumeration and ordered pairwise.  Every construction stops
+with GuardError as soon as it holds more than `guard` elements (default GUARD).
 """
 
 from __future__ import annotations
@@ -19,13 +22,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional
 
-from .poset import Poset, PosetError, from_covers, _bits
+from .poset import Poset, from_covers, _bits
+
+
+GUARD = 50_000  # default limit on the elements of one construction
 
 
 class GuardError(ValueError):
     """A requested construction exceeds its size guard."""
+
+
+def _check_params(**values: int) -> None:
+    """Reject n, j, k < 0 and m, r, s < 1 as bad usage."""
+    for name, value in values.items():
+        least = 0 if name in ("n", "j", "k") else 1
+        if value < least:
+            raise ValueError(f"need {name} >= {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +63,38 @@ def canonical_partition(blocks: Iterable[Iterable[int]]) -> tuple:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def set_partitions(m: int, guard: int = 12) -> list:
-    if not 1 <= m <= guard:
-        raise GuardError(f"set partition enumeration limited to 1 <= m <= {guard}, got {m}")
-    return sorted(set(partitions_of(tuple(range(1, m + 1)))))
+def set_partitions(m: int, guard: int = GUARD) -> list:
+    _check_params(m=m)
+    out = []
+    for p in partitions_of(tuple(range(1, m + 1))):
+        out.append(p)
+        if len(out) > guard:
+            raise GuardError(f"set partitions of {m} exceed guard {guard}")
+    return sorted(out)
+
+
+def partition_covers(p: tuple) -> set:
+    """Partitions covering p: two blocks merged.  The merged block keeps the
+    smaller minimum, so it takes the place of the first block and every cover
+    is already canonical."""
+    out = set()
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            out.add(p[:i] + (tuple(sorted(p[i] + p[j])),) + p[i + 1 : j] + p[j + 1 :])
+    return out
+
+
+def _r_blocks(elems: tuple, r: int) -> Iterator[tuple]:
+    """Every partition of the sorted tuple elems into blocks of size r, blocks
+    sorted by minimum (none when r does not divide len(elems))."""
+    if not elems:
+        yield ()
+        return
+    first, rest = elems[0], elems[1:]
+    for mates in combinations(rest, r - 1):
+        left = tuple(e for e in rest if e not in mates)
+        for blocks in _r_blocks(left, r):
+            yield ((first,) + mates,) + blocks
 
 
 def partition_leq(p: tuple, q: tuple) -> bool:
@@ -78,9 +121,6 @@ class DowlingElement:
 
     zero: tuple
     blocks: tuple  # tuple of (elems tuple, labels tuple)
-
-    def n_blocks(self) -> int:
-        return len(self.blocks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,20 +158,23 @@ def dowling_rank(x: DowlingElement, n: int) -> int:
 
 def dowling_covers(x: DowlingElement, s: int) -> set:
     """Elements covering x: a block absorbed by the zero block, or two blocks
-    merged in each of the s inequivalent ways."""
+    merged in each of the s inequivalent ways.  A merged block keeps the
+    smaller minimum, with label 0, so it takes the place of the first block
+    and every cover is already canonical."""
     out = set()
-    blocks = x.blocks
+    zero, blocks = x.zero, x.blocks
     for i in range(len(blocks)):
         rest = blocks[:i] + blocks[i + 1 :]
-        out.add(make_dowling(x.zero + blocks[i][0], rest, s))
+        out.add(DowlingElement(zero=tuple(sorted(zero + blocks[i][0])), blocks=rest))
     for i in range(len(blocks)):
         bi, fi = blocks[i]
         for j in range(i + 1, len(blocks)):
             bj, fj = blocks[j]
-            rest = tuple(b for t, b in enumerate(blocks) if t not in (i, j))
+            after = blocks[i + 1 : j] + blocks[j + 1 :]
             for alpha in range(s):
-                merged = (bi + bj, fi + tuple((l + alpha) % s for l in fj))
-                out.add(make_dowling(x.zero, rest + (merged,), s))
+                labels = fi + tuple((l + alpha) % s for l in fj)
+                merged = tuple(zip(*sorted(zip(bi + bj, labels))))
+                out.add(DowlingElement(zero=zero, blocks=blocks[:i] + (merged,) + after))
     return out
 
 
@@ -166,12 +209,11 @@ def enumerate_dowling(
     s: int,
     zero_ok: Optional[Callable[[int], bool]] = None,
     block_ok: Optional[Callable[[int], bool]] = None,
-    guard: int = 50000,
+    guard: int = GUARD,
 ) -> list:
     """All canonical Dowling elements of L_n(s) whose zero-block size passes
     zero_ok and whose block sizes all pass block_ok."""
-    from itertools import combinations, product
-
+    _check_params(n=n, s=s)
     ground = tuple(range(1, n + 1))
     out = []
     for b in range(n + 1):
@@ -215,60 +257,45 @@ class BuiltLattice:
         return range(len(self.elements))
 
 
-def _grow_from_bottom(bottom, covers_fn) -> tuple:
-    """BFS over cover moves; returns (elements, cover index pairs)."""
-    index = {bottom: 0}
-    elements = [bottom]
-    edges = []
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            xi = index[x]
-            for y in covers_fn(x):
-                yi = index.get(y)
-                if yi is None:
-                    yi = index[y] = len(elements)
-                    elements.append(y)
-                    nxt.append(y)
-                edges.append((xi, yi))
-        frontier = nxt
-    return tuple(elements), edges
+def _grow(seeds: Iterable, covers_fn: Callable, guard: int) -> BuiltLattice:
+    """The upper set generated by the minimal elements `seeds` under cover
+    moves, grown in one FIFO pass over the element list as it grows.  Raises
+    GuardError as soon as more than `guard` elements exist."""
+    elements, index = [], {}
+
+    def place(x) -> int:
+        i = index.get(x)
+        if i is None:
+            if len(elements) >= guard:
+                raise GuardError(f"construction exceeds guard {guard} elements")
+            i = index[x] = len(elements)
+            elements.append(x)
+        return i
+
+    for x in seeds:
+        place(x)
+    # the loop also visits the elements that place() appends while it runs
+    edges = [(xi, place(y)) for xi, x in enumerate(elements) for y in covers_fn(x)]
+    poset = from_covers(len(elements), edges)
+    return BuiltLattice(poset=poset, elements=tuple(elements), index=index)
 
 
-def build_partition_lattice(m: int, guard: int = 9) -> BuiltLattice:
+def build_partition_lattice(m: int, guard: int = GUARD) -> BuiltLattice:
     """The partition lattice Pi_m under refinement, bottom = all singletons."""
-    if not 1 <= m <= guard:
-        raise GuardError(f"partition lattice limited to m <= {guard}, got {m}")
-    bottom = canonical_partition([(e,) for e in range(1, m + 1)])
-
-    def covers(p):
-        out = set()
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                merged = p[:i] + p[i + 1 : j] + p[j + 1 :] + (tuple(sorted(p[i] + p[j])),)
-                out.add(canonical_partition(merged))
-        return out
-
-    elements, edges = _grow_from_bottom(bottom, covers)
-    poset = from_covers(len(elements), edges)
-    return BuiltLattice(poset=poset, elements=elements, index={e: i for i, e in enumerate(elements)})
+    _check_params(m=m)
+    return _grow([tuple((e,) for e in range(1, m + 1))], partition_covers, guard)
 
 
-def build_dowling_lattice(n: int, s: int, guard: int = 50000) -> BuiltLattice:
+def build_dowling_lattice(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
     """The Dowling lattice L_n of rank n for a group of order s."""
-    if n < 0 or s < 1:
-        raise ValueError("need n >= 0 and s >= 1")
-    bottom = dowling_bottom(n)
-    elements, edges = _grow_from_bottom(bottom, lambda x: dowling_covers(x, s))
-    if len(elements) > guard:
-        raise GuardError(f"Dowling lattice n={n}, s={s} has {len(elements)} elements > guard {guard}")
-    poset = from_covers(len(elements), edges)
-    return BuiltLattice(poset=poset, elements=elements, index={e: i for i, e in enumerate(elements)})
+    _check_params(n=n, s=s)
+    return _grow([dowling_bottom(n)], lambda x: dowling_covers(x, s), guard)
 
 
+# No build path calls ambient_dowling or induce_from_ambient: they are the
+# tests' oracle for build_D_rk.
 @lru_cache(maxsize=8)
-def ambient_dowling(n: int, s: int, guard: int = 50000) -> BuiltLattice:
+def ambient_dowling(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
     return build_dowling_lattice(n, s, guard=guard)
 
 
@@ -413,61 +440,54 @@ def all_types(n: int, zero_ok=None, block_ok=None) -> Iterator[StructureType]:
 # derived partition families
 
 
-def build_r_divisible(m: int, r: int, guard: int = 9) -> BuiltLattice:
-    """Pi_m^r: partitions with all block sizes divisible by r, 0-hat adjoined."""
-    if m % r != 0:
-        raise ValueError(f"r={r} must divide m={m}")
-    if m > guard:
-        raise GuardError(f"r-divisible lattice limited to m <= {guard}, got {m}")
-    elements = [p for p in set_partitions(m) if all(len(b) % r == 0 for b in p)]
-    built = induced_subposet(elements, partition_leq, lambda p: m - len(p))
-    return adjoin_zero(built)
-
-
-def build_extended(m: int, r: int, j: int, guard: int = 9) -> BuiltLattice:
-    """Pi_m^{r,j}: the block containing m has size >= j, all other blocks have
-    size divisible by r; 0-hat adjoined."""
+def _extended_upper_set(m: int, r: int, j: int, guard: int) -> BuiltLattice:
+    """The partitions of [m] whose block containing m has size >= j and whose
+    other blocks have sizes divisible by r, grown from the minimal ones: m in
+    a block of size j (size r when j = 0), every other block of size r."""
+    _check_params(m=m, r=r, j=j)
     if (m - j) % r != 0 or m < j:
         raise ValueError(f"need m = r*n + j: got m={m}, r={r}, j={j}")
-    if m > guard:
-        raise GuardError(f"extended lattice limited to m <= {guard}, got {m}")
 
-    def ok(p):
-        for block in p:
-            if m in block:
-                if len(block) < j:
-                    return False
-            elif len(block) % r != 0:
-                return False
-        return True
+    def seeds():
+        for mates in combinations(range(1, m), (j or r) - 1):
+            rest = tuple(e for e in range(1, m) if e not in mates)
+            for blocks in _r_blocks(rest, r):
+                yield canonical_partition(blocks + (mates + (m,),))
 
-    elements = [p for p in set_partitions(m) if ok(p)]
-    built = induced_subposet(elements, partition_leq, lambda p: m - len(p))
-    return adjoin_zero(built)
+    return _grow(seeds(), partition_covers, guard)
 
 
-def build_Q_r(n: int, r: int, guard: int = 9) -> BuiltLattice:
+def build_r_divisible(m: int, r: int, guard: int = GUARD) -> BuiltLattice:
+    """Pi_m^r: partitions with all block sizes divisible by r, 0-hat adjoined."""
+    _check_params(m=m, r=r)
+    if m % r != 0:
+        raise ValueError(f"r={r} must divide m={m}")
+    return adjoin_zero(build_Q_r(m // r, r, guard=guard))
+
+
+def build_extended(m: int, r: int, j: int, guard: int = GUARD) -> BuiltLattice:
+    """Pi_m^{r,j}: the block containing m has size >= j, all other blocks have
+    size divisible by r; 0-hat adjoined."""
+    return adjoin_zero(_extended_upper_set(m, r, j, guard))
+
+
+def build_Q_r(n: int, r: int, guard: int = GUARD) -> BuiltLattice:
     """Q^(r)_n: the subposet of Pi_{rn} of r-divisible partitions (no adjoined
-    bottom)."""
-    m = r * n
-    if m > guard:
-        raise GuardError(f"Q^(r) limited to rn <= {guard}, got {m}")
-    elements = [p for p in set_partitions(m) if all(len(b) % r == 0 for b in p)]
-    return induced_subposet(elements, partition_leq, lambda p: m - len(p))
+    bottom); it is Pi_{rn}^{r,r} without its 0-hat."""
+    _check_params(n=n, r=r)
+    return _extended_upper_set(r * n, r, r, guard)
 
 
-def build_restricted_partition(n: int, I: frozenset, guard: int = 9) -> BuiltLattice:
+def build_restricted_partition(n: int, I: frozenset, guard: int = GUARD) -> BuiltLattice:
     """Q_n^I for Q = Pi: partitions whose block sizes all lie in I, with a
     0-hat adjoined."""
-    if n > guard:
-        raise GuardError(f"restricted partition poset limited to n <= {guard}, got {n}")
-    elements = [p for p in set_partitions(n) if all(len(b) in I for b in p)]
+    elements = [p for p in set_partitions(n, guard) if all(len(b) in I for b in p)]
     built = induced_subposet(elements, partition_leq, lambda p: n - len(p))
     return adjoin_zero(built)
 
 
 def build_restricted_dowling(
-    n: int, s: int, I: frozenset, J: frozenset, guard: int = 5000
+    n: int, s: int, I: frozenset, J: frozenset, guard: int = GUARD
 ) -> BuiltLattice:
     """R_n^{I,J} for R = Dowling(s): zero-block size in J, block sizes in I,
     with a 0-hat adjoined."""
@@ -479,20 +499,23 @@ def build_restricted_dowling(
 
 
 def build_D_rk(
-    n: int, r: int, k: int, s: int, guard: int = 50000, adjoin: bool = False
+    n: int, r: int, k: int, s: int, guard: int = GUARD, adjoin: bool = False
 ) -> BuiltLattice:
-    """D_n^{(r,k)}: the subposet of L_{rn+k} of elements with b >= k,
-    b = k mod r and all block sizes divisible by r."""
-    nn = r * n + k
-    ambient = ambient_dowling(nn, s, guard=guard)
+    """D_n^{(r,k)}: the upper set of L_{rn+k} of elements with b >= k,
+    b = k mod r and all block sizes divisible by r, grown from the minimal
+    ones: a zero block of size k and n blocks of size r, in every labelling."""
+    _check_params(n=n, r=r, k=k, s=s)
+    ground = range(1, r * n + k + 1)
+    labellings = [(0,) + rest for rest in product(range(s), repeat=r - 1)]
 
-    def keep(x: DowlingElement) -> bool:
-        b = len(x.zero)
-        if b < k or (b - k) % r != 0:
-            return False
-        return all(len(elems) % r == 0 for elems, _ in x.blocks)
+    def seeds():
+        for zero in combinations(ground, k):
+            rest = tuple(e for e in ground if e not in zero)
+            for blocks in _r_blocks(rest, r):
+                for labels in product(labellings, repeat=n):
+                    yield DowlingElement(zero=zero, blocks=tuple(zip(blocks, labels)))
 
-    built = induce_from_ambient(ambient, keep)
+    built = _grow(seeds(), lambda x: dowling_covers(x, s), guard)
     return adjoin_zero(built) if adjoin else built
 
 
@@ -547,7 +570,7 @@ def dowling_to_extended(x: DowlingElement, m: int) -> tuple:
     return canonical_partition(blocks)
 
 
-def bijection_extended_to_dowling(m: int, r: int, k: int, guard: int = 9) -> list:
+def bijection_extended_to_dowling(m: int, r: int, k: int, guard: int = GUARD) -> list:
     """Element-level bijection Pi_m^{r,k+1} <-> D_n^{(r,k)} at s=1, as a list
     of (partition, dowling element) pairs; m = r*n + k + 1."""
     if (m - k - 1) % r != 0:

@@ -107,6 +107,34 @@ def test_guard_exit_code(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["mobius", "--family", "dowling", "--n", "3", "--s", "2", "--guard", "5"],
+    ["mobius", "--family", "d-rk", "--n", "2", "--r", "2", "--k", "1", "--s", "1", "--guard", "1"],
+])
+def test_guard_counts_elements_of_every_family(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+def test_default_guard_admits_pi_10_r_2(capsys):
+    # 6,556 elements; mu = -E_9
+    code, out = run(capsys, "mobius", "--family", "pi-r", "--m", "10", "--r", "2")
+    assert code == EXIT_OK
+    assert out.strip() == "-7936"
+
+
+def test_verify_all_end_to_end(capsys):
+    code, out = run(capsys, "verify", "all")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert len(results) == 75
+    assert all(r["verdict"] != "mismatch" for r in results)
+    flipped = {r["identity"] for r in results if r["epsilon"] == -1}
+    assert flipped == {"d-rk-series", "mu-descent"}
+    assert all(r["epsilon"] == 1 for r in results if r["identity"] not in flipped)
+
+
 def test_jobs_flag_accepted(capsys):
     code, _ = run(capsys, "verify", "thm5.5", "--jobs", "4")
     assert code == EXIT_OK
@@ -143,11 +171,17 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     ["verify", "all", "--nmax", "0"],
     ["verify", "thm4.1", "--I", "0,2"],
     ["mobius", "--family", "pi"],  # --m missing
+    ["mobius", "--family", "d-rk", "--n", "1", "--r", "0", "--k", "1", "--s", "1"],
+    ["mobius", "--family", "pi-rj", "--m", "4", "--r", "0", "--j", "4"],
+    ["mobius", "--family", "d-rk", "--n", "1", "--r", "2", "--k", "-1", "--s", "1"],
+    ["mobius", "--family", "q-r", "--n", "2", "--r", "0"],
 ])
 def test_invalid_parameters_exit_usage(capsys, argv):
-    code, out = run(capsys, *argv)
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert out == ""
+    assert captured.out == ""
+    assert "guard exceeded" not in captured.err
 
 
 def test_lattice_cache_keyed_on_guard(tmp_path, capsys):

@@ -134,8 +134,10 @@ def test_guards():
         set_partitions(13)
     with pytest.raises(GuardError):
         build_partition_lattice(10)
+    # Pi_10^2 has 6,556 elements below its adjoined 0-hat: the guard counts them
     with pytest.raises(GuardError):
-        build_r_divisible(10, 2)
+        build_r_divisible(10, 2, guard=6555)
+    assert build_r_divisible(10, 2, guard=6556).poset.n == 6557
 
 
 def test_r_divisible_small():

@@ -60,6 +60,8 @@ class LabeledLattice:
 
     @classmethod
     def build(cls, m: int, r: int, j: int, guard: int = GUARD) -> "LabeledLattice":
+        if j < 1:
+            raise ValueError(f"the edge labeling needs j >= 1, got {j}")
         built = build_extended(m, r, j, guard=guard)
         atoms = built.poset.covers_up[built.bottom]
         ordered = sorted(atoms, key=lambda a: a_tilde(built.elements[a]))

@@ -92,6 +92,11 @@ def test_f_sigma_rejects_wrong_descents():
         f_sigma((1, 2, 3, 4), 2, 2, L)
 
 
+def test_el_verify_rejects_j_zero():
+    with pytest.raises(ValueError, match="j >= 1"):
+        el_verify(4, 2, 0)
+
+
 @pytest.mark.parametrize("m,r,j", [(3, 2, 1), (4, 2, 2), (5, 2, 3)])
 def test_el_verify(m, r, j):
     result = el_verify(m, r, j)

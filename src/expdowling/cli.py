@@ -1,9 +1,11 @@
 """Command-line front end: build and export lattices, run named verification
 suites, print series and descent tables.
 
-Exit codes: 0 all checks exact, or exact up to the constant sign documented
-for that identity; 1 a check mismatched or showed an unexpected sign; 2 bad
-suite name, invalid parameters or an exceeded guard; 3 an internal error.
+Each subcommand accepts only the options it reads.  Exit codes: 0 all checks
+exact, or exact up to the constant sign documented for that identity; 1 a
+check mismatched or showed an unexpected sign; 2 bad usage (an unknown suite,
+an option the subcommand does not read, invalid parameters) or an exceeded
+guard; 3 an internal error.
 """
 
 from __future__ import annotations
@@ -18,31 +20,34 @@ import random
 import sys
 from fractions import Fraction
 
-from . import __version__, descents, identities, shelling
-from .poset import mobius_table
+from . import __version__, descents, identities, shelling, structures
 from .series import UNIT, coeff_den
-from .structures import (
-    GUARD,
-    DowlingElement,
-    GuardError,
-    build_D_rk,
-    build_dowling_lattice,
-    build_extended,
-    build_partition_lattice,
-    build_Q_r,
-    build_r_divisible,
-    build_restricted_dowling,
-    build_restricted_partition,
-)
+from .structures import GUARD, DowlingElement, GuardError
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
-def _parse_int_set(text: str) -> frozenset:
-    try:
-        return frozenset(int(v) for v in text.split(",") if v != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of integers: {text!r}")
+def _integers(least: int, collect=None):
+    """argparse type: an integer >= `least` or, with `collect` (list or
+    frozenset), a comma list of them; a set skips empty items."""
+
+    def parse(text: str):
+        items = [text] if collect is None else text.split(",")
+        try:
+            values = [int(v) for v in items if v != "" or collect is not frozenset]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected integers: {text!r}")
+        if any(v < least for v in values):
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text!r}")
+        return values[0] if collect is None else collect(values)
+
+    return parse
+
+
+def _descent_word(text: str) -> str:
+    if set(text) - {"a", "b"}:
+        raise argparse.ArgumentTypeError(f"a descent word has only the letters a and b: {text!r}")
+    return text
 
 
 def _element_json(e):
@@ -51,56 +56,41 @@ def _element_json(e):
     return [list(block) for block in e]
 
 
-def _emit(data, ns):
-    if getattr(ns, "format", "json") == "csv" and isinstance(data, dict) and "rows" in data:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        for row in data["rows"]:
-            writer.writerow(row)
-        text = out.getvalue()
-    else:
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if getattr(ns, "output", None):
-        with open(ns.output, "w") as fh:
+def _emit(text: str, output) -> None:
+    if output:
+        with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-FAMILY_ARGS = {
-    "pi": ("m",),
-    "dowling": ("n", "s"),
-    "pi-r": ("m", "r"),
-    "pi-rj": ("m", "r", "j"),
-    "q-r": ("n", "r"),
-    "d-rk": ("n", "r", "k", "s"),
-    "q-I": ("n", "I"),
-    "r-IJ": ("n", "s", "I", "J"),
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# family -> (builder in `structures`, the options it takes, in order).  The
+# builder is looked up by name at each call, so that a wrapper rebound on the
+# module (perfbench/traced.py) sees the build.
+FAMILIES = {
+    "pi": ("build_partition_lattice", ("m",)),
+    "dowling": ("build_dowling_lattice", ("n", "s")),
+    "pi-r": ("build_r_divisible", ("m", "r")),
+    "pi-rj": ("build_extended", ("m", "r", "j")),
+    "q-r": ("build_Q_r", ("n", "r")),
+    "d-rk": ("build_D_rk", ("n", "r", "k", "s")),
+    "q-I": ("build_restricted_partition", ("n", "I")),
+    "r-IJ": ("build_restricted_dowling", ("n", "s", "I", "J")),
 }
 
 
 def build_family(ns):
-    fam = ns.family
-    missing = [f"--{key}" for key in FAMILY_ARGS.get(fam, ()) if getattr(ns, key) is None]
+    builder, keys = FAMILIES[ns.family]
+    missing = [f"--{key}" for key in keys if getattr(ns, key) is None]
     if missing:
-        raise ValueError(f"family {fam} needs {', '.join(missing)}")
-    if fam == "pi":
-        return build_partition_lattice(ns.m, guard=ns.guard)
-    if fam == "dowling":
-        return build_dowling_lattice(ns.n, ns.s, guard=ns.guard)
-    if fam == "pi-r":
-        return build_r_divisible(ns.m, ns.r, guard=ns.guard)
-    if fam == "pi-rj":
-        return build_extended(ns.m, ns.r, ns.j, guard=ns.guard)
-    if fam == "q-r":
-        return build_Q_r(ns.n, ns.r, guard=ns.guard)
-    if fam == "d-rk":
-        return build_D_rk(ns.n, ns.r, ns.k, ns.s, guard=ns.guard, adjoin=True)
-    if fam == "q-I":
-        return build_restricted_partition(ns.n, ns.I, guard=ns.guard)
-    if fam == "r-IJ":
-        return build_restricted_dowling(ns.n, ns.s, ns.I, ns.J, guard=ns.guard)
-    raise argparse.ArgumentTypeError(f"unknown family {fam!r}")
+        raise ValueError(f"family {ns.family} needs {', '.join(missing)}")
+    # D_n^(r,k) has no 0-hat of its own; the CLI reports it with one adjoined
+    extra = {"adjoin": True} if ns.family == "d-rk" else {}
+    return getattr(structures, builder)(*(getattr(ns, key) for key in keys), guard=ns.guard, **extra)
 
 
 def _built_json(built):
@@ -113,12 +103,6 @@ def _built_json(built):
 
 # ---------------------------------------------------------------------------
 # verification suites (names mirror the numbered results they exercise)
-
-
-def _wrap(reports):
-    if not isinstance(reports, list):
-        reports = [reports]
-    return reports
 
 
 def suite_census(ns):
@@ -276,58 +260,39 @@ def suite_el(ns):
     return out
 
 
+# suite name -> (suite function, parameters it uses when they are not given)
 SUITES = {
-    "lemma2.1": suite_census,
-    "prop3.2": suite_census,
-    "thm3.2": suite_compositional_partition,
-    "thm3.3": suite_compositional_dowling,
-    "ex3.5": suite_rank_polynomials,
-    "cor3.4": suite_mu_series,
-    "thm4.1": suite_thm41,
-    "thm4.2": suite_thm42,
-    "cor4.3": suite_semigroup,
-    "prop4.5": suite_prop45,
-    "cor4.7": suite_cor47,
-    "cor4.8": suite_cor48,
-    "lemma5.1": suite_macmahon,
-    "prop5.3": suite_eulerian,
-    "thm5.4": suite_thm54,
-    "thm5.5": suite_thm55,
-    "cor5.6": suite_cor56,
-    "thm6.1": suite_el,
-    "cor6.4": suite_el,
-    "cor6.5": suite_el,
-}
-
-SUITE_DEFAULTS = {
-    "lemma2.1": {"nmax": 4, "s_list": [1, 2, 3]},
-    "prop3.2": {"nmax": 4, "s_list": [1, 2, 3]},
-    "thm3.2": {"nmax": 6},
-    "thm3.3": {"nmax": 4, "s_list": [1, 2]},
-    "ex3.5": {"nmax": 5, "s_list": [1, 2]},
-    "cor3.4": {"nmax": 7, "s_list": [1, 2, 3]},
-    "thm4.1": {"I": frozenset({2}), "window": 8},
-    "thm4.2": {"I": frozenset({2}), "J": frozenset({1}), "s": 1, "window": 8},
-    "cor4.3": {
-        "I": frozenset({2, 4, 6, 8}),
-        "J": frozenset({1, 3, 5, 7}),
-        "s": 1,
-        "window": 8,
-    },
-    "prop4.5": {"nmax": 6, "s_list": [1, 2]},
-    "cor4.7": {"nmax": 4},
-    "cor4.8": {"nmax": 8, "s_list": [1, 2]},
-    "lemma5.1": {"nmax": 6},
-    "prop5.3": {"nmax": 9},
-    "thm6.1": {},
+    "lemma2.1": (suite_census, {"nmax": 4, "s_list": [1, 2, 3]}),
+    "prop3.2": (suite_census, {"nmax": 4, "s_list": [1, 2, 3]}),
+    "thm3.2": (suite_compositional_partition, {"nmax": 6}),
+    "thm3.3": (suite_compositional_dowling, {"nmax": 4, "s_list": [1, 2]}),
+    "ex3.5": (suite_rank_polynomials, {"nmax": 5, "s_list": [1, 2]}),
+    "cor3.4": (suite_mu_series, {"nmax": 7, "s_list": [1, 2, 3]}),
+    "thm4.1": (suite_thm41, {"I": frozenset({2}), "window": 8}),
+    "thm4.2": (suite_thm42, {"I": frozenset({2}), "J": frozenset({1}), "s": 1, "window": 8}),
+    "cor4.3": (
+        suite_semigroup,
+        {"I": frozenset({2, 4, 6, 8}), "J": frozenset({1, 3, 5, 7}), "s": 1, "window": 8},
+    ),
+    "prop4.5": (suite_prop45, {"nmax": 6, "s_list": [1, 2]}),
+    "cor4.7": (suite_cor47, {"nmax": 4}),
+    "cor4.8": (suite_cor48, {"nmax": 8, "s_list": [1, 2]}),
+    "lemma5.1": (suite_macmahon, {"nmax": 6}),
+    "prop5.3": (suite_eulerian, {"nmax": 9}),
+    "thm5.4": (suite_thm54, {}),
+    "thm5.5": (suite_thm55, {}),
+    "cor5.6": (suite_cor56, {}),
+    "thm6.1": (suite_el, {}),
+    "cor6.4": (suite_el, {}),
+    "cor6.5": (suite_el, {}),
 }
 
 
 def resolved_config(ns) -> dict:
-    keys = ("suite", "nmax", "s", "s_list", "I", "J", "window", "seed", "format", "jobs")
+    keys = ("suite", "nmax", "s", "s_list", "I", "J", "window", "seed", "format")
     out = {}
     for key in keys:
-        value = getattr(ns, key, None)
+        value = getattr(ns, key)
         if isinstance(value, frozenset):
             value = sorted(value)
         out[key] = value
@@ -344,19 +309,11 @@ def _internal_error(where: str) -> int:
     return EXIT_INTERNAL
 
 
-def validate_suite_params(name, ns) -> None:
-    """Reject parameters that suite `name` cannot run with, before any suite
-    runs, so that an exception raised inside a suite is an internal error."""
-    for key in ("nmax", "s", "window", "jobs"):
-        if getattr(ns, key) < 1:
-            raise ValueError(f"--{key} must be >= 1, got {getattr(ns, key)}")
-    if not ns.s_list or min(ns.s_list) < 1:
-        raise ValueError(f"--s-list must be positive integers, got {ns.s_list}")
-    for key, least in (("I", 1), ("J", 0)):
-        values = getattr(ns, key)
-        if values and min(values) < least:
-            raise ValueError(f"--{key} entries must be >= {least}, got {sorted(values)}")
-    if SUITES[name] is suite_semigroup:
+def validate_suite_params(fn, ns) -> None:
+    """Reject the cor4.3 parameters that are not semigroups, before any suite
+    runs, so that an exception raised inside a suite is an internal error.
+    Every single value is range-checked when the arguments are parsed."""
+    if fn is suite_semigroup:
         problem = identities.semigroup_violation(ns.I, ns.J, ns.window)
         if problem:
             raise ValueError(problem)
@@ -364,56 +321,44 @@ def validate_suite_params(name, ns) -> None:
 
 def cmd_verify(ns) -> int:
     names = sorted(SUITES) if ns.suite == "all" else [ns.suite]
-    if any(name not in SUITES for name in names):
-        print(f"unknown suite: {ns.suite}", file=sys.stderr)
-        return EXIT_USAGE
     runs = {}  # suite function -> (first name, resolved parameters)
     for name in names:
-        fn = SUITES[name]
+        fn, defaults = SUITES[name]
         if fn in runs:
             continue
-        local = argparse.Namespace(**vars(ns))
-        for key, value in SUITE_DEFAULTS.get(name, {}).items():
-            if getattr(local, key, None) is None:
-                setattr(local, key, value)
-        for key, value in [("nmax", 4), ("s_list", [1, 2]), ("s", 1), ("window", 6)]:
-            if getattr(local, key, None) is None:
-                setattr(local, key, value)
+        local = argparse.Namespace(
+            **vars(ns) | {k: v for k, v in defaults.items() if getattr(ns, k) is None}
+        )
         try:
-            validate_suite_params(name, local)
+            validate_suite_params(fn, local)
         except ValueError as exc:
             print(f"invalid parameters for {name}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         runs[fn] = (name, local)
     results = []
-    failed = False
     for fn, (name, local) in runs.items():
         try:
-            reports = _wrap(fn(local))
+            results.extend(fn(local))
         except GuardError as exc:
             print(f"guard exceeded in {name}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except Exception:
             return _internal_error(f" in {name}")
-        for report in reports:
-            results.append(report)
-            if not report.passed:
-                failed = True
     if ns.format == "csv":
-        rows = [["identity", "n", "brute", "closed_form", "ratio"]]
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["identity", "n", "brute", "closed_form", "ratio"])
         for report in results:
             for row in report.to_csv_rows()[1:]:
-                rows.append([report.name] + row)
-        _emit({"rows": rows}, ns)
+                writer.writerow([report.name] + row)
+        text = out.getvalue()
     else:
-        _emit(
-            {
-                "config": resolved_config(ns),
-                "results": [r.to_json_dict() for r in results],
-            },
-            ns,
-        )
-    return EXIT_MISMATCH if failed else EXIT_OK
+        text = _json({
+            "config": resolved_config(ns),
+            "results": [r.to_json_dict() for r in results],
+        })
+    _emit(text, ns.output)
+    return EXIT_OK if all(r.passed for r in results) else EXIT_MISMATCH
 
 
 def cmd_lattice(ns) -> int:
@@ -431,118 +376,103 @@ def cmd_lattice(ns) -> int:
         cache_path = os.path.join(ns.cache_dir, f"lattice-{key}.json")
         if os.path.exists(cache_path):
             with open(cache_path) as fh:
-                _emit(json.load(fh), ns)
+                _emit(_json(json.load(fh)), ns.output)
             return EXIT_OK
-    built = build_family(ns)
-    data = _built_json(built)
+    data = _built_json(build_family(ns))
     if cache_path:
         with open(cache_path, "w") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
-    _emit(data, ns)
+    _emit(_json(data), ns.output)
     return EXIT_OK
 
 
 def cmd_mobius(ns) -> int:
-    built = build_family(ns)
-    print(identities.brute_mu(built))
+    print(identities.brute_mu(build_family(ns)))
     return EXIT_OK
 
 
+SERIES = {
+    "cor3.4-exponential": lambda ns: identities.series_mu_exponential(UNIT, ns.T),
+    "cor3.4-dowling": lambda ns: identities.series_mu_dowling(ns.s, UNIT, UNIT, ns.T),
+    "prop4.5": lambda ns: identities.d_rk_rhs_series(ns.r, ns.k, ns.s, ns.T),
+}
+
+
 def cmd_series(ns) -> int:
-    T = ns.T
-    if ns.name == "cor3.4-exponential":
-        f = identities.series_mu_exponential(UNIT, T)
-    elif ns.name == "cor3.4-dowling":
-        f = identities.series_mu_dowling(ns.s, UNIT, UNIT, T)
-    elif ns.name == "prop4.5":
-        f = identities.d_rk_rhs_series(ns.r, ns.k, ns.s, T)
-    else:
-        print(f"unknown series {ns.name!r}", file=sys.stderr)
-        return EXIT_USAGE
-    print(", ".join(str(coeff_den(f, n, UNIT)) for n in range(T + 1)))
+    f = SERIES[ns.name](ns)
+    print(", ".join(str(coeff_den(f, n, UNIT)) for n in range(ns.T + 1)))
     return EXIT_OK
 
 
 def cmd_descents(ns) -> int:
-    if ns.q:
-        print(descents.des_q(ns.word))
-    else:
-        print(descents.des_count(ns.word))
+    print(descents.des_q(ns.word) if ns.q else descents.des_count(ns.word))
     return EXIT_OK
 
 
 def cmd_el_check(ns) -> int:
     result = shelling.el_verify(ns.m, ns.r, ns.j, guard=ns.guard)
-    _emit(result, ns)
+    _emit(_json(result), ns.output)
     return EXIT_OK if result["passed"] else EXIT_MISMATCH
+
+
+# the options that several subcommands read; each declares only those it reads
+SHARED_OPTIONS = {
+    "--output": {"help": "write to this file instead of standard output"},
+    "--guard": {"type": int, "default": GUARD, "help": "element limit of a build"},
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="expdowling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--output")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--guard", type=int, default=GUARD, help="element limit of a build")
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--s-list", dest="s_list", type=lambda t: [int(v) for v in t.split(",")])
-    p.add_argument("--I", type=_parse_int_set)
-    p.add_argument("--J", type=_parse_int_set)
-    p.add_argument("--window", type=int)
-    p.add_argument("--seed", type=int, default=20090311)
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    def command(name, fn, summary, *shared):
+        p = sub.add_parser(name, help=summary)
+        for flag in shared:
+            p.add_argument(flag, **SHARED_OPTIONS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
     def family_args(p):
-        p.add_argument("--family", required=True,
-                       choices=["pi", "dowling", "pi-r", "pi-rj", "q-r", "d-rk", "q-I", "r-IJ"])
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--r", type=int)
-        p.add_argument("--j", type=int)
-        p.add_argument("--k", type=int)
+        p.add_argument("--family", required=True, choices=FAMILIES)
+        for key in ("m", "n", "r", "j", "k"):
+            p.add_argument(f"--{key}", type=int)
         p.add_argument("--s", type=int, default=1)
-        p.add_argument("--I", type=_parse_int_set)
-        p.add_argument("--J", type=_parse_int_set)
+        p.add_argument("--I", type=_integers(1, frozenset))
+        p.add_argument("--J", type=_integers(0, frozenset))
 
-    p = sub.add_parser("lattice", help="build and export a lattice")
+    positive, natural = _integers(1), _integers(0)
+    p = command("verify", cmd_verify, "run a named verification suite", "--output")
+    p.add_argument("suite", choices=["all", *SUITES], metavar="suite")
+    p.add_argument("--nmax", type=positive)
+    p.add_argument("--s", type=positive)
+    p.add_argument("--s-list", dest="s_list", type=_integers(1, list))
+    p.add_argument("--I", type=_integers(1, frozenset))
+    p.add_argument("--J", type=_integers(0, frozenset))
+    p.add_argument("--window", type=positive)
+    p.add_argument("--seed", type=int, default=20090311)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+
+    p = command("lattice", cmd_lattice, "build and export a lattice", "--output", "--guard")
     family_args(p)
-    common(p)
-    p.set_defaults(fn=cmd_lattice)
+    p.add_argument("--cache-dir", dest="cache_dir")
 
-    p = sub.add_parser("mobius", help="Mobius number of a lattice")
-    family_args(p)
-    common(p)
-    p.set_defaults(fn=cmd_mobius)
+    family_args(command("mobius", cmd_mobius, "Mobius number of a lattice", "--guard"))
 
-    p = sub.add_parser("series", help="coefficients of a named closed form")
-    p.add_argument("--name", required=True)
-    p.add_argument("--T", type=int, default=6)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-    common(p)
-    p.set_defaults(fn=cmd_series)
+    p = command("series", cmd_series, "coefficients of a named closed form")
+    p.add_argument("--name", required=True, choices=SERIES)
+    p.add_argument("--T", type=natural, default=6)
+    p.add_argument("--s", type=positive, default=1)
+    p.add_argument("--r", type=positive, default=1)
+    p.add_argument("--k", type=natural, default=1)
 
-    p = sub.add_parser("descents", help="Des / Des_q of a descent word")
-    p.add_argument("--word", required=True)
+    p = command("descents", cmd_descents, "Des / Des_q of a descent word")
+    p.add_argument("--word", required=True, type=_descent_word)
     p.add_argument("--q", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_descents)
 
-    p = sub.add_parser("el-check", help="EL-labeling report for one lattice")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_el_check)
+    p = command("el-check", cmd_el_check, "EL-labeling report for one lattice", "--output", "--guard")
+    for key in ("m", "r", "j"):
+        p.add_argument(f"--{key}", type=int, required=True)
 
     return parser
 

@@ -150,21 +150,6 @@ def q_factorial(n: int, q: Fraction) -> Fraction:
     return acc
 
 
-def _word_to_composition(u: str) -> list:
-    """Composition of n cut at the descent (b) positions of a word of degree
-    n-1."""
-    parts = []
-    run = 1
-    for letter in u:
-        if letter == "a":
-            run += 1
-        else:
-            parts.append(run)
-            run = 1
-    parts.append(run)
-    return parts
-
-
 def des_q_enumerate(u: str) -> QPoly:
     """q-count of permutations with descent word u, by listing S_n."""
     n = len(u) + 1

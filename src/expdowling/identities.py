@@ -128,11 +128,6 @@ def brute_mu(built: BuiltLattice) -> int:
     return mobius_table(built.poset, bottom_of(built))[built.poset.top]
 
 
-def brute_mu_sum(built: BuiltLattice) -> int:
-    """Sum of mu(0-hat, x) over the whole poset."""
-    return sum(mobius_table(built.poset, bottom_of(built)).values())
-
-
 # ---------------------------------------------------------------------------
 # denominator sequences and closed forms
 

@@ -78,10 +78,6 @@ class LabeledLattice:
             atom_rank_of={a: i for i, a in enumerate(ordered, start=1)},
         )
 
-    @property
-    def atom_order(self) -> list:
-        return sorted(self.atom_rank_of, key=self.atom_rank_of.get)
-
     def label(self, x: int, y: int):
         """Label of a cover edge x <| y."""
         P = self.built.poset

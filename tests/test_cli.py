@@ -39,6 +39,13 @@ def test_mobius_extended(capsys):
     assert out.strip() == "2"
 
 
+def test_mobius_d_rk_has_adjoined_bottom(capsys):
+    # D_2^(2,1) over s = 2 has several minimal elements; the CLI adjoins a 0-hat
+    code, out = run(capsys, "mobius", "--family", "d-rk", "--n", "2", "--r", "2", "--k", "1", "--s", "2")
+    assert code == EXIT_OK
+    assert out.strip() == "-121"
+
+
 def test_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "nonsense")
     assert code == EXIT_USAGE
@@ -102,6 +109,23 @@ def test_lattice_output_file(tmp_path, capsys):
     assert len(data["elements"]) == 4
 
 
+def test_el_check_output_file(tmp_path, capsys):
+    out_file = tmp_path / "el.json"
+    code, out = run(capsys, "el-check", "--m", "4", "--r", "2", "--j", "2", "--output", str(out_file))
+    assert code == EXIT_OK
+    assert out == ""
+    data = json.loads(out_file.read_text())
+    assert data["passed"] and data["falling_count"] == 2
+
+
+def test_verify_output_file(tmp_path, capsys):
+    out_file = tmp_path / "thm5.5.csv"
+    code, out = run(capsys, "verify", "thm5.5", "--format", "csv", "--output", str(out_file))
+    assert code == EXIT_OK
+    assert out == ""
+    assert out_file.read_text().startswith("identity,n,brute,closed_form,ratio")
+
+
 def test_guard_exit_code(capsys):
     code, _ = run(capsys, "lattice", "--family", "pi", "--m", "12")
     assert code == EXIT_USAGE
@@ -135,9 +159,44 @@ def test_verify_all_end_to_end(capsys):
     assert all(r["epsilon"] == 1 for r in results if r["identity"] not in flipped)
 
 
-def test_jobs_flag_accepted(capsys):
-    code, _ = run(capsys, "verify", "thm5.5", "--jobs", "4")
-    assert code == EXIT_OK
+BASE_ARGV = {
+    "verify": ["verify", "thm5.5"],
+    "lattice": ["lattice", "--family", "pi", "--m", "3"],
+    "mobius": ["mobius", "--family", "pi", "--m", "3"],
+    "series": ["series", "--name", "cor3.4-exponential"],
+    "descents": ["descents", "--word", "ab"],
+    "el-check": ["el-check", "--m", "4", "--r", "2", "--j", "2"],
+}
+READ_OPTIONS = [
+    ("verify", "--format"), ("verify", "--output"),
+    ("lattice", "--output"), ("lattice", "--cache-dir"), ("lattice", "--guard"),
+    ("mobius", "--guard"),
+    ("el-check", "--output"), ("el-check", "--guard"),
+]
+# the other 22 of the 30 (subcommand, option) slots that every subcommand
+# once accepted
+UNREAD_OPTIONS = sorted(
+    {(command, option) for command in BASE_ARGV
+     for option in ("--format", "--output", "--jobs", "--cache-dir", "--guard")}
+    - set(READ_OPTIONS)
+)
+
+
+@pytest.mark.parametrize("command,option", READ_OPTIONS)
+def test_read_option_is_parsed(command, option):
+    value = {"--format": "csv", "--guard": "7"}.get(option, "somewhere")
+    ns = cli.make_parser().parse_args([*BASE_ARGV[command], option, value])
+    assert str(getattr(ns, option[2:].replace("-", "_"))) == value
+
+
+@pytest.mark.parametrize("command,option", UNREAD_OPTIONS)
+def test_unread_option_is_rejected(tmp_path, capsys, command, option):
+    # a value the option would accept where it is read
+    value = {"--format": "json", "--jobs": "1", "--guard": "50000"}.get(option, str(tmp_path / "x"))
+    code, out = run(capsys, *BASE_ARGV[command], option, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flipped_sign_fails_verify(capsys, monkeypatch):
@@ -149,7 +208,7 @@ def test_flipped_sign_fails_verify(capsys, monkeypatch):
         report.add(2, -1, 1)
         return [report]
 
-    monkeypatch.setitem(cli.SUITES, "cor3.4", flipped)
+    monkeypatch.setitem(cli.SUITES, "cor3.4", (flipped, cli.SUITES["cor3.4"][1]))
     code, out = run(capsys, "verify", "cor3.4")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["results"][0]["epsilon"] == -1
@@ -159,7 +218,7 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     def broken(ns):
         raise PosetError("poset has no unique minimal element")
 
-    monkeypatch.setitem(cli.SUITES, "thm5.5", broken)
+    monkeypatch.setitem(cli.SUITES, "thm5.5", (broken, cli.SUITES["thm5.5"][1]))
     code = main(["verify", "thm5.5"])
     err = capsys.readouterr().err
     assert code == EXIT_INTERNAL
@@ -175,6 +234,11 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     ["mobius", "--family", "pi-rj", "--m", "4", "--r", "0", "--j", "4"],
     ["mobius", "--family", "d-rk", "--n", "1", "--r", "2", "--k", "-1", "--s", "1"],
     ["mobius", "--family", "q-r", "--n", "2", "--r", "0"],
+    ["series", "--name", "cor3.4-dowling", "--s", "0"],
+    ["series", "--name", "prop4.5", "--r", "0"],
+    ["series", "--name", "prop4.5", "--k", "-1"],
+    ["series", "--name", "prop4.5", "--T", "-1"],
+    ["descents", "--word", "xyz"],
 ])
 def test_invalid_parameters_exit_usage(capsys, argv):
     code = main(argv)

@@ -1,0 +1,7 @@
+"""Entry point of ``python -m expdowling``: the command-line front end."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -361,6 +361,19 @@ def cmd_verify(ns) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_MISMATCH
 
 
+def _read_cache(path):
+    """The cached export at `path`, or None when it is missing or unreadable
+    (truncated, not JSON, not an export), so that it is rebuilt."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(data, dict) or set(data) != {"poset", "elements", "bottom"}:
+        return None
+    return data
+
+
 def cmd_lattice(ns) -> int:
     cache_path = None
     if ns.cache_dir:
@@ -374,14 +387,21 @@ def cmd_lattice(ns) -> int:
         )
         key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
         cache_path = os.path.join(ns.cache_dir, f"lattice-{key}.json")
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                _emit(_json(json.load(fh)), ns.output)
+        cached = _read_cache(cache_path)
+        if cached is not None:
+            _emit(_json(cached), ns.output)
             return EXIT_OK
     data = _built_json(build_family(ns))
     if cache_path:
-        with open(cache_path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
+        # write beside the target and rename, so a reader never sees half a file
+        partial = f"{cache_path}.{os.getpid()}.tmp"
+        try:
+            with open(partial, "w") as fh:
+                json.dump(data, fh, indent=2, sort_keys=True)
+            os.replace(partial, cache_path)
+        finally:
+            if os.path.exists(partial):
+                os.remove(partial)
     _emit(_json(data), ns.output)
     return EXIT_OK
 

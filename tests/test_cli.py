@@ -100,6 +100,21 @@ def test_lattice_export_and_cache(tmp_path, capsys):
     assert data["poset"]["n"] == 5  # Bell(3)
 
 
+@pytest.mark.parametrize("damage", ["truncate", "not-an-export"])
+def test_lattice_cache_rebuilds_unreadable_file(tmp_path, capsys, damage):
+    args = ("lattice", "--family", "pi", "--m", "3", "--cache-dir", str(tmp_path))
+    code, fresh = run(capsys, *args)
+    assert code == EXIT_OK
+    (cached,) = tmp_path.iterdir()
+    text = cached.read_text()
+    cached.write_text(text[: len(text) // 2] if damage == "truncate" else "[]")
+    code, out = run(capsys, *args)
+    assert code == EXIT_OK
+    assert out == fresh
+    assert list(tmp_path.iterdir()) == [cached]
+    assert json.loads(cached.read_text()) == json.loads(fresh)
+
+
 def test_lattice_output_file(tmp_path, capsys):
     out_file = tmp_path / "lat.json"
     code, _ = run(capsys, "lattice", "--family", "q-r", "--n", "2", "--r", "2",

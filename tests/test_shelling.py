@@ -6,21 +6,32 @@ Oracle notes.
 elementwise.
 [DERIVED] falling counts tie to descent counts and Euler numbers computed by
 independent enumeration.
+[ORACLE] the one-pass census, the pruned falling walk and the generated
+permutations are compared with the listing enumerators they replace
+(`rising_chain_census`, `falling_chains`, `permutations_with_descents`),
+also under deliberately broken labelings.
 """
+
+import json
 
 import pytest
 
+from expdowling import shelling
 from expdowling.descents import des_count, euler_number
 from expdowling.shelling import (
     LabeledLattice,
     a_tilde,
     atom_count_closed_form,
+    descent_class_size,
     el_verify,
     f_sigma,
     falling_chains,
+    falling_walk,
     neg_label,
     permutations_with_descents,
     pos_label,
+    qualifying_permutations,
+    rising_census_from,
     rising_chain_census,
     zero_label,
 )
@@ -108,3 +119,105 @@ def test_el_verify(m, r, j):
     else:
         assert result["falling_count"] == 0
     assert abs(result["mu"]) == result["falling_count"]
+
+
+def test_el_verify_n_zero():
+    # m = j = 1: the descent set {r, ..., nr} is empty and only (1,) qualifies
+    for r in (1, 3):
+        result = el_verify(1, r, 1)
+        assert result["des_expected"] == result["falling_count"] == 1
+        assert result["mu"] == -1 and result["passed"], result
+
+
+def test_label_reads_the_cover_array():
+    L = LabeledLattice.build(5, 2, 3)
+    P = L.built.poset
+    for x in range(P.n):
+        assert [L.label(x, y) for y in P.covers_up[x]] == [p[0] for p in L.pairs[x]]
+        assert all(p[1] == -P.rank[x] for p in L.pairs[x])
+    with pytest.raises(ValueError, match="is not covered by"):
+        L.label(L.built.bottom, P.top)
+
+
+def lattice_params(mmax):
+    """Every (m, r, j) with m <= mmax, r <= 3 and j >= 1 that has a lattice."""
+    return [
+        (m, r, j)
+        for m in range(1, mmax + 1)
+        for r in (1, 2, 3)
+        for j in range(1, m + 1)
+        if (m - j) % r == 0
+    ]
+
+
+# The chain-listing oracle relabels every chain of every interval; in these
+# r = 1 lattices (Pi_7 and Pi_8 with little restriction) that runs to
+# millions of chains, so the differential tests leave them out.
+LISTING_TOO_LARGE = {(7, 1, 1), (8, 1, 1), (8, 1, 2), (8, 1, 3)}
+CENSUS_CASES = [p for p in lattice_params(8) if p not in LISTING_TOO_LARGE]
+FALLING_CASES = CENSUS_CASES + [p for p in lattice_params(9) if p[0] == 9 and p[1] >= 2]
+
+
+def old_census(L):
+    """y -> rising_chain_census(L, x, y) for every x < y, by listing chains."""
+    P = L.built.poset
+    return {
+        x: {y: rising_chain_census(L, x, y) for y in range(P.n) if y != x and P.leq(x, y)}
+        for x in range(P.n)
+    }
+
+
+@pytest.mark.parametrize("m,r,j", CENSUS_CASES)
+def test_census_matches_chain_listing(m, r, j):
+    L = LabeledLattice.build(m, r, j)
+    assert {x: rising_census_from(L, x) for x in range(L.built.poset.n)} == old_census(L)
+
+
+@pytest.mark.parametrize("m,r,j", FALLING_CASES)
+def test_falling_walk_matches_chain_listing(m, r, j):
+    L = LabeledLattice.build(m, r, j)
+    assert falling_walk(L) == falling_chains(L)
+
+
+@pytest.mark.parametrize("m,r,j", lattice_params(9))
+def test_generated_permutations_match_scan(m, r, j):
+    scanned = permutations_with_descents(m, r, j)
+    assert qualifying_permutations(m, r, j) == scanned
+    assert descent_class_size(m, r, j) == len(scanned)
+
+
+MUTATIONS = {
+    # 0-labels in the reverse order of the atoms
+    "zero_label": lambda i: (1, -i),
+    # negative labels ordered by value instead of against it
+    "neg_label": lambda i: (0, i),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutated_labeling_agrees_with_chain_listing(monkeypatch, name):
+    monkeypatch.setattr(shelling, name, MUTATIONS[name])
+    broken = 0
+    for m, r, j in [(4, 2, 2), (5, 2, 1), (5, 2, 3), (6, 2, 2), (7, 2, 3), (7, 3, 4), (8, 2, 2)]:
+        result = el_verify(m, r, j)
+        L = LabeledLattice.build(m, r, j)
+        violations = sum(
+            1 for row in old_census(L).values()
+            for count, lex_first in row.values() if count != 1 or not lex_first
+        )
+        assert result["rising_violations"] == violations, (m, r, j)
+        assert result["falling_count"] == len(falling_chains(L)), (m, r, j)
+        broken += violations > 0
+    assert broken > 0, "the mutation never showed"
+
+
+def test_el_check_reach_m10(capsys):
+    from expdowling.cli import EXIT_OK, main
+    from expdowling.structures import build_extended
+
+    code = main(["el-check", "--m", "10", "--r", "2", "--j", "2"])
+    result = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and result["passed"], result
+    assert result["falling_count"] == abs(result["mu"]) == euler_number(9) == 7936
+    P = build_extended(10, 2, 2).poset
+    assert result["intervals_checked"] == sum(row.bit_count() for row in P.up_rows) - P.n

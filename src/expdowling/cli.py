@@ -4,8 +4,9 @@ suites, print series and descent tables.
 Each subcommand accepts only the options it reads.  Exit codes: 0 all checks
 exact, or exact up to the constant sign documented for that identity; 1 a
 check mismatched or showed an unexpected sign; 2 bad usage (an unknown suite,
-an option the subcommand does not read, invalid parameters) or an exceeded
-guard; 3 an internal error.
+an option the subcommand does not read, invalid parameters, a Mobius number
+mu(0-hat, 1-hat) of a poset without a unique 0-hat or 1-hat) or an exceeded
+guard; 3 an internal error, including any other exception.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__, descents, identities, shelling, structures
 from .series import UNIT, coeff_den
-from .structures import GUARD, DowlingElement, GuardError
+from .structures import GUARD, DowlingElement, GuardError, ParameterError
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -87,7 +88,7 @@ def build_family(ns):
     builder, keys = FAMILIES[ns.family]
     missing = [f"--{key}" for key in keys if getattr(ns, key) is None]
     if missing:
-        raise ValueError(f"family {ns.family} needs {', '.join(missing)}")
+        raise ParameterError(f"family {ns.family} needs {', '.join(missing)}")
     # D_n^(r,k) has no 0-hat of its own; the CLI reports it with one adjoined
     extra = {"adjoin": True} if ns.family == "d-rk" else {}
     return getattr(structures, builder)(*(getattr(ns, key) for key in keys), guard=ns.guard, **extra)
@@ -316,7 +317,7 @@ def validate_suite_params(fn, ns) -> None:
     if fn is suite_semigroup:
         problem = identities.semigroup_violation(ns.I, ns.J, ns.window)
         if problem:
-            raise ValueError(problem)
+            raise ParameterError(problem)
 
 
 def cmd_verify(ns) -> int:
@@ -331,7 +332,7 @@ def cmd_verify(ns) -> int:
         )
         try:
             validate_suite_params(fn, local)
-        except ValueError as exc:
+        except ParameterError as exc:
             print(f"invalid parameters for {name}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         runs[fn] = (name, local)
@@ -407,7 +408,14 @@ def cmd_lattice(ns) -> int:
 
 
 def cmd_mobius(ns) -> int:
-    print(identities.brute_mu(build_family(ns)))
+    built = build_family(ns)
+    P = built.poset
+    if len(P.minimals) != 1 or len(P.maximals) != 1:
+        raise ParameterError(
+            f"mu(0-hat, 1-hat) is undefined: the {ns.family} poset has "
+            f"{len(P.minimals)} minimal and {len(P.maximals)} maximal elements"
+        )
+    print(identities.brute_mu(built))
     return EXIT_OK
 
 
@@ -508,9 +516,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        # lattice, mobius and el-check hand their arguments straight to the
-        # builders, whose ValueErrors are argument checks
+    except ParameterError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

@@ -4,12 +4,16 @@ Elements are dense integer indices 0..n-1; the semantic objects (partitions,
 enriched partitions) live in `structures` and map to indices there.  The order
 closure is stored as one bitmask row per element, which keeps Mobius-function
 sweeps and interval extraction cheap even for posets with thousands of
-elements.
+elements.  The down rows (x <= y) are built with the poset; the up rows
+(y >= x) only when a caller first reads them, since the Mobius numbers
+mu(0-hat, y) need only the down rows and the up rows of a large lattice built
+by growth are its widest bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -29,14 +33,25 @@ class Poset:
     n: int
     covers_up: tuple            # covers_up[x] = sorted tuple of y with x <| y
     covers_down: tuple
-    up_rows: tuple              # up_rows[x] bitmask of y >= x (reflexive)
     down_rows: tuple            # down_rows[y] bitmask of x <= y (reflexive)
     rank: Optional[tuple]       # present iff the poset is graded
     minimals: tuple
     maximals: tuple
+    topo: tuple = field(compare=False, repr=False)  # a linear extension
+
+    @cached_property
+    def up_rows(self) -> tuple:
+        """up_rows[x] bitmask of y >= x (reflexive), built on first read."""
+        rows = [0] * self.n
+        for x in reversed(self.topo):
+            row = 1 << x
+            for y in self.covers_up[x]:
+                row |= rows[y]
+            rows[x] = row
+        return tuple(rows)
 
     def leq(self, x: int, y: int) -> bool:
-        return bool(self.up_rows[x] >> y & 1)
+        return bool(self.down_rows[y] >> x & 1)
 
     def interval(self, x: int, y: int) -> int:
         """Bitmask of elements z with x <= z <= y."""
@@ -70,7 +85,8 @@ class Poset:
 
 
 def from_covers(n: int, covers: Iterable[tuple]) -> Poset:
-    """Build a poset from its cover relations, computing closure and rank.
+    """Build a poset from its cover relations, computing the down rows of the
+    closure, a topological order and the rank.
 
     Raises on cycles and on cover pairs referencing invalid indices.
     """
@@ -81,51 +97,45 @@ def from_covers(n: int, covers: Iterable[tuple]) -> Poset:
             raise PosetError(f"invalid cover pair ({x}, {y}) for n={n}")
         up_adj[x].add(y)
         down_adj[y].add(x)
+    covers_up = tuple(tuple(sorted(ups)) for ups in up_adj)
+    covers_down = tuple(tuple(sorted(downs)) for downs in down_adj)
 
     # Kahn topological sort; leftover in-degree means a cycle.
-    indeg = [len(down_adj[x]) for x in range(n)]
+    indeg = [len(downs) for downs in covers_down]
     queue = [x for x in range(n) if indeg[x] == 0]
     topo = []
     while queue:
         x = queue.pop()
         topo.append(x)
-        for y in up_adj[x]:
+        for y in covers_up[x]:
             indeg[y] -= 1
             if indeg[y] == 0:
                 queue.append(y)
     if len(topo) != n:
         raise PosetError("cover relation contains a cycle")
 
-    up_rows = [0] * n
-    for x in reversed(topo):
-        row = 1 << x
-        for y in up_adj[x]:
-            row |= up_rows[y]
-        up_rows[x] = row
+    # Down rows, and the longest-path rank from the minimal elements; graded
+    # iff every cover steps the rank by exactly one.
     down_rows = [0] * n
+    rank = [0] * n
     for y in topo:
         row = 1 << y
-        for x in down_adj[y]:
+        for x in covers_down[y]:
             row |= down_rows[x]
         down_rows[y] = row
-
-    # Longest-path rank from the minimal elements; graded iff every cover
-    # steps the rank by exactly one.
-    rank = [0] * n
-    for x in topo:
-        if down_adj[x]:
-            rank[x] = max(rank[p] + 1 for p in down_adj[x])
-    graded = all(rank[y] == rank[x] + 1 for x in range(n) for y in up_adj[x])
+        if covers_down[y]:
+            rank[y] = max(rank[x] + 1 for x in covers_down[y])
+    graded = all(rank[y] == rank[x] + 1 for x in range(n) for y in covers_up[x])
 
     return Poset(
         n=n,
-        covers_up=tuple(tuple(sorted(up_adj[x])) for x in range(n)),
-        covers_down=tuple(tuple(sorted(down_adj[x])) for x in range(n)),
-        up_rows=tuple(up_rows),
+        covers_up=covers_up,
+        covers_down=covers_down,
         down_rows=tuple(down_rows),
         rank=tuple(rank) if graded else None,
-        minimals=tuple(x for x in range(n) if not down_adj[x]),
-        maximals=tuple(x for x in range(n) if not up_adj[x]),
+        minimals=tuple(x for x in range(n) if not covers_down[x]),
+        maximals=tuple(x for x in range(n) if not covers_up[x]),
+        topo=tuple(topo),
     )
 
 
@@ -135,20 +145,22 @@ def _masked_sum(masks: dict, segment: int) -> int:
     return sum(v * (segment & mask).bit_count() for v, mask in masks.items())
 
 
-def _mobius_sweep(start: int, members: int, size_rows: tuple, segment_rows: tuple) -> dict:
+def _mobius_sweep(start: int, members: int, segment_rows: tuple) -> dict:
     """The Mobius recursion mu(start, z) = -sum of mu(start, w) over the
     half-open interval segment_rows[z] & members - {z}.
 
-    Elements are visited by decreasing popcount of `size_rows`, a linear
-    extension in which every element of a half-open interval is filled
-    before its end.  Instead of a lookup per interval element, the sweep keeps
-    one bitmask per distinct nonzero value filled so far; each sum is then a
-    popcount per value class (Stanley, EC1 3.6-3.7).  Only filled elements
-    sit in a mask, so segment_rows[z] needs no intersection with `members`.
+    Elements are visited by increasing popcount of `segment_rows`: w in
+    segment_rows[z] - {z} makes segment_rows[w] a proper subset of
+    segment_rows[z], so in either direction every element of a half-open
+    interval is filled before its end.  Instead of a lookup per interval
+    element, the sweep keeps one bitmask per distinct nonzero value filled so
+    far; each sum is then a popcount per value class (Stanley, EC1 3.6-3.7).
+    Only filled elements sit in a mask, so segment_rows[z] needs no
+    intersection with `members`.
     """
     table = {}
     masks = {}
-    for z in sorted(_bits(members), key=lambda w: size_rows[w].bit_count(), reverse=True):
+    for z in sorted(_bits(members), key=lambda w: segment_rows[w].bit_count()):
         value = 1 if z == start else -_masked_sum(masks, segment_rows[z])
         table[z] = value
         if value:
@@ -157,13 +169,15 @@ def _mobius_sweep(start: int, members: int, size_rows: tuple, segment_rows: tupl
 
 
 def mobius_table(P: Poset, x: int) -> dict:
-    """mu(x, y) for every y >= x, by the bottom-up recursion."""
-    return _mobius_sweep(x, P.up_rows[x], P.up_rows, P.down_rows)
+    """mu(x, y) for every y >= x, by the bottom-up recursion.  Every element
+    lies above a unique minimal element, so that case reads no up row."""
+    members = (1 << P.n) - 1 if P.minimals == (x,) else P.up_rows[x]
+    return _mobius_sweep(x, members, P.down_rows)
 
 
 def mobius_table_to_top(P: Poset, y: int) -> dict:
     """mu(x, y) for every x <= y, by the top-down recursion."""
-    return _mobius_sweep(y, P.down_rows[y], P.down_rows, P.up_rows)
+    return _mobius_sweep(y, P.down_rows[y], P.up_rows)
 
 
 def mobius(P: Poset, x: int, y: int) -> int:

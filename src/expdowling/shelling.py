@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from . import descents
 from .poset import maximal_chains, mobius_table
-from .structures import GUARD, BuiltLattice, build_extended
+from .structures import GUARD, BuiltLattice, ParameterError, build_extended
 
 
 def atom_count_closed_form(m: int, r: int, j: int) -> int:
@@ -87,7 +87,7 @@ class LabeledLattice:
     @classmethod
     def build(cls, m: int, r: int, j: int, guard: int = GUARD) -> "LabeledLattice":
         if j < 1:
-            raise ValueError(f"the edge labeling needs j >= 1, got {j}")
+            raise ParameterError(f"the edge labeling needs j >= 1, got {j}")
         built = build_extended(m, r, j, guard=guard)
         atoms = built.poset.covers_up[built.bottom]
         ordered = sorted(atoms, key=lambda a: a_tilde(built.elements[a]))

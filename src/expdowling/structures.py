@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .poset import Poset, from_covers, _bits
 
@@ -35,12 +35,17 @@ class GuardError(ValueError):
     """A requested construction exceeds its size guard."""
 
 
+class ParameterError(ValueError):
+    """The arguments of a construction or a suite are invalid: bad usage,
+    as opposed to a fault of the program."""
+
+
 def _check_params(**values: int) -> None:
     """Reject n, j, k < 0 and m, r, s < 1 as bad usage."""
     for name, value in values.items():
         least = 0 if name in ("n", "j", "k") else 1
         if value < least:
-            raise ValueError(f"need {name} >= {least}, got {value}")
+            raise ParameterError(f"need {name} >= {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +119,13 @@ def partition_leq(p: tuple, q: tuple) -> bool:
 # Dowling elements
 
 
-@dataclass(frozen=True)
-class DowlingElement:
+class DowlingElement(NamedTuple):
     """An enriched partial partition (pi~, Z): zero block Z plus enriched
-    blocks, each block a (elements, labels) pair with label(min) = 0."""
+    blocks, each block a (elements, labels) pair with label(min) = 0.
+
+    A tuple, so hashing, equality and construction run in C; its hash is
+    hash((zero, blocks)), which fixes the growth order of every Dowling
+    family."""
 
     zero: tuple
     blocks: tuple  # tuple of (elems tuple, labels tuple)
@@ -446,7 +454,7 @@ def _extended_upper_set(m: int, r: int, j: int, guard: int) -> BuiltLattice:
     a block of size j (size r when j = 0), every other block of size r."""
     _check_params(m=m, r=r, j=j)
     if (m - j) % r != 0 or m < j:
-        raise ValueError(f"need m = r*n + j: got m={m}, r={r}, j={j}")
+        raise ParameterError(f"need m = r*n + j: got m={m}, r={r}, j={j}")
 
     def seeds():
         for mates in combinations(range(1, m), (j or r) - 1):
@@ -461,7 +469,7 @@ def build_r_divisible(m: int, r: int, guard: int = GUARD) -> BuiltLattice:
     """Pi_m^r: partitions with all block sizes divisible by r, 0-hat adjoined."""
     _check_params(m=m, r=r)
     if m % r != 0:
-        raise ValueError(f"r={r} must divide m={m}")
+        raise ParameterError(f"r={r} must divide m={m}")
     return adjoin_zero(build_Q_r(m // r, r, guard=guard))
 
 
@@ -574,6 +582,6 @@ def bijection_extended_to_dowling(m: int, r: int, k: int, guard: int = GUARD) ->
     """Element-level bijection Pi_m^{r,k+1} <-> D_n^{(r,k)} at s=1, as a list
     of (partition, dowling element) pairs; m = r*n + k + 1."""
     if (m - k - 1) % r != 0:
-        raise ValueError(f"need m = r*n + k + 1: got m={m}, r={r}, k={k}")
+        raise ParameterError(f"need m = r*n + k + 1: got m={m}, r={r}, k={k}")
     built = build_extended(m, r, k + 1, guard=guard)
     return [(p, extended_to_dowling(p, m)) for p in built.elements]

@@ -1,10 +1,11 @@
 """CLI surface: subcommands, exit codes, output formats, the cache."""
 
+import hashlib
 import json
 
 import pytest
 
-from expdowling import cli, identities
+from expdowling import cli, identities, structures
 from expdowling.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from expdowling.poset import PosetError
 
@@ -261,6 +262,51 @@ def test_invalid_parameters_exit_usage(capsys, argv):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "guard exceeded" not in captured.err
+
+
+def test_mobius_without_unique_bounds_is_undefined(capsys):
+    # Q^I_4 with I = {2} has 0-hat adjoined but three maximal elements
+    code = main(["mobius", "--family", "q-I", "--n", "4", "--I", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "mu(0-hat, 1-hat) is undefined" in captured.err
+
+
+@pytest.mark.parametrize("error", [ValueError, PosetError])
+@pytest.mark.parametrize("command", ["lattice", "mobius"])
+def test_builder_exception_is_internal(capsys, monkeypatch, command, error):
+    # only ParameterError and GuardError are bad usage; a ValueError raised
+    # inside a build is a fault of the program
+    def broken(*args, **kwargs):
+        raise error("raised inside the builder")
+
+    monkeypatch.setattr(structures, "build_partition_lattice", broken)
+    code = main([command, "--family", "pi", "--m", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert "internal error" in captured.err
+    assert "raised inside the builder" in captured.err
+
+
+# sha256 of the export: element order follows the DowlingElement and
+# partition hashes through the growth sets, so this pins it
+GOLDEN_EXPORTS = [
+    (["--family", "dowling", "--n", "3", "--s", "2"],
+     "c2e83b161124193d23ad768463a4834776d0da81f547246809bd99b66186b6a3"),
+    (["--family", "pi", "--m", "5"],
+     "9ad2c8d438aa005bd4bb865b02fa841de1ce769db60e451d8a23b80a94becb49"),
+    (["--family", "d-rk", "--n", "2", "--r", "2", "--k", "1", "--s", "2"],
+     "f9ef7bb9b2a2b6c80b705352b040e2775a96031de94917abb0328ef0edb013ca"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_EXPORTS, ids=["dowling3,2", "pi5", "d-rk2,2,1,2"])
+def test_lattice_export_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, "lattice", *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lattice_cache_keyed_on_guard(tmp_path, capsys):

@@ -1,18 +1,24 @@
-"""Differential tests of the value-class Mobius kernel and the one-candidate
-lattice check against the sum-over-bits recursion and the full upper-set scan
-they replaced.
+"""Differential tests of the value-class Mobius kernel, the lazily built up
+rows and the one-candidate lattice check against the sum-over-bits
+recursion, an eager closure and the full upper-set scan they replaced; and a
+check that the mu(0-hat, 1-hat) path never builds the up rows.
 
 Oracle notes.
 [ORACLE] `oracle_mobius_table`, `oracle_mobius_table_to_top` and
 `oracle_is_lattice` are the previous implementations, kept verbatim: one dict
 lookup per interval element, and a scan of every common upper (lower) bound.
+[ORACLE] `oracle_closure` walks the covers up from every element, eagerly
+and independently of the poset's own rows.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expdowling import identities, shelling, structures
+from expdowling.cli import EXIT_OK, main
 from expdowling.poset import (
+    PosetError,
     _bits,
     from_covers,
     is_lattice,
@@ -68,6 +74,41 @@ def oracle_is_lattice(P):
     return True
 
 
+def oracle_closure(P):
+    """(up rows, down rows) of the transitive closure of the covers, from a
+    depth-first walk up from every element."""
+    up = []
+    for x in range(P.n):
+        seen = {x}
+        stack = [x]
+        while stack:
+            for y in P.covers_up[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        up.append(sum(1 << y for y in seen))
+    down = [sum(1 << x for x in range(P.n) if up[x] >> y & 1) for y in range(P.n)]
+    return tuple(up), tuple(down)
+
+
+def check_closure(P):
+    assert "up_rows" not in vars(P)
+    up, down = oracle_closure(P)
+    assert P.down_rows == down
+    for x in range(P.n):
+        assert sum(P.leq(x, y) << y for y in range(P.n)) == up[x]
+    assert "up_rows" not in vars(P)  # leq reads the down rows only
+    assert P.up_rows == up
+    assert "up_rows" in vars(P)
+    for x in range(P.n):
+        for y in _bits(up[x]):
+            assert P.interval(x, y) == up[x] & down[y]
+        incomparable = ((1 << P.n) - 1) & ~up[x]
+        if incomparable:
+            with pytest.raises(PosetError):
+                P.interval(x, (incomparable & -incomparable).bit_length() - 1)
+
+
 def extended_parameters(m_max):
     # r = 1 stops one size short: Pi_m^{1,j} for small j is Pi_m with a 0-hat
     # adjoined, already covered, and the oracles take seconds on it at m = 7
@@ -112,6 +153,7 @@ CASES = (
 @pytest.mark.parametrize("build", [b for _, b in CASES], ids=[name for name, _ in CASES])
 def test_kernel_matches_oracle(build):
     P = build()
+    check_closure(P)
     for x in range(P.n):
         assert mobius_table(P, x) == oracle_mobius_table(P, x)
         assert mobius_table_to_top(P, x) == oracle_mobius_table_to_top(P, x)
@@ -141,8 +183,35 @@ def random_bounded_poset(draw):
 @given(random_bounded_poset())
 @settings(max_examples=80, deadline=None)
 def test_random_bounded_posets_match_oracle(P):
+    check_closure(P)
     for x in range(P.n):
         assert mobius_table(P, x) == oracle_mobius_table(P, x)
         assert mobius_table_to_top(P, x) == oracle_mobius_table_to_top(P, x)
         assert verify_mobius_identity(P, x)
     assert is_lattice(P)[0] == oracle_is_lattice(P)
+
+
+@pytest.fixture
+def made_posets(monkeypatch):
+    """Every poset the builders make during the test."""
+    made = []
+
+    def recording(n, covers):
+        made.append(from_covers(n, covers))
+        return made[-1]
+
+    monkeypatch.setattr(structures, "from_covers", recording)
+    return made
+
+
+@pytest.mark.parametrize("run,mu", [
+    (lambda: identities.brute_mu(build_dowling_lattice(4, 2)), 105),
+    (lambda: identities.brute_mu(build_extended(7, 2, 3)), -61),
+    (lambda: shelling.el_verify(7, 2, 3)["mu"], -61),
+    (lambda: main(["mobius", "--family", "dowling", "--n", "4", "--s", "2"]), EXIT_OK),
+    (lambda: main(["el-check", "--m", "7", "--r", "2", "--j", "3"]), EXIT_OK),
+], ids=["brute_mu-dowling4,2", "brute_mu-extended7,2,3", "el_verify7,2,3", "cli-mobius", "cli-el-check"])
+def test_mu_path_never_builds_up_rows(made_posets, capsys, run, mu):
+    assert run() == mu
+    assert made_posets
+    assert all("up_rows" not in vars(P) for P in made_posets)

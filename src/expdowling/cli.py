@@ -89,9 +89,7 @@ def build_family(ns):
     missing = [f"--{key}" for key in keys if getattr(ns, key) is None]
     if missing:
         raise ParameterError(f"family {ns.family} needs {', '.join(missing)}")
-    # D_n^(r,k) has no 0-hat of its own; the CLI reports it with one adjoined
-    extra = {"adjoin": True} if ns.family == "d-rk" else {}
-    return getattr(structures, builder)(*(getattr(ns, key) for key in keys), guard=ns.guard, **extra)
+    return getattr(structures, builder)(*(getattr(ns, key) for key in keys), guard=ns.guard)
 
 
 def _built_json(built):

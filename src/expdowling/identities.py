@@ -35,6 +35,7 @@ from .series import (
 from .structures import (
     BuiltLattice,
     adjoin_zero,
+    all_types,
     build_D_rk,
     build_dowling_lattice,
     build_extended,
@@ -42,6 +43,7 @@ from .structures import (
     build_Q_r,
     build_restricted_dowling,
     build_restricted_partition,
+    count_of_type,
     denominator_M_r,
     denominator_N_rk,
     type_of,
@@ -201,7 +203,7 @@ def check_mu_series_dowling_rk(r: int, k: int, s: int, n_max: int) -> IdentityRe
     )
     closed = series_mu_dowling(s, M, N, n_max)
     for n in range(0, n_max + 1):
-        built = build_D_rk(n, r, k, s, adjoin=True)
+        built = build_D_rk(n, r, k, s)
         report.add(n, brute_mu(built), coeff_den(closed, n, N))
     return report
 
@@ -212,16 +214,12 @@ def check_mu_series_dowling_rk(r: int, k: int, s: int, n_max: int) -> IdentityRe
 
 def census_check(n: int, s: int) -> IdentityReport:
     """Per-type element counts of L_n(s): closed formula versus enumeration."""
-    from .structures import all_types
-
     report = IdentityReport("type-census", {"n": n, "s": s})
     built = build_dowling_lattice(n, s)
     hist = {}
     for x in built.elements:
         t = type_of(x, n)
         hist[t] = hist.get(t, 0) + 1
-    from .structures import count_of_type
-
     for t in all_types(n):
         closed = count_of_type(n, s, t)
         report.add(f"(b={t.b}; a={t.a})", hist.get(t, 0), closed)
@@ -245,7 +243,8 @@ def minimal_count_check(r: int, k: Optional[int], s: int, n_max: int) -> Identit
         )
         for n in range(0, n_max + 1):
             built = build_D_rk(n, r, k, s)
-            report.add(n, len(built.poset.minimals), denominator_N_rk(n, r, k, s))
+            atoms = built.poset.covers_up[built.bottom]
+            report.add(n, len(atoms), denominator_N_rk(n, r, k, s))
     return report
 
 
@@ -528,7 +527,7 @@ def d_rk_series_check(r: int, k: int, s: int, max_rnk: int) -> IdentityReport:
     closed = d_rk_rhs_series(r, k, s, max_rnk)
     n = 0
     while r * n + k <= max_rnk:
-        built = build_D_rk(n, r, k, s, adjoin=True)
+        built = build_D_rk(n, r, k, s)
         coefficient = closed[r * n + k] * math.factorial(r * n + k)
         report.add(n, brute_mu(built), coefficient)
         n += 1
@@ -544,7 +543,7 @@ def binomial_mu_check(k: int, s_values: list, n_max: int) -> IdentityReport:
     report = IdentityReport("d-1k-binomial", {"k": k, "s_values": s_values, "n_max": n_max})
     for n in range(0, n_max + 1):
         expected = math.comb(n + k - 1, k - 1)
-        values = {s: brute_mu(build_D_rk(n, 1, k, s, adjoin=True)) for s in s_values}
+        values = {s: brute_mu(build_D_rk(n, 1, k, s)) for s in s_values}
         if len(set(values.values())) != 1:
             report.notes.append(f"n={n}: mu depends on s: {values}")
             report.add(f"n={n}", 0, 1)  # force a mismatch row

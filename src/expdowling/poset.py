@@ -145,9 +145,10 @@ def _masked_sum(masks: dict, segment: int) -> int:
     return sum(v * (segment & mask).bit_count() for v, mask in masks.items())
 
 
-def _mobius_sweep(start: int, members: int, segment_rows: tuple) -> dict:
+def _mobius_sweep(start: int, members: Iterable[int], segment_rows: tuple) -> dict:
     """The Mobius recursion mu(start, z) = -sum of mu(start, w) over the
-    half-open interval segment_rows[z] & members - {z}.
+    half-open interval segment_rows[z] - {z}, for every z in `members` (the
+    elements of the closed segment that starts at `start`).
 
     Elements are visited by increasing popcount of `segment_rows`: w in
     segment_rows[z] - {z} makes segment_rows[w] a proper subset of
@@ -160,7 +161,7 @@ def _mobius_sweep(start: int, members: int, segment_rows: tuple) -> dict:
     """
     table = {}
     masks = {}
-    for z in sorted(_bits(members), key=lambda w: segment_rows[w].bit_count()):
+    for z in sorted(members, key=lambda w: segment_rows[w].bit_count()):
         value = 1 if z == start else -_masked_sum(masks, segment_rows[z])
         table[z] = value
         if value:
@@ -171,13 +172,13 @@ def _mobius_sweep(start: int, members: int, segment_rows: tuple) -> dict:
 def mobius_table(P: Poset, x: int) -> dict:
     """mu(x, y) for every y >= x, by the bottom-up recursion.  Every element
     lies above a unique minimal element, so that case reads no up row."""
-    members = (1 << P.n) - 1 if P.minimals == (x,) else P.up_rows[x]
+    members = range(P.n) if P.minimals == (x,) else _bits(P.up_rows[x])
     return _mobius_sweep(x, members, P.down_rows)
 
 
 def mobius_table_to_top(P: Poset, y: int) -> dict:
     """mu(x, y) for every x <= y, by the top-down recursion."""
-    return _mobius_sweep(y, P.down_rows[y], P.up_rows)
+    return _mobius_sweep(y, _bits(P.down_rows[y]), P.up_rows)
 
 
 def mobius(P: Poset, x: int, y: int) -> int:

@@ -9,11 +9,18 @@ Elements are kept in canonical form:
   enters only through residues mod s, and the representative of the scalar
   equivalence class is fixed by giving the minimum of each block the label 0.
 
-Pi_m, L_n(s) and their upper sets Pi_m^r, Q^(r)_n, Pi_m^{r,j} and D_n^(r,k)
-all grow by cover moves from their minimal elements (the objects counted by
-M^(r) and N^(r,k)).  Only Q^I and R^{I,J}, which are not upper sets, are
-filtered from an enumeration and ordered pairwise.  Every construction stops
-with GuardError as soon as it holds more than `guard` elements (default GUARD).
+Every family is a set of elements whose types satisfy a block-size
+condition, so one generator lists them all: `_blocks` gives the partitions
+of a set into blocks with sizes in a given set, and `_dowling_elements` adds
+a zero block with a size in another set and every labelling.  Pi_m and
+L_n(s) grow by cover moves from their bottom, and their upper sets Pi_m^r,
+Q^(r)_n, Pi_m^{r,j} and D_n^(r,k) from their minimal elements (the objects
+counted by M^(r) and N^(r,k)), which the generator lists; the seeds of
+Pi_m^{r,j} are those of D^(r,(j or r)-1) at s = 1 under the bijection
+Pi_m^{r,k+1} <-> D^(r,k).  Q^I and R^{I,J}, which are not upper sets, are
+listed straight from the generator and ordered pairwise.  Every construction
+stops with GuardError as soon as it holds more than `guard` elements
+(default GUARD).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .poset import Poset, from_covers, _bits
@@ -48,20 +55,36 @@ def _check_params(**values: int) -> None:
             raise ParameterError(f"need {name} >= {least}, got {value}")
 
 
+def _check_n_positive(n: int) -> None:
+    """Q^(r)_n and Q^I_n are built for n >= 1 only."""
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # set partitions
 
 
-def partitions_of(elements: tuple) -> Iterator[tuple]:
-    """All set partitions of the given sorted tuple, in canonical form."""
-    if not elements:
+def _blocks(elems: tuple, sizes: Iterable[int]) -> Iterator[tuple]:
+    """Every partition of the sorted tuple elems into blocks whose sizes
+    (all >= 1) lie in `sizes`, each block sorted, blocks sorted by minimum."""
+    if not elems:
         yield ()
         return
-    first, rest = elements[0], elements[1:]
-    for p in partitions_of(rest):
-        yield ((first,),) + p
-        for i, block in enumerate(p):
-            yield tuple(sorted(p[:i] + (tuple(sorted((first,) + block)),) + p[i + 1 :]))
+    first, rest = elems[0], elems[1:]
+    for size in sizes:
+        for mates in combinations(rest, size - 1):
+            left = tuple(e for e in rest if e not in mates)
+            for blocks in _blocks(left, sizes):
+                yield ((first,) + mates,) + blocks
+
+
+def _listed(items: Iterable, guard: int) -> list:
+    """The items as a list; GuardError if there are more than `guard`."""
+    out = list(islice(items, guard + 1))
+    if len(out) > guard:
+        raise GuardError(f"construction exceeds guard {guard} elements")
+    return out
 
 
 def canonical_partition(blocks: Iterable[Iterable[int]]) -> tuple:
@@ -70,12 +93,7 @@ def canonical_partition(blocks: Iterable[Iterable[int]]) -> tuple:
 
 def set_partitions(m: int, guard: int = GUARD) -> list:
     _check_params(m=m)
-    out = []
-    for p in partitions_of(tuple(range(1, m + 1))):
-        out.append(p)
-        if len(out) > guard:
-            raise GuardError(f"set partitions of {m} exceed guard {guard}")
-    return sorted(out)
+    return sorted(_listed(_blocks(tuple(range(1, m + 1)), range(1, m + 1)), guard))
 
 
 def partition_covers(p: tuple) -> set:
@@ -87,19 +105,6 @@ def partition_covers(p: tuple) -> set:
         for j in range(i + 1, len(p)):
             out.add(p[:i] + (tuple(sorted(p[i] + p[j])),) + p[i + 1 : j] + p[j + 1 :])
     return out
-
-
-def _r_blocks(elems: tuple, r: int) -> Iterator[tuple]:
-    """Every partition of the sorted tuple elems into blocks of size r, blocks
-    sorted by minimum (none when r does not divide len(elems))."""
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    for mates in combinations(rest, r - 1):
-        left = tuple(e for e in rest if e not in mates)
-        for blocks in _r_blocks(left, r):
-            yield ((first,) + mates,) + blocks
 
 
 def partition_leq(p: tuple, q: tuple) -> bool:
@@ -212,37 +217,34 @@ def dowling_leq(x: DowlingElement, y: DowlingElement, s: int) -> bool:
     return True
 
 
-def enumerate_dowling(
-    n: int,
-    s: int,
-    zero_ok: Optional[Callable[[int], bool]] = None,
-    block_ok: Optional[Callable[[int], bool]] = None,
-    guard: int = GUARD,
-) -> list:
-    """All canonical Dowling elements of L_n(s) whose zero-block size passes
-    zero_ok and whose block sizes all pass block_ok."""
-    _check_params(n=n, s=s)
+def _dowling_elements(
+    n: int, s: int, zero_sizes: Iterable[int], block_sizes: Iterable[int]
+) -> Iterator[DowlingElement]:
+    """Every canonical element of L_n(s) whose zero block has a size in
+    zero_sizes and whose blocks all have sizes in block_sizes, in every
+    labelling."""
     ground = tuple(range(1, n + 1))
-    out = []
-    for b in range(n + 1):
-        if zero_ok is not None and not zero_ok(b):
-            continue
+    for b in zero_sizes:
         for zero in combinations(ground, b):
             rest = tuple(e for e in ground if e not in zero)
-            for part in set(partitions_of(rest)):
-                if block_ok is not None and not all(block_ok(len(bl)) for bl in part):
-                    continue
-                label_spaces = [product(range(s), repeat=len(bl) - 1) for bl in part]
-                for choice in product(*label_spaces):
-                    blocks = tuple(
-                        (bl, (0,) + labels) for bl, labels in zip(part, choice)
+            for part in _blocks(rest, block_sizes):
+                for labels in product(*(product(range(s), repeat=len(bl) - 1) for bl in part)):
+                    yield DowlingElement(
+                        zero=zero, blocks=tuple((bl, (0,) + l) for bl, l in zip(part, labels))
                     )
-                    out.append(DowlingElement(zero=zero, blocks=blocks))
-                    if len(out) > guard:
-                        raise GuardError(
-                            f"Dowling enumeration for n={n}, s={s} exceeds guard {guard}"
-                        )
-    return sorted(out, key=lambda x: (len(x.blocks), x.zero, x.blocks))
+
+
+def _dowling_order(x: DowlingElement) -> tuple:
+    """Sort key of enumerated Dowling elements: number of blocks, then the
+    zero block, then the blocks."""
+    return (len(x.blocks), x.zero, x.blocks)
+
+
+def enumerate_dowling(n: int, s: int, guard: int = GUARD) -> list:
+    """All canonical Dowling elements of L_n(s)."""
+    _check_params(n=n, s=s)
+    elements = _dowling_elements(n, s, range(n + 1), range(1, n + 1))
+    return sorted(_listed(elements, guard), key=_dowling_order)
 
 
 # ---------------------------------------------------------------------------
@@ -403,42 +405,27 @@ def type_of(x, n: int) -> StructureType:
     return StructureType(b=b, a=tuple(a))
 
 
-def count_of_type(
-    n: int,
-    s: int,
-    t: StructureType,
-    M: Callable[[int], int] = lambda i: 1,
-    N: Callable[[int], int] = lambda i: 1,
-) -> int:
-    """Number of elements of the given type.
-
-    With M = N = 1 this is the plain Dowling count; general M, N give the
-    count for a structure with those denominator sequences."""
+def count_of_type(n: int, s: int, t: StructureType) -> int:
+    """Number of elements of L_n(s) of the given type."""
     if t.weight() != n:
         raise ValueError(f"inconsistent type {t} for n={n}")
-    num = Fraction(N(n) * s**n * math.factorial(n))
-    den = Fraction(N(t.b) * s**t.b * math.factorial(t.b))
+    den = s**t.b * math.factorial(t.b)
     for i, ai in enumerate(t.a, start=1):
-        if ai:
-            den *= Fraction((M(i) * s * math.factorial(i)) ** ai * math.factorial(ai))
-    value = num / den
+        den *= (s * math.factorial(i)) ** ai * math.factorial(ai)
+    value = Fraction(s**n * math.factorial(n), den)
     if value.denominator != 1:
         raise ValueError(f"type count for {t} is not an integer: {value}")
     return int(value)
 
 
-def all_types(n: int, zero_ok=None, block_ok=None) -> Iterator[StructureType]:
+def all_types(n: int) -> Iterator[StructureType]:
     """All consistent types (b; a_1..a_n) with b + sum i*a_i = n."""
 
     def rec(i, remaining, acc):
         if i > n:
-            if zero_ok is None or zero_ok(remaining):
-                yield StructureType(b=remaining, a=tuple(acc))
+            yield StructureType(b=remaining, a=tuple(acc))
             return
-        max_ai = remaining // i
-        for ai in range(max_ai + 1):
-            if ai > 0 and block_ok is not None and not block_ok(i):
-                continue
+        for ai in range(remaining // i + 1):
             yield from rec(i + 1, remaining - i * ai, acc + [ai])
 
     yield from rec(1, n, [])
@@ -456,13 +443,10 @@ def _extended_upper_set(m: int, r: int, j: int, guard: int) -> BuiltLattice:
     if (m - j) % r != 0 or m < j:
         raise ParameterError(f"need m = r*n + j: got m={m}, r={r}, j={j}")
 
-    def seeds():
-        for mates in combinations(range(1, m), (j or r) - 1):
-            rest = tuple(e for e in range(1, m) if e not in mates)
-            for blocks in _r_blocks(rest, r):
-                yield canonical_partition(blocks + (mates + (m,),))
-
-    return _grow(seeds(), partition_covers, guard)
+    # the images of the minimal elements of D^(r,(j or r)-1) at s = 1 under
+    # the bijection D^(r,k) -> Pi_m^{r,k+1}, which puts m into the zero block
+    seeds = _dowling_elements(m - 1, 1, ((j or r) - 1,), (r,))
+    return _grow((dowling_to_extended(x, m) for x in seeds), partition_covers, guard)
 
 
 def build_r_divisible(m: int, r: int, guard: int = GUARD) -> BuiltLattice:
@@ -482,14 +466,16 @@ def build_extended(m: int, r: int, j: int, guard: int = GUARD) -> BuiltLattice:
 def build_Q_r(n: int, r: int, guard: int = GUARD) -> BuiltLattice:
     """Q^(r)_n: the subposet of Pi_{rn} of r-divisible partitions (no adjoined
     bottom); it is Pi_{rn}^{r,r} without its 0-hat."""
-    _check_params(n=n, r=r)
+    _check_params(r=r)
+    _check_n_positive(n)
     return _extended_upper_set(r * n, r, r, guard)
 
 
 def build_restricted_partition(n: int, I: frozenset, guard: int = GUARD) -> BuiltLattice:
     """Q_n^I for Q = Pi: partitions whose block sizes all lie in I, with a
     0-hat adjoined."""
-    elements = [p for p in set_partitions(n, guard) if all(len(b) in I for b in p)]
+    _check_n_positive(n)
+    elements = sorted(_listed(_blocks(tuple(range(1, n + 1)), I), guard))
     built = induced_subposet(elements, partition_leq, lambda p: n - len(p))
     return adjoin_zero(built)
 
@@ -499,32 +485,20 @@ def build_restricted_dowling(
 ) -> BuiltLattice:
     """R_n^{I,J} for R = Dowling(s): zero-block size in J, block sizes in I,
     with a 0-hat adjoined."""
-    elements = enumerate_dowling(
-        n, s, zero_ok=lambda b: b in J, block_ok=lambda l: l in I, guard=guard
-    )
+    _check_params(n=n, s=s)
+    elements = sorted(_listed(_dowling_elements(n, s, J, I), guard), key=_dowling_order)
     built = induced_subposet(elements, lambda x, y: dowling_leq(x, y, s), lambda x: dowling_rank(x, n))
     return adjoin_zero(built)
 
 
-def build_D_rk(
-    n: int, r: int, k: int, s: int, guard: int = GUARD, adjoin: bool = False
-) -> BuiltLattice:
+def build_D_rk(n: int, r: int, k: int, s: int, guard: int = GUARD) -> BuiltLattice:
     """D_n^{(r,k)}: the upper set of L_{rn+k} of elements with b >= k,
     b = k mod r and all block sizes divisible by r, grown from the minimal
-    ones: a zero block of size k and n blocks of size r, in every labelling."""
+    ones (a zero block of size k and n blocks of size r, in every labelling);
+    0-hat adjoined."""
     _check_params(n=n, r=r, k=k, s=s)
-    ground = range(1, r * n + k + 1)
-    labellings = [(0,) + rest for rest in product(range(s), repeat=r - 1)]
-
-    def seeds():
-        for zero in combinations(ground, k):
-            rest = tuple(e for e in ground if e not in zero)
-            for blocks in _r_blocks(rest, r):
-                for labels in product(labellings, repeat=n):
-                    yield DowlingElement(zero=zero, blocks=tuple(zip(blocks, labels)))
-
-    built = _grow(seeds(), lambda x: dowling_covers(x, s), guard)
-    return adjoin_zero(built) if adjoin else built
+    seeds = _dowling_elements(r * n + k, s, (k,), (r,))
+    return adjoin_zero(_grow(seeds, lambda x: dowling_covers(x, s), guard))
 
 
 # ---------------------------------------------------------------------------

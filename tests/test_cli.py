@@ -299,10 +299,15 @@ GOLDEN_EXPORTS = [
      "9ad2c8d438aa005bd4bb865b02fa841de1ce769db60e451d8a23b80a94becb49"),
     (["--family", "d-rk", "--n", "2", "--r", "2", "--k", "1", "--s", "2"],
      "f9ef7bb9b2a2b6c80b705352b040e2775a96031de94917abb0328ef0edb013ca"),
+    (["--family", "q-I", "--n", "7", "--I", "2,3"],
+     "0b7fb1a36de19d570995b29eea95f0b0f2140b9aab4cb5a75d4bb3cf31e4012d"),
+    (["--family", "r-IJ", "--n", "4", "--s", "2", "--I", "1,2", "--J", "0,2"],
+     "0b5102030265f0a91441cb178c1456af81db85c6d3ababf35aa3ca475f7f49d0"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_EXPORTS, ids=["dowling3,2", "pi5", "d-rk2,2,1,2"])
+@pytest.mark.parametrize("argv,digest", GOLDEN_EXPORTS,
+                         ids=["dowling3,2", "pi5", "d-rk2,2,1,2", "q-I7,{2,3}", "r-IJ4,2,{1,2},{0,2}"])
 def test_lattice_export_is_pinned(capsys, argv, digest):
     code, out = run(capsys, "lattice", *argv)
     assert code == EXIT_OK

@@ -79,7 +79,7 @@ def restricted_D_rk(n, r, k, s):
             return False
         return all(len(elems) % r == 0 for elems, _ in x.blocks)
 
-    return induce_from_ambient(ambient_dowling(r * n + k, s), keep)
+    return adjoin_zero(induce_from_ambient(ambient_dowling(r * n + k, s), keep))
 
 
 # every (m, r, j) with m = r*n + j, m <= 8, including j = 0 and n = 0; r = 1

@@ -137,7 +137,7 @@ CASES = (
         for m, r, j in extended_parameters(7)
     ]
     + [
-        (f"d-rk{n},{r},{k},{s}", lambda n=n, r=r, k=k, s=s: build_D_rk(n, r, k, s, adjoin=True).poset)
+        (f"d-rk{n},{r},{k},{s}", lambda n=n, r=r, k=k, s=s: build_D_rk(n, r, k, s).poset)
         for n, r, k, s in [(1, 1, 1, 2), (2, 1, 2, 1), (2, 2, 0, 1), (1, 2, 1, 2), (2, 2, 1, 1)]
     ]
     + [

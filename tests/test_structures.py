@@ -176,7 +176,7 @@ def test_minimal_element_counts():
         assert len(mins) == denominator_M_r(n, r)
     for n, r, k, s in [(1, 2, 1, 1), (1, 2, 1, 2), (2, 2, 0, 1), (1, 1, 2, 2)]:
         built = build_D_rk(n, r, k, s)
-        assert len(built.poset.minimals) == denominator_N_rk(n, r, k, s)
+        assert len(built.poset.covers_up[built.bottom]) == denominator_N_rk(n, r, k, s)
 
 
 def test_d_rk_is_upward_closed():

@@ -4,9 +4,10 @@ suites, print series and descent tables.
 Each subcommand accepts only the options it reads.  Exit codes: 0 all checks
 exact, or exact up to the constant sign documented for that identity; 1 a
 check mismatched or showed an unexpected sign; 2 bad usage (an unknown suite,
-an option the subcommand does not read, invalid parameters, a Mobius number
-mu(0-hat, 1-hat) of a poset without a unique 0-hat or 1-hat) or an exceeded
-guard; 3 an internal error, including any other exception.
+an option the subcommand does not read, --nmax for a suite that does not read
+it, invalid parameters, a Mobius number mu(0-hat, 1-hat) of a poset without a
+unique 0-hat or 1-hat) or an exceeded guard; 3 an internal error, including
+any other exception.
 """
 
 from __future__ import annotations
@@ -320,6 +321,9 @@ def validate_suite_params(fn, ns) -> None:
 
 def cmd_verify(ns) -> int:
     names = sorted(SUITES) if ns.suite == "all" else [ns.suite]
+    if ns.suite != "all" and ns.nmax is not None and "nmax" not in SUITES[ns.suite][1]:
+        print(f"suite {ns.suite} does not read --nmax", file=sys.stderr)
+        return EXIT_USAGE
     runs = {}  # suite function -> (first name, resolved parameters)
     for name in names:
         fn, defaults = SUITES[name]

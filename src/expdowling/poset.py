@@ -8,6 +8,12 @@ elements.  The down rows (x <= y) are built with the poset; the up rows
 (y >= x) only when a caller first reads them, since the Mobius numbers
 mu(0-hat, y) need only the down rows and the up rows of a large lattice built
 by growth are its widest bitmasks.
+
+`close_order` is the one routine that closes an order: it takes the sorted
+cover tuples and a linear extension.  Growth in `structures` hands it both
+directly; `from_covers` checks and sorts arbitrary cover pairs first.
+`adjoin_bottom` derives a poset with a new 0-hat from the closure it already
+has, without closing again.
 """
 
 from __future__ import annotations
@@ -85,8 +91,8 @@ class Poset:
 
 
 def from_covers(n: int, covers: Iterable[tuple]) -> Poset:
-    """Build a poset from its cover relations, computing the down rows of the
-    closure, a topological order and the rank.
+    """Build a poset from arbitrary cover pairs: check them, drop duplicates,
+    find a linear extension by Kahn's sort and close the order.
 
     Raises on cycles and on cover pairs referencing invalid indices.
     """
@@ -113,9 +119,19 @@ def from_covers(n: int, covers: Iterable[tuple]) -> Poset:
                 queue.append(y)
     if len(topo) != n:
         raise PosetError("cover relation contains a cycle")
+    return close_order(covers_up, covers_down, topo)
 
-    # Down rows, and the longest-path rank from the minimal elements; graded
-    # iff every cover steps the rank by exactly one.
+
+def close_order(covers_up: tuple, covers_down: tuple, topo: Sequence[int]) -> Poset:
+    """The poset with these covers: covers_up[x] and covers_down[y] sorted
+    tuples of the same relation, and `topo` a linear extension of it.  The
+    caller vouches for all three; nothing is checked here.
+
+    Builds the down rows of the closure, and the longest-path rank from the
+    minimal elements; the poset is graded iff every cover steps the rank by
+    exactly one.
+    """
+    n = len(covers_up)
     down_rows = [0] * n
     rank = [0] * n
     for y in topo:
@@ -136,6 +152,24 @@ def from_covers(n: int, covers: Iterable[tuple]) -> Poset:
         minimals=tuple(x for x in range(n) if not covers_down[x]),
         maximals=tuple(x for x in range(n) if not covers_up[x]),
         topo=tuple(topo),
+    )
+
+
+def adjoin_bottom(P: Poset) -> Poset:
+    """P with a new least element, index P.n, that the minimal elements of P
+    cover.  Derived from the closure of P: every row gains the new bit and
+    every rank grows by one, so nothing is closed again."""
+    V = P.n
+    bit = 1 << V
+    return Poset(
+        n=V + 1,
+        covers_up=P.covers_up + (P.minimals,),
+        covers_down=tuple(downs or (V,) for downs in P.covers_down) + ((),),
+        down_rows=tuple(row | bit for row in P.down_rows) + (bit,),
+        rank=None if P.rank is None else tuple(r + 1 for r in P.rank) + (0,),
+        minimals=(V,),
+        maximals=P.maximals or (V,),
+        topo=(V,) + P.topo,
     )
 
 

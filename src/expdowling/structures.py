@@ -17,8 +17,11 @@ L_n(s) grow by cover moves from their bottom, and their upper sets Pi_m^r,
 Q^(r)_n, Pi_m^{r,j} and D_n^(r,k) from their minimal elements (the objects
 counted by M^(r) and N^(r,k)), which the generator lists; the seeds of
 Pi_m^{r,j} are those of D^(r,(j or r)-1) at s = 1 under the bijection
-Pi_m^{r,k+1} <-> D^(r,k).  Q^I and R^{I,J}, which are not upper sets, are
-listed straight from the generator and ordered pairwise.  Every construction
+Pi_m^{r,k+1} <-> D^(r,k).  The growth pass collects the covers of each
+element as it goes and closes the order in its own placement order, with no
+edge list; an adjoined 0-hat is derived from that closure, not rebuilt.
+Q^I and R^{I,J}, which are not upper sets, are listed straight from the
+generator and ordered pairwise.  Every construction
 stops with GuardError as soon as it holds more than `guard` elements
 (default GUARD).
 """
@@ -32,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations, islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .poset import Poset, from_covers, _bits
+from .poset import Poset, PosetError, _bits, adjoin_bottom, close_order, from_covers
 
 
 GUARD = 50_000  # default limit on the elements of one construction
@@ -269,9 +272,14 @@ class BuiltLattice:
 
 def _grow(seeds: Iterable, covers_fn: Callable, guard: int) -> BuiltLattice:
     """The upper set generated by the minimal elements `seeds` under cover
-    moves, grown in one FIFO pass over the element list as it grows.  Raises
-    GuardError as soon as more than `guard` elements exist."""
-    elements, index = [], {}
+    moves (covers_fn(x) is the set of elements covering x), grown in one FIFO
+    pass over the element list as it grows.  The pass collects the cover
+    relation and closes it in the placement order, which is a linear
+    extension as long as every cover move lands on an element placed after
+    the one it leaves; a move back to a seed or an earlier element raises
+    PosetError.  Raises GuardError as soon as more than `guard` elements
+    exist."""
+    elements, index, covers_up, covers_down = [], {}, [], []
 
     def place(x) -> int:
         i = index.get(x)
@@ -280,13 +288,21 @@ def _grow(seeds: Iterable, covers_fn: Callable, guard: int) -> BuiltLattice:
                 raise GuardError(f"construction exceeds guard {guard} elements")
             i = index[x] = len(elements)
             elements.append(x)
+            covers_down.append([])
         return i
 
     for x in seeds:
         place(x)
     # the loop also visits the elements that place() appends while it runs
-    edges = [(xi, place(y)) for xi, x in enumerate(elements) for y in covers_fn(x)]
-    poset = from_covers(len(elements), edges)
+    for xi, x in enumerate(elements):
+        ups = tuple(sorted(map(place, covers_fn(x))))
+        if ups and ups[0] <= xi:
+            raise PosetError(f"a cover move from element {xi} goes back to element {ups[0]}")
+        covers_up.append(ups)
+        for yi in ups:
+            covers_down[yi].append(xi)
+    # filled in index order, so every down list is already sorted
+    poset = close_order(tuple(covers_up), tuple(map(tuple, covers_down)), range(len(elements)))
     return BuiltLattice(poset=poset, elements=tuple(elements), index=index)
 
 
@@ -370,12 +386,10 @@ def adjoin_zero(built: BuiltLattice) -> BuiltLattice:
 
     The synthetic element is a new index (it never collides with the natural
     bottom of a lattice that already has one)."""
-    P = built.poset
-    V = P.n
-    edges = [(x, y) for x in range(V) for y in P.covers_up[x]]
-    edges.extend((V, m) for m in P.minimals)
-    poset = from_covers(V + 1, edges)
-    return BuiltLattice(poset=poset, elements=built.elements, index=built.index, bottom=V)
+    return BuiltLattice(
+        poset=adjoin_bottom(built.poset), elements=built.elements, index=built.index,
+        bottom=built.poset.n,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,26 @@ def test_verify_respects_parameters(capsys):
     assert data["config"]["I"] == [1, 3]
 
 
+# the suites whose sizes are fixed or set by --window: none reads --nmax
+FIXED_SIZE_SUITES = ["cor4.3", "cor5.6", "cor6.4", "cor6.5", "thm4.1", "thm4.2",
+                     "thm5.4", "thm5.5", "thm6.1"]
+
+
+def test_fixed_size_suites_are_those_without_nmax():
+    assert FIXED_SIZE_SUITES == sorted(
+        name for name, (_, defaults) in cli.SUITES.items() if "nmax" not in defaults
+    )
+
+
+@pytest.mark.parametrize("suite", FIXED_SIZE_SUITES)
+def test_unread_nmax_is_rejected(capsys, suite):
+    code = main(["verify", suite, "--nmax", "9"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert f"suite {suite} does not read --nmax" in captured.err
+
+
 def test_el_check(capsys):
     code, out = run(capsys, "el-check", "--m", "4", "--r", "2", "--j", "2")
     assert code == EXIT_OK

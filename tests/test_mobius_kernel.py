@@ -193,14 +193,19 @@ def test_random_bounded_posets_match_oracle(P):
 
 @pytest.fixture
 def made_posets(monkeypatch):
-    """Every poset the builders make during the test."""
+    """Every poset the builders make during the test, recorded at each
+    constructor `structures` calls: the closure of grown covers, the adjoined
+    0-hat and the closure of arbitrary cover pairs."""
     made = []
 
-    def recording(n, covers):
-        made.append(from_covers(n, covers))
-        return made[-1]
+    def recording(make):
+        def record(*args):
+            made.append(make(*args))
+            return made[-1]
+        return record
 
-    monkeypatch.setattr(structures, "from_covers", recording)
+    for name in ("close_order", "adjoin_bottom", "from_covers"):
+        monkeypatch.setattr(structures, name, recording(getattr(structures, name)))
     return made
 
 

@@ -4,10 +4,10 @@ suites, print series and descent tables.
 Each subcommand accepts only the options it reads.  Exit codes: 0 all checks
 exact, or exact up to the constant sign documented for that identity; 1 a
 check mismatched or showed an unexpected sign; 2 bad usage (an unknown suite,
-an option the subcommand does not read, --nmax for a suite that does not read
-it, invalid parameters, a Mobius number mu(0-hat, 1-hat) of a poset without a
-unique 0-hat or 1-hat) or an exceeded guard; 3 an internal error, including
-any other exception.
+an option the subcommand does not read, a suite option such as --nmax or --s
+for a suite that does not read it, invalid parameters, a Mobius number
+mu(0-hat, 1-hat) of a poset without a unique 0-hat or 1-hat) or an exceeded
+guard; 3 an internal error, including any other exception.
 """
 
 from __future__ import annotations
@@ -286,6 +286,8 @@ SUITES = {
     "cor6.4": (suite_el, {}),
     "cor6.5": (suite_el, {}),
 }
+# a suite reads exactly the options its defaults name
+SUITE_OPTIONS = sorted({key for _, defaults in SUITES.values() for key in defaults})
 
 
 def resolved_config(ns) -> dict:
@@ -321,9 +323,11 @@ def validate_suite_params(fn, ns) -> None:
 
 def cmd_verify(ns) -> int:
     names = sorted(SUITES) if ns.suite == "all" else [ns.suite]
-    if ns.suite != "all" and ns.nmax is not None and "nmax" not in SUITES[ns.suite][1]:
-        print(f"suite {ns.suite} does not read --nmax", file=sys.stderr)
-        return EXIT_USAGE
+    if ns.suite != "all":
+        for key in SUITE_OPTIONS:
+            if getattr(ns, key) is not None and key not in SUITES[ns.suite][1]:
+                print(f"suite {ns.suite} does not read --{key.replace('_', '-')}", file=sys.stderr)
+                return EXIT_USAGE
     runs = {}  # suite function -> (first name, resolved parameters)
     for name in names:
         fn, defaults = SUITES[name]
@@ -356,8 +360,9 @@ def cmd_verify(ns) -> int:
                 writer.writerow([report.name] + row)
         text = out.getvalue()
     else:
+        # a suite named alone echoes the parameters of its one run
         text = _json({
-            "config": resolved_config(ns),
+            "config": resolved_config(ns if ns.suite == "all" else local),
             "results": [r.to_json_dict() for r in results],
         })
     _emit(text, ns.output)

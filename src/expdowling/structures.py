@@ -11,28 +11,39 @@ Elements are kept in canonical form:
 
 Every family is a set of elements whose types satisfy a block-size
 condition, so one generator lists them all: `_blocks` gives the partitions
-of a set into blocks with sizes in a given set, and `_dowling_elements` adds
-a zero block with a size in another set and every labelling.  Pi_m and
-L_n(s) grow by cover moves from their bottom, and their upper sets Pi_m^r,
-Q^(r)_n, Pi_m^{r,j} and D_n^(r,k) from their minimal elements (the objects
-counted by M^(r) and N^(r,k)), which the generator lists; the seeds of
-Pi_m^{r,j} are those of D^(r,(j or r)-1) at s = 1 under the bijection
-Pi_m^{r,k+1} <-> D^(r,k).  The growth pass collects the covers of each
+of a set into blocks with sizes in a given set, `_zero_and_blocks` adds a
+zero block with a size in another set, and `_dowling_elements` every
+labelling.  Pi_m and L_n(s) grow by cover moves from their bottom, and their
+upper sets Pi_m^r, Q^(r)_n, Pi_m^{r,j} and D_n^(r,k) from their minimal
+elements (the objects counted by M^(r) and N^(r,k)), which the generator
+lists; the seeds of Pi_m^{r,j} are those of D^(r,(j or r)-1) at s = 1 under
+the bijection Pi_m^{r,k+1} <-> D^(r,k).
+
+Growth moves ints, not tuples (`BlockCode`).  Each ground element has a
+fixed-width field of the code that holds the least element of its block
+(its leader; 0 for the zero block) and its label relative to the leader.  A
+cover move is one addition: absorbing block j into the zero block subtracts
+its bits, and merging blocks i < j with shift alpha adds
+a_i * M_j + D_j[alpha], where M_j spreads a 1 over the fields of block j and
+D_j, memoized per block, relabels it.  Elements are placed in move order
+(the absorbs by block, then the merges i < j by shift), which depends on no
+hash.  A grown lattice keeps its codes, and decodes them into partitions or
+DowlingElements only when `elements` or `index` is first read, so the Mobius
+path never decodes an element.  The growth pass collects the covers of each
 element as it goes and closes the order in its own placement order, with no
 edge list; an adjoined 0-hat is derived from that closure, not rebuilt.
 Q^I and R^{I,J}, which are not upper sets, are listed straight from the
-generator and ordered pairwise.  Every construction
-stops with GuardError as soon as it holds more than `guard` elements
-(default GUARD).
+generator and ordered pairwise.  Every construction stops with GuardError
+as soon as it holds more than `guard` elements (default GUARD).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, islice, product
+from functools import cache, cached_property, lru_cache
+from itertools import combinations, islice, product, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .poset import Poset, PosetError, _bits, adjoin_bottom, close_order, from_covers
@@ -99,17 +110,6 @@ def set_partitions(m: int, guard: int = GUARD) -> list:
     return sorted(_listed(_blocks(tuple(range(1, m + 1)), range(1, m + 1)), guard))
 
 
-def partition_covers(p: tuple) -> set:
-    """Partitions covering p: two blocks merged.  The merged block keeps the
-    smaller minimum, so it takes the place of the first block and every cover
-    is already canonical."""
-    out = set()
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            out.add(p[:i] + (tuple(sorted(p[i] + p[j])),) + p[i + 1 : j] + p[j + 1 :])
-    return out
-
-
 def partition_leq(p: tuple, q: tuple) -> bool:
     """Refinement order: every block of p lies inside a block of q."""
     where = {}
@@ -131,9 +131,7 @@ class DowlingElement(NamedTuple):
     """An enriched partial partition (pi~, Z): zero block Z plus enriched
     blocks, each block a (elements, labels) pair with label(min) = 0.
 
-    A tuple, so hashing, equality and construction run in C; its hash is
-    hash((zero, blocks)), which fixes the growth order of every Dowling
-    family."""
+    A tuple, so hashing, equality and construction run in C."""
 
     zero: tuple
     blocks: tuple  # tuple of (elems tuple, labels tuple)
@@ -162,36 +160,8 @@ def make_dowling(zero: Iterable[int], blocks: Iterable, s: int) -> DowlingElemen
     return DowlingElement(zero=tuple(sorted(zero)), blocks=tuple(canon))
 
 
-def dowling_bottom(n: int) -> DowlingElement:
-    return DowlingElement(
-        zero=(), blocks=tuple(((e,), (0,)) for e in range(1, n + 1))
-    )
-
-
 def dowling_rank(x: DowlingElement, n: int) -> int:
     return n - len(x.blocks)
-
-
-def dowling_covers(x: DowlingElement, s: int) -> set:
-    """Elements covering x: a block absorbed by the zero block, or two blocks
-    merged in each of the s inequivalent ways.  A merged block keeps the
-    smaller minimum, with label 0, so it takes the place of the first block
-    and every cover is already canonical."""
-    out = set()
-    zero, blocks = x.zero, x.blocks
-    for i in range(len(blocks)):
-        rest = blocks[:i] + blocks[i + 1 :]
-        out.add(DowlingElement(zero=tuple(sorted(zero + blocks[i][0])), blocks=rest))
-    for i in range(len(blocks)):
-        bi, fi = blocks[i]
-        for j in range(i + 1, len(blocks)):
-            bj, fj = blocks[j]
-            after = blocks[i + 1 : j] + blocks[j + 1 :]
-            for alpha in range(s):
-                labels = fi + tuple((l + alpha) % s for l in fj)
-                merged = tuple(zip(*sorted(zip(bi + bj, labels))))
-                out.add(DowlingElement(zero=zero, blocks=blocks[:i] + (merged,) + after))
-    return out
 
 
 def dowling_leq(x: DowlingElement, y: DowlingElement, s: int) -> bool:
@@ -220,21 +190,31 @@ def dowling_leq(x: DowlingElement, y: DowlingElement, s: int) -> bool:
     return True
 
 
+def _zero_and_blocks(
+    n: int, zero_sizes: Iterable[int], block_sizes: Iterable[int]
+) -> Iterator[tuple]:
+    """Every (zero block, partition of the rest) of the ground set [n] whose
+    zero block has a size in zero_sizes and whose blocks all have sizes in
+    block_sizes."""
+    ground = tuple(range(1, n + 1))
+    for b in zero_sizes:
+        for zero in combinations(ground, b):
+            rest = tuple(e for e in ground if e not in zero)
+            for part in _blocks(rest, block_sizes):
+                yield zero, part
+
+
 def _dowling_elements(
     n: int, s: int, zero_sizes: Iterable[int], block_sizes: Iterable[int]
 ) -> Iterator[DowlingElement]:
     """Every canonical element of L_n(s) whose zero block has a size in
     zero_sizes and whose blocks all have sizes in block_sizes, in every
     labelling."""
-    ground = tuple(range(1, n + 1))
-    for b in zero_sizes:
-        for zero in combinations(ground, b):
-            rest = tuple(e for e in ground if e not in zero)
-            for part in _blocks(rest, block_sizes):
-                for labels in product(*(product(range(s), repeat=len(bl) - 1) for bl in part)):
-                    yield DowlingElement(
-                        zero=zero, blocks=tuple((bl, (0,) + l) for bl, l in zip(part, labels))
-                    )
+    for zero, part in _zero_and_blocks(n, zero_sizes, block_sizes):
+        for labels in product(*(product(range(s), repeat=len(bl) - 1) for bl in part)):
+            yield DowlingElement(
+                zero=zero, blocks=tuple((bl, (0,) + l) for bl, l in zip(part, labels))
+            )
 
 
 def _dowling_order(x: DowlingElement) -> tuple:
@@ -251,15 +231,177 @@ def enumerate_dowling(n: int, s: int, guard: int = GUARD) -> list:
 
 
 # ---------------------------------------------------------------------------
+# integer codes of grown elements and their cover moves
+
+
+@cache
+def _byte_tables(lead_bits: int) -> tuple:
+    """For fields one byte wide with `lead_bits` leader bits: the
+    `bytes.translate` table that takes a field to its leader, and for each
+    leader a the table that keeps the fields with leader a and clears the
+    others."""
+    step = 1 << lead_bits
+    keep = []
+    for a in range(step):
+        table = bytearray(256)
+        table[a::step] = range(a, 256, step)
+        keep.append(bytes(table))
+    return bytes(range(step)) * (256 // step), tuple(keep)
+
+
+class BlockCode:
+    """The elements of a grown family as ints, and their cover moves as
+    integer additions.
+
+    Ground element e owns the field of `width` bits at bit offset
+    width * (e - 1).  The field holds the leader of e's block (the block's
+    least element; 0 for the zero block) in its low `lead_bits` bits and the
+    label of e mod s, relative to the leader, above them.  A set partition is
+    the code at s = 1 with no zero block (`zero` False) and decodes to a tuple
+    of blocks; with a zero block a code decodes to a DowlingElement.  A field
+    that fits in a byte is one byte wide, so that `int.to_bytes` and
+    `bytes.translate` split a code into its blocks in C.
+
+    A cover move adds a delta to the code.  Absorbing block j into the zero
+    block subtracts its bits, part_j: the fields of block j.  Merging blocks
+    i < j with shift alpha adds a_i * M_j + D_j[alpha]: a_i is the leader of
+    block i, M_j has a 1 at the low end of each field of block j, and
+    D_j[alpha], memoized by part_j (which fixes the leader, the elements and
+    the labels of block j), takes away part_j and puts back the labels of
+    block j shifted by alpha mod s.  The merged block keeps the smaller
+    leader, whose label is 0, so every move lands on a canonical code, and
+    the moves of one element are all distinct.  Decoding splits a code into
+    the same parts; decoded blocks are memoized by part, so equal blocks are
+    one shared tuple.
+    """
+
+    def __init__(self, n: int, s: int, zero: bool):
+        self.n, self.s, self.zero = n, s, zero
+        self.lead_bits = n.bit_length()
+        bits = self.lead_bits + (s - 1).bit_length()
+        self.width = 8 if bits <= 8 else bits
+        self._shifts = range(0, self.width * n, self.width)
+        # every element in a singleton block: the bottom of Pi_n and of L_n(s)
+        self.singletons = sum(e << shift for e, shift in enumerate(self._shifts, start=1))
+        if self.width == 8:
+            self._leaders, self._keep = _byte_tables(self.lead_bits)
+        self._block = cache(self._block_of)
+        self._encoded = cache(self._encoded_of)
+        self._zero_block = cache(self._zero_block_of)
+
+    def _fields(self, code: int):
+        """The field values of `code`, for the ground elements 1..n in turn."""
+        if self.width == 8:
+            return code.to_bytes(self.n, "little")
+        return [code >> shift & (1 << self.width) - 1 for shift in self._shifts]
+
+    def _blocks(self, code: int) -> list:
+        """`_block` of each block of `code` but the zero block, by increasing
+        leader.  A block is keyed by its bits as little-endian bytes.  A
+        leader first occurs in its own field, so the leaders come in
+        increasing order of first occurrence."""
+        block = self._block
+        if self.width == 8:
+            fields = code.to_bytes(self.n, "little")
+            leaders = fields if self.s == 1 else fields.translate(self._leaders)
+            keep = self._keep
+            return [block(fields.translate(keep[a])) for a in dict.fromkeys(leaders) if a]
+        parts, low = {}, (1 << self.lead_bits) - 1
+        for f, shift in zip(self._fields(code), self._shifts):
+            if f:
+                parts[f & low] = parts.get(f & low, 0) | f << shift
+        size = -(-self.width * self.n // 8)
+        return [block(part.to_bytes(size, "little")) for part in parts.values()]
+
+    def _block_of(self, key: bytes) -> tuple:
+        """(part, leader, M, D, the decoded block) of the block whose bits
+        `key` holds.  The decoded block is its elements, paired with their
+        labels when there is a zero block."""
+        s, lead_bits = self.s, self.lead_bits
+        part = int.from_bytes(key, "little")
+        spread, shifted, elems, labels = 0, [0] * s, [], []
+        for e, (f, shift) in enumerate(zip(self._fields(part), self._shifts), start=1):
+            if f:
+                label = f >> lead_bits
+                elems.append(e)
+                labels.append(label)
+                spread |= 1 << shift
+                for alpha in range(s):
+                    shifted[alpha] += (label + alpha) % s << shift + lead_bits
+        piece = (tuple(elems), tuple(labels)) if self.zero else tuple(elems)
+        return part, elems[0], spread, tuple(bits - part for bits in shifted), piece
+
+    def covers(self, code: int) -> list:
+        """The codes covering `code`, in move order: the absorbs by block,
+        then the merges of blocks i < j with shifts 0, ..., s - 1."""
+        blocks = self._blocks(code)
+        out = [code - block[0] for block in blocks] if self.zero else []
+        add = out.append
+        for i, (_, leader, _, _, _) in enumerate(blocks):
+            for _, _, spread, deltas, _ in blocks[i + 1 :]:
+                base = code + leader * spread
+                for delta in deltas:
+                    add(base + delta)
+        return out
+
+    def encode(self, x) -> int:
+        """The code of a canonical partition, or of a canonical DowlingElement
+        when there is a zero block; the blocks may come in any order."""
+        return sum(starmap(self._encoded, x.blocks) if self.zero else map(self._encoded, x))
+
+    def _encoded_of(self, elems: tuple, labels: tuple = ()) -> int:
+        """The bits of one block, its elements sorted, with their labels
+        (all 0 when none are given)."""
+        leader, shifts = elems[0], self._shifts
+        labels = labels or (0,) * len(elems)
+        return sum((leader | label << self.lead_bits) << shifts[e - 1] for e, label in zip(elems, labels))
+
+    def decode(self, code: int):
+        """The element whose code is `code`."""
+        blocks = self._blocks(code)
+        pieces = tuple([block[4] for block in blocks])
+        if not self.zero:
+            return pieces
+        covered = 0
+        for block in blocks:
+            covered |= block[2]
+        return DowlingElement(self._zero_block(covered), pieces)
+
+    def decode_all(self, codes: Iterable[int]) -> tuple:
+        """The elements of `codes`.  The block memo serves only growth and
+        decoding, so it is dropped afterwards; the decoded blocks stay shared
+        through the elements."""
+        elements = tuple(map(self.decode, codes))
+        self._block.cache_clear()
+        return elements
+
+    def _zero_block_of(self, covered: int) -> tuple:
+        """The ground elements whose fields the spread mask `covered` misses."""
+        return tuple(e for e, shift in enumerate(self._shifts, start=1) if not covered >> shift & 1)
+
+
+# ---------------------------------------------------------------------------
 # built lattices
 
 
 @dataclass(frozen=True)
 class BuiltLattice:
+    """A poset and its elements.  The elements are stored as `codes`: the
+    elements themselves, or the ints of a grown family, which `decode` turns
+    into the tuple of elements when `elements` or `index` is first read."""
+
     poset: Poset
-    elements: tuple
-    index: dict
+    codes: tuple
+    decode: Optional[Callable] = field(default=None, compare=False, repr=False)
     bottom: Optional[int] = None  # index of the synthetic adjoined 0-hat, if any
+
+    @cached_property
+    def elements(self) -> tuple:
+        return self.codes if self.decode is None else self.decode(self.codes)
+
+    @cached_property
+    def index(self) -> dict:
+        return {e: i for i, e in enumerate(self.elements)}
 
     @property
     def top(self) -> int:
@@ -267,55 +409,64 @@ class BuiltLattice:
 
     def natural_indices(self) -> range:
         """Indices of real (non-synthetic) elements."""
-        return range(len(self.elements))
+        return range(len(self.codes))
 
 
-def _grow(seeds: Iterable, covers_fn: Callable, guard: int) -> BuiltLattice:
+def _grow(
+    seeds: Iterable, covers_fn: Callable, guard: int, decode: Optional[Callable] = None
+) -> BuiltLattice:
     """The upper set generated by the minimal elements `seeds` under cover
-    moves (covers_fn(x) is the set of elements covering x), grown in one FIFO
-    pass over the element list as it grows.  The pass collects the cover
-    relation and closes it in the placement order, which is a linear
-    extension as long as every cover move lands on an element placed after
-    the one it leaves; a move back to a seed or an earlier element raises
-    PosetError.  Raises GuardError as soon as more than `guard` elements
-    exist."""
-    elements, index, covers_up, covers_down = [], {}, [], []
+    moves (covers_fn(x) lists the distinct elements covering x), grown in one
+    FIFO pass over the element list as it grows, so elements are placed in
+    move order.  The pass collects the cover relation and closes it in the
+    placement order, which is a linear extension as long as every cover move
+    lands on an element placed after the one it leaves; a move back to a seed
+    or an earlier element raises PosetError.  Raises GuardError as soon as
+    more than `guard` elements exist.  `decode` maps the tuple of grown values
+    to the tuple of elements (see BuiltLattice)."""
+    codes, index, covers_up, covers_down = [], {}, [], []
 
     def place(x) -> int:
-        i = index.get(x)
-        if i is None:
-            if len(elements) >= guard:
-                raise GuardError(f"construction exceeds guard {guard} elements")
-            i = index[x] = len(elements)
-            elements.append(x)
-            covers_down.append([])
+        if len(codes) >= guard:
+            raise GuardError(f"construction exceeds guard {guard} elements")
+        i = index[x] = len(codes)
+        codes.append(x)
+        covers_down.append([])
         return i
 
     for x in seeds:
-        place(x)
+        if x not in index:
+            place(x)
     # the loop also visits the elements that place() appends while it runs
-    for xi, x in enumerate(elements):
-        ups = tuple(sorted(map(place, covers_fn(x))))
+    for xi, x in enumerate(codes):
+        ups = []
+        for y in covers_fn(x):
+            yi = index.get(y)
+            if yi is None:
+                yi = place(y)
+            ups.append(yi)
+            covers_down[yi].append(xi)
+        ups.sort()
         if ups and ups[0] <= xi:
             raise PosetError(f"a cover move from element {xi} goes back to element {ups[0]}")
-        covers_up.append(ups)
-        for yi in ups:
-            covers_down[yi].append(xi)
+        covers_up.append(tuple(ups))
     # filled in index order, so every down list is already sorted
-    poset = close_order(tuple(covers_up), tuple(map(tuple, covers_down)), range(len(elements)))
-    return BuiltLattice(poset=poset, elements=tuple(elements), index=index)
+    poset = close_order(tuple(covers_up), tuple(map(tuple, covers_down)), range(len(codes)))
+    return BuiltLattice(poset=poset, codes=tuple(codes), decode=decode)
 
 
 def build_partition_lattice(m: int, guard: int = GUARD) -> BuiltLattice:
     """The partition lattice Pi_m under refinement, bottom = all singletons."""
     _check_params(m=m)
-    return _grow([tuple((e,) for e in range(1, m + 1))], partition_covers, guard)
+    code = BlockCode(m, 1, zero=False)
+    return _grow([code.singletons], code.covers, guard, code.decode_all)
 
 
 def build_dowling_lattice(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
     """The Dowling lattice L_n of rank n for a group of order s."""
     _check_params(n=n, s=s)
-    return _grow([dowling_bottom(n)], lambda x: dowling_covers(x, s), guard)
+    code = BlockCode(n, s, zero=True)
+    return _grow([code.singletons], code.covers, guard, code.decode_all)
 
 
 # No build path calls ambient_dowling or induce_from_ambient: they are the
@@ -348,10 +499,7 @@ def induced_subposet(
         for j in _bits(up[i]):
             if up[i] & down[j] == 0:
                 edges.append((i, j))
-    poset = from_covers(V, edges)
-    return BuiltLattice(
-        poset=poset, elements=tuple(elements), index={e: i for i, e in enumerate(elements)}
-    )
+    return BuiltLattice(poset=from_covers(V, edges), codes=tuple(elements))
 
 
 def induce_from_ambient(ambient: BuiltLattice, keep: Callable) -> BuiltLattice:
@@ -376,9 +524,8 @@ def induce_from_ambient(ambient: BuiltLattice, keep: Callable) -> BuiltLattice:
         for j in _bits(up[i]):
             if up[i] & down[j] == 0:
                 edges.append((i, j))
-    poset = from_covers(V, edges)
     elements = tuple(ambient.elements[old] for old in kept)
-    return BuiltLattice(poset=poset, elements=elements, index={e: i for i, e in enumerate(elements)})
+    return BuiltLattice(poset=from_covers(V, edges), codes=elements)
 
 
 def adjoin_zero(built: BuiltLattice) -> BuiltLattice:
@@ -386,10 +533,7 @@ def adjoin_zero(built: BuiltLattice) -> BuiltLattice:
 
     The synthetic element is a new index (it never collides with the natural
     bottom of a lattice that already has one)."""
-    return BuiltLattice(
-        poset=adjoin_bottom(built.poset), elements=built.elements, index=built.index,
-        bottom=built.poset.n,
-    )
+    return replace(built, poset=adjoin_bottom(built.poset), bottom=built.poset.n)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +603,10 @@ def _extended_upper_set(m: int, r: int, j: int, guard: int) -> BuiltLattice:
 
     # the images of the minimal elements of D^(r,(j or r)-1) at s = 1 under
     # the bijection D^(r,k) -> Pi_m^{r,k+1}, which puts m into the zero block
-    seeds = _dowling_elements(m - 1, 1, ((j or r) - 1,), (r,))
-    return _grow((dowling_to_extended(x, m) for x in seeds), partition_covers, guard)
+    code = BlockCode(m, 1, zero=False)
+    minimal = _zero_and_blocks(m - 1, ((j or r) - 1,), (r,))
+    seeds = (code.encode(part + (zero + (m,),)) for zero, part in minimal)
+    return _grow(seeds, code.covers, guard, code.decode_all)
 
 
 def build_r_divisible(m: int, r: int, guard: int = GUARD) -> BuiltLattice:
@@ -511,8 +657,9 @@ def build_D_rk(n: int, r: int, k: int, s: int, guard: int = GUARD) -> BuiltLatti
     ones (a zero block of size k and n blocks of size r, in every labelling);
     0-hat adjoined."""
     _check_params(n=n, r=r, k=k, s=s)
-    seeds = _dowling_elements(r * n + k, s, (k,), (r,))
-    return adjoin_zero(_grow(seeds, lambda x: dowling_covers(x, s), guard))
+    code = BlockCode(r * n + k, s, zero=True)
+    seeds = map(code.encode, _dowling_elements(r * n + k, s, (k,), (r,)))
+    return adjoin_zero(_grow(seeds, code.covers, guard, code.decode_all))
 
 
 # ---------------------------------------------------------------------------

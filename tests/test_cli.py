@@ -101,6 +101,45 @@ def test_unread_nmax_is_rejected(capsys, suite):
     assert f"suite {suite} does not read --nmax" in captured.err
 
 
+# every (suite, option) pair where the suite does not read the option, with
+# a value the option would accept where it is read
+UNREAD_SUITE_OPTIONS = [
+    (suite, key, value)
+    for suite, (_, defaults) in sorted(cli.SUITES.items())
+    for key, value in [("s", "3"), ("s_list", "2"), ("I", "2"), ("J", "1"), ("window", "5")]
+    if key not in defaults
+]
+
+
+@pytest.mark.parametrize("suite,key,value", UNREAD_SUITE_OPTIONS,
+                         ids=[f"{suite}-{key}" for suite, key, _ in UNREAD_SUITE_OPTIONS])
+def test_unread_suite_option_is_rejected(capsys, suite, key, value):
+    option = "--" + key.replace("_", "-")
+    code = main(["verify", suite, option, value])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert f"suite {suite} does not read {option}" in captured.err
+
+
+def test_unread_suite_options_reach_every_option():
+    assert set(cli.SUITE_OPTIONS) == {"nmax", "s", "s_list", "I", "J", "window"}
+    assert {key for _, key, _ in UNREAD_SUITE_OPTIONS} == set(cli.SUITE_OPTIONS) - {"nmax"}
+    assert main(["verify", "thm4.1", "--s", "3", "--s-list", "2"]) == EXIT_USAGE
+
+
+def test_named_suite_echoes_its_defaults(capsys):
+    code, out = run(capsys, "verify", "thm4.1")
+    assert code == EXIT_OK
+    assert json.loads(out)["config"] == {
+        "suite": "thm4.1", "nmax": None, "s": None, "s_list": None, "I": [2], "J": None,
+        "window": 8, "seed": 20090311, "format": "json",
+    }
+    code, out = run(capsys, "verify", "cor4.7", "--nmax", "3")
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["nmax"] == 3
+
+
 def test_el_check(capsys):
     code, out = run(capsys, "el-check", "--m", "4", "--r", "2", "--j", "2")
     assert code == EXIT_OK
@@ -310,28 +349,60 @@ def test_builder_exception_is_internal(capsys, monkeypatch, command, error):
     assert "raised inside the builder" in captured.err
 
 
-# sha256 of the export: element order follows the DowlingElement and
-# partition hashes through the growth sets, so this pins it
+# sha256 of the export.  Grown families (dowling, pi, d-rk) list their
+# elements in the order the cover moves first reach them (absorbs by block,
+# then merges of blocks i < j by shift), which no hash affects; q-I and r-IJ
+# list theirs sorted.
 GOLDEN_EXPORTS = [
     (["--family", "dowling", "--n", "3", "--s", "2"],
-     "c2e83b161124193d23ad768463a4834776d0da81f547246809bd99b66186b6a3"),
+     "cea6ca5b413497da79d977822e31f28f1b4c9c6a1479bf9fde5247655ee68e10"),
     (["--family", "pi", "--m", "5"],
-     "9ad2c8d438aa005bd4bb865b02fa841de1ce769db60e451d8a23b80a94becb49"),
+     "32477733b2997a6f40829fe000c28659d97e757aae8c77b806263ad23767d75f"),
     (["--family", "d-rk", "--n", "2", "--r", "2", "--k", "1", "--s", "2"],
-     "f9ef7bb9b2a2b6c80b705352b040e2775a96031de94917abb0328ef0edb013ca"),
+     "274c6d0a4af0101d06795151ddd183f767ea114d0a9be0a52545f82112aaa96d"),
     (["--family", "q-I", "--n", "7", "--I", "2,3"],
      "0b7fb1a36de19d570995b29eea95f0b0f2140b9aab4cb5a75d4bb3cf31e4012d"),
     (["--family", "r-IJ", "--n", "4", "--s", "2", "--I", "1,2", "--J", "0,2"],
      "0b5102030265f0a91441cb178c1456af81db85c6d3ababf35aa3ca475f7f49d0"),
 ]
+GOLDEN_IDS = ["dowling3,2", "pi5", "d-rk2,2,1,2", "q-I7,{2,3}", "r-IJ4,2,{1,2},{0,2}"]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_EXPORTS,
-                         ids=["dowling3,2", "pi5", "d-rk2,2,1,2", "q-I7,{2,3}", "r-IJ4,2,{1,2},{0,2}"])
+@pytest.mark.parametrize("argv,digest", GOLDEN_EXPORTS, ids=GOLDEN_IDS)
 def test_lattice_export_is_pinned(capsys, argv, digest):
     code, out = run(capsys, "lattice", *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def relabelled(export):
+    """sha256 of an export with every index replaced by the element it
+    names: the element set, the cover pairs and the rank of each element."""
+    data = json.loads(export)
+    names = [json.dumps(e, sort_keys=True) for e in data["elements"]]
+    if data["bottom"] is not None:
+        assert data["bottom"] == len(names)
+        names.append("0-hat")
+    poset = data["poset"]
+    covers = sorted([names[x], names[y]] for x, y in poset["covers"])
+    ranks = sorted([names[i], r] for i, r in enumerate(poset["ranks"]))
+    return hashlib.sha256(json.dumps([sorted(names), covers, ranks]).encode()).hexdigest()
+
+
+# relabelled() of the three grown exports as they were when elements were
+# placed in hash order: the placement order permutes indices, not lattices
+HASH_ORDER_EXPORTS = [
+    (GOLDEN_EXPORTS[0][0], "95512ce3738ac06a0676a0e33fe91aae2d86f2ecf6f24632f406f72221b91c66"),
+    (GOLDEN_EXPORTS[1][0], "e783b1753d1b3360297f115e5cd65fdadc14c3c7a4a5d711a091b7b0e9facdb5"),
+    (GOLDEN_EXPORTS[2][0], "900d0348516ad7ff2790aa8b0dd56b59ea86ba5421a0aabc8031105ec62c8f85"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", HASH_ORDER_EXPORTS, ids=GOLDEN_IDS[:3])
+def test_grown_export_is_the_hash_order_export_relabelled(capsys, argv, digest):
+    code, out = run(capsys, "lattice", *argv)
+    assert code == EXIT_OK
+    assert relabelled(out) == digest
 
 
 def test_lattice_cache_keyed_on_guard(tmp_path, capsys):

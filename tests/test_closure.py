@@ -15,7 +15,6 @@ import pytest
 from expdowling import structures
 from expdowling.cli import EXIT_INTERNAL, main
 from expdowling.poset import PosetError, adjoin_bottom, close_order, from_covers
-from expdowling.structures import partition_covers
 
 
 def cover_pairs(P):
@@ -126,11 +125,11 @@ def test_grow_accepts_forward_moves():
 
 @pytest.mark.parametrize("command", ["lattice", "mobius"])
 def test_move_back_through_cli_is_internal(capsys, monkeypatch, command):
-    # the top of Pi_3 "covered" by its bottom: a fault of the program, not
-    # bad usage and not a pass
-    bottom = ((1,), (2,), (3,))
+    # the top of Pi_3 "covered" by its bottom, injected through the integer
+    # cover moves: a fault of the program, not bad usage and not a pass
+    moves = structures.BlockCode.covers
     monkeypatch.setattr(
-        structures, "partition_covers", lambda p: {bottom} if len(p) == 1 else partition_covers(p)
+        structures.BlockCode, "covers", lambda self, code: moves(self, code) or [self.singletons]
     )
     code = main([command, "--family", "pi", "--m", "3"])
     captured = capsys.readouterr()

@@ -5,31 +5,74 @@ elements.  The oracles here are the former build paths, kept only in this
 file: a filter of all set partitions ordered pairwise (`induced_subposet`),
 and the restriction of the whole ambient Dowling lattice
 (`induce_from_ambient`).  Element sets and cover sets must be equal; indices
-may differ, because growth order is not the old order.  The cover moves
-themselves are checked against moves that canonicalize the whole element.
+may differ, because growth order is not the old order.
+
+Growth moves integer codes (`BlockCode`).  The former moves on tuples,
+`partition_covers` and `dowling_covers`, are kept here as the oracle of the
+integer moves: every grown family on a grid is grown again with them and
+must give the same elements, covers and ranks.  The tuple moves themselves
+are checked against moves that canonicalize the whole element.
 """
 
 from functools import lru_cache
 
 import pytest
 
+from expdowling import cli, structures
 from expdowling.structures import (
+    BlockCode,
+    DowlingElement,
     GuardError,
+    _dowling_elements,
     adjoin_zero,
     ambient_dowling,
     build_D_rk,
+    build_dowling_lattice,
     build_extended,
     build_partition_lattice,
     build_Q_r,
+    build_r_divisible,
     canonical_partition,
-    dowling_covers,
+    dowling_to_extended,
     induce_from_ambient,
     induced_subposet,
     make_dowling,
-    partition_covers,
     partition_leq,
     set_partitions,
 )
+
+
+def partition_covers(p: tuple) -> set:
+    """Partitions covering p: two blocks merged.  The merged block keeps the
+    smaller minimum, so it takes the place of the first block and every cover
+    is already canonical."""
+    out = set()
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            out.add(p[:i] + (tuple(sorted(p[i] + p[j])),) + p[i + 1 : j] + p[j + 1 :])
+    return out
+
+
+def dowling_covers(x: DowlingElement, s: int) -> set:
+    """Elements covering x: a block absorbed by the zero block, or two blocks
+    merged in each of the s inequivalent ways.  A merged block keeps the
+    smaller minimum, with label 0, so it takes the place of the first block
+    and every cover is already canonical."""
+    out = set()
+    zero, blocks = x.zero, x.blocks
+    for i in range(len(blocks)):
+        rest = blocks[:i] + blocks[i + 1 :]
+        out.add(DowlingElement(zero=tuple(sorted(zero + blocks[i][0])), blocks=rest))
+    for i in range(len(blocks)):
+        bi, fi = blocks[i]
+        for j in range(i + 1, len(blocks)):
+            bj, fj = blocks[j]
+            after = blocks[i + 1 : j] + blocks[j + 1 :]
+            for alpha in range(s):
+                labels = fi + tuple((l + alpha) % s for l in fj)
+                merged = tuple(zip(*sorted(zip(bi + bj, labels))))
+                out.add(DowlingElement(zero=zero, blocks=blocks[:i] + (merged,) + after))
+    return out
 
 
 def shape(built):
@@ -165,3 +208,120 @@ def test_partition_covers_are_canonical():
 def test_dowling_covers_are_canonical(n, s):
     for x in ambient_dowling(n, s).elements:
         assert dowling_covers(x, s) == canonicalized_dowling_covers(x, s)
+
+
+# ---------------------------------------------------------------------------
+# integer moves against the tuple moves
+
+
+def tuple_growth(seeds, moves):
+    """{element: rank} and the set of cover pairs of the upper set that the
+    tuple moves grow from `seeds`, by breadth-first search."""
+    rank = {x: 0 for x in seeds}
+    covers = set()
+    queue = list(seeds)
+    for x in queue:
+        for y in moves(x):
+            covers.add((x, y))
+            if y not in rank:
+                rank[y] = rank[x] + 1
+                queue.append(y)
+    return rank, covers
+
+
+def grown_shape(built):
+    """{element: rank} and cover pairs of a grown family, its 0-hat left out."""
+    E, P = built.elements, built.poset
+    shift = built.bottom is not None
+    rank = {E[i]: P.rank[i] - shift for i in built.natural_indices()}
+    covers = {(E[x], E[y]) for x in built.natural_indices() for y in P.covers_up[x]}
+    assert len(rank) == len(E) == len(built.codes)
+    return rank, covers
+
+
+def extended_seeds(m, r, j):
+    return [dowling_to_extended(x, m) for x in _dowling_elements(m - 1, 1, ((j or r) - 1,), (r,))]
+
+
+def singletons(n):
+    return tuple((e,) for e in range(1, n + 1))
+
+
+# (name, build, BlockCode arguments, seeds, tuple moves) of every grown
+# family on the grid: pi for m <= 7, dowling for n <= 4 and s <= 3, and pi-r,
+# pi-rj, q-r and d-rk for r*n + k <= 6 (m <= 6) and s <= 2; then three
+# families whose code fields are wider than a byte
+GROWN = (
+    [(f"pi{m}", lambda m=m: build_partition_lattice(m), (m, 1, False),
+      [singletons(m)], partition_covers) for m in range(1, 8)]
+    + [(f"dowling{n},{s}", lambda n=n, s=s: build_dowling_lattice(n, s), (n, s, True),
+        [DowlingElement((), tuple((b, (0,)) for b in singletons(n)))],
+        lambda x, s=s: dowling_covers(x, s))
+       for n in range(0, 5) for s in (1, 2, 3)]
+    + [(f"pi-r{m},{r}", lambda m=m, r=r: build_r_divisible(m, r), (m, 1, False),
+        extended_seeds(m, r, r), partition_covers)
+       for m in range(1, 7) for r in range(1, m + 1) if m % r == 0]
+    + [(f"pi-rj{m},{r},{j}", lambda m=m, r=r, j=j: build_extended(m, r, j), (m, 1, False),
+        extended_seeds(m, r, j), partition_covers)
+       for m in range(1, 7) for r in range(1, m + 1) for j in range(m % r, m + 1, r)]
+    + [(f"q-r{n},{r}", lambda n=n, r=r: build_Q_r(n, r), (r * n, 1, False),
+        extended_seeds(r * n, r, r), partition_covers)
+       for r in range(1, 7) for n in range(1, 6 // r + 1)]
+    + [(f"d-rk{n},{r},{k},{s}", lambda n=n, r=r, k=k, s=s: build_D_rk(n, r, k, s),
+        (r * n + k, s, True), list(_dowling_elements(r * n + k, s, (k,), (r,))),
+        lambda x, s=s: dowling_covers(x, s))
+       for n, r, k, s in D_RK]
+    + [("dowling2,300", lambda: build_dowling_lattice(2, 300), (2, 300, True),
+        [DowlingElement((), (((1,), (0,)), ((2,), (0,))))], lambda x: dowling_covers(x, 300)),
+       ("d-rk1,2,1,100", lambda: build_D_rk(1, 2, 1, 100), (3, 100, True),
+        list(_dowling_elements(3, 100, (1,), (2,))), lambda x: dowling_covers(x, 100)),
+       ("q-r1,300", lambda: build_Q_r(1, 300), (300, 1, False),
+        extended_seeds(300, 300, 300), partition_covers)]
+)
+
+
+@lru_cache(maxsize=None)
+def tuple_grown(name):
+    _, _, _, seeds, moves = next(g for g in GROWN if g[0] == name)
+    return tuple_growth(seeds, moves)
+
+
+@pytest.mark.parametrize("name,build", [g[:2] for g in GROWN], ids=[g[0] for g in GROWN])
+def test_integer_moves_match_tuple_moves(name, build):
+    assert grown_shape(build()) == tuple_grown(name)
+
+
+@pytest.mark.parametrize("name,args", [(g[0], g[2]) for g in GROWN], ids=[g[0] for g in GROWN])
+def test_decode_inverts_encode(name, args):
+    code = BlockCode(*args)
+    for x in tuple_grown(name)[0]:
+        assert code.decode(code.encode(x)) == x
+
+
+def test_wide_fields_are_exercised():
+    assert BlockCode(2, 300, True).width == 11
+    assert BlockCode(3, 100, True).width == 9
+    assert BlockCode(300, 1, False).width == 9
+    assert BlockCode(7, 2, True).width == BlockCode(9, 1, False).width == 8
+
+
+def test_decoded_blocks_are_shared():
+    seen = {}
+    for p in build_partition_lattice(5).elements:
+        for block in p:
+            assert seen.setdefault(block, block) is block
+
+
+@pytest.mark.parametrize("argv,mu", [
+    (["--family", "pi", "--m", "5"], "24"),
+    (["--family", "dowling", "--n", "3", "--s", "2"], "-15"),
+])
+def test_mobius_reads_no_element(monkeypatch, capsys, argv, mu):
+    grown = []
+    grow = structures._grow
+    monkeypatch.setattr(structures, "_grow", lambda *args: grown.append(grow(*args)) or grown[-1])
+    assert cli.main(["mobius", *argv]) == cli.EXIT_OK
+    assert capsys.readouterr().out.strip() == mu
+    (built,) = grown
+    assert "elements" not in vars(built)
+    assert "index" not in vars(built)

@@ -182,8 +182,8 @@ def suite_prop45(ns):
 
 def suite_cor47(ns):
     return [
-        identities.binomial_mu_check(1, [1, 2, 3], min(ns.nmax, 4)),
-        identities.binomial_mu_check(2, [1, 2, 3], min(ns.nmax, 4)),
+        identities.binomial_mu_check(1, [1, 2, 3], ns.nmax),
+        identities.binomial_mu_check(2, [1, 2, 3], ns.nmax),
     ]
 
 
@@ -316,7 +316,7 @@ def validate_suite_params(fn, ns) -> None:
     runs, so that an exception raised inside a suite is an internal error.
     Every single value is range-checked when the arguments are parsed."""
     if fn is suite_semigroup:
-        problem = identities.semigroup_violation(ns.I, ns.J, ns.window)
+        problem = structures.semigroup_violation(ns.I, ns.J, ns.window)
         if problem:
             raise ParameterError(problem)
 

@@ -46,6 +46,7 @@ from .structures import (
     count_of_type,
     denominator_M_r,
     denominator_N_rk,
+    semigroup_violation,
     type_of,
 )
 
@@ -431,19 +432,6 @@ def restricted_mu_check(
     for n in range(0, n_max + 1):
         report.add(n, lhs[n], rhs[n])
     return report
-
-
-def semigroup_violation(I: frozenset, J: frozenset, window: int) -> Optional[str]:
-    """Why I is not a semigroup, or I + J escapes J, on the window; None if
-    both closure hypotheses hold."""
-    for i in I:
-        for i2 in I:
-            if i + i2 <= window and i + i2 not in I:
-                return f"I is not a semigroup on the window: {i}+{i2} missing"
-        for j in J:
-            if i + j <= window and i + j not in J:
-                return f"I+J escapes J on the window: {i}+{j} missing"
-    return None
 
 
 def semigroup_check(

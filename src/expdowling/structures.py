@@ -32,9 +32,20 @@ DowlingElements only when `elements` or `index` is first read, so the Mobius
 path never decodes an element.  The growth pass collects the covers of each
 element as it goes and closes the order in its own placement order, with no
 edge list; an adjoined 0-hat is derived from that closure, not rebuilt.
-Q^I and R^{I,J}, which are not upper sets, are listed straight from the
-generator and ordered pairwise.  Every construction stops with GuardError
-as soon as it holds more than `guard` elements (default GUARD).
+Seeds may have different block counts, so growth runs one block count at a
+time, and every move removes one block.
+
+Q^I and R^{I,J} are upper sets of Pi_n and L_n(s) when the semigroup
+condition of Thm 4.1/4.2 holds on [0, n] (I + I and I + J lie in I and J;
+`semigroup_violation`), and then grow from their minimal elements like the
+other families.  Otherwise they are listed straight from the generator,
+sorted, and ordered by their up sets: the up set of x groups the blocks of
+x (`_blocks` weighted by block size), absorbs some into the zero block and
+shifts labels, one addition per moved block (`BlockCode.ups`), and the
+covers are the relations with nothing strictly between.  No pair of
+elements is compared.  The condition picks only the build path, never a
+verdict.  Every construction stops with GuardError as soon as it holds
+more than `guard` elements (default GUARD).
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, islice, product, starmap
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .poset import Poset, PosetError, _bits, adjoin_bottom, close_order, from_covers
 
@@ -79,18 +90,37 @@ def _check_n_positive(n: int) -> None:
 # set partitions
 
 
-def _blocks(elems: tuple, sizes: Iterable[int]) -> Iterator[tuple]:
+def _subsets(
+    items: tuple, sizes: Iterable[int], weight: Optional[Sequence[int]], base: int
+) -> Iterator[tuple]:
+    """The subsets of the sorted tuple items, as sorted tuples, whose size
+    plus `base` lies in `sizes`.  The size of a subset is its length, or with
+    `weight` (indexed by the items) the sum of the weights of its items."""
+    if weight is None:
+        return (c for size in sizes if size >= base for c in combinations(items, size - base))
+    return (
+        c
+        for k in range(len(items) + 1)
+        for c in combinations(items, k)
+        if base + sum(weight[e] for e in c) in sizes
+    )
+
+
+def _blocks(
+    elems: tuple, sizes: Iterable[int], weight: Optional[Sequence[int]] = None
+) -> Iterator[tuple]:
     """Every partition of the sorted tuple elems into blocks whose sizes
-    (all >= 1) lie in `sizes`, each block sorted, blocks sorted by minimum."""
+    (all >= 1) lie in `sizes`, each block sorted, blocks sorted by minimum.
+    With `weight`, the size of a block is the sum of the weights of its
+    elements (see `_subsets`)."""
     if not elems:
         yield ()
         return
     first, rest = elems[0], elems[1:]
-    for size in sizes:
-        for mates in combinations(rest, size - 1):
-            left = tuple(e for e in rest if e not in mates)
-            for blocks in _blocks(left, sizes):
-                yield ((first,) + mates,) + blocks
+    for mates in _subsets(rest, sizes, weight, 1 if weight is None else weight[first]):
+        left = tuple(e for e in rest if e not in mates)
+        for blocks in _blocks(left, sizes, weight):
+            yield ((first,) + mates,) + blocks
 
 
 def _listed(items: Iterable, guard: int) -> list:
@@ -191,17 +221,20 @@ def dowling_leq(x: DowlingElement, y: DowlingElement, s: int) -> bool:
 
 
 def _zero_and_blocks(
-    n: int, zero_sizes: Iterable[int], block_sizes: Iterable[int]
+    ground: tuple,
+    zero_sizes: Iterable[int],
+    block_sizes: Iterable[int],
+    weight: Optional[Sequence[int]] = None,
+    zero_base: int = 0,
 ) -> Iterator[tuple]:
-    """Every (zero block, partition of the rest) of the ground set [n] whose
-    zero block has a size in zero_sizes and whose blocks all have sizes in
-    block_sizes."""
-    ground = tuple(range(1, n + 1))
-    for b in zero_sizes:
-        for zero in combinations(ground, b):
-            rest = tuple(e for e in ground if e not in zero)
-            for part in _blocks(rest, block_sizes):
-                yield zero, part
+    """Every (zero block, partition of the rest) of the sorted tuple ground
+    whose zero block has a size in zero_sizes and whose blocks all have sizes
+    in block_sizes.  With `weight`, sizes are weighted as in `_blocks`;
+    `zero_base` is added to the size of the zero block."""
+    for zero in _subsets(ground, zero_sizes, weight, zero_base):
+        rest = tuple(e for e in ground if e not in zero)
+        for part in _blocks(rest, block_sizes, weight):
+            yield zero, part
 
 
 def _dowling_elements(
@@ -210,7 +243,7 @@ def _dowling_elements(
     """Every canonical element of L_n(s) whose zero block has a size in
     zero_sizes and whose blocks all have sizes in block_sizes, in every
     labelling."""
-    for zero, part in _zero_and_blocks(n, zero_sizes, block_sizes):
+    for zero, part in _zero_and_blocks(tuple(range(1, n + 1)), zero_sizes, block_sizes):
         for labels in product(*(product(range(s), repeat=len(bl) - 1) for bl in part)):
             yield DowlingElement(
                 zero=zero, blocks=tuple((bl, (0,) + l) for bl, l in zip(part, labels))
@@ -288,6 +321,7 @@ class BlockCode:
         self._block = cache(self._block_of)
         self._encoded = cache(self._encoded_of)
         self._zero_block = cache(self._zero_block_of)
+        self._splits = cache(self._splits_of)
 
     def _fields(self, code: int):
         """The field values of `code`, for the ground elements 1..n in turn."""
@@ -343,6 +377,43 @@ class BlockCode:
                 for delta in deltas:
                     add(base + delta)
         return out
+
+    def count_blocks(self, code: int) -> int:
+        """The number of blocks of `code`, the zero block not counted: the
+        level that every cover move lowers by one."""
+        return len(self._blocks(code))
+
+    def ups(self, code: int, zero_sizes: Iterable[int], block_sizes: Iterable[int]) -> Iterator[int]:
+        """The codes of every y >= `code` whose blocks have sizes in
+        block_sizes and whose zero block (if any) has a size in zero_sizes,
+        `code` itself among them when it qualifies.  Such a y groups the
+        blocks of `code`, absorbs some of them into the zero block, and
+        shifts the labels of each block merged into a group by any alpha mod
+        s: the same additions as `covers`, one term per block that moves."""
+        blocks = self._blocks(code)
+        weights = tuple([spread.bit_count() for _, _, spread, _, _ in blocks])
+        for absorbed, merged in self._splits(weights, zero_sizes, block_sizes):
+            base = code - sum(blocks[j][0] for j in absorbed)
+            moves = [[blocks[i][1] * blocks[j][2] + delta for delta in blocks[j][3]] for i, j in merged]
+            for terms in product(*moves):
+                yield base + sum(terms)
+
+    def _splits_of(self, weights: tuple, zero_sizes, block_sizes) -> tuple:
+        """(absorbed, merged) for every way to group blocks of these sizes
+        (`_blocks` weighted by block size) and absorb some of them into the
+        zero block (`_zero_and_blocks`): the absorbed blocks, and a pair
+        (first block of its group, block) for each other block of a group.
+        Blocks are numbered by increasing leader, so the first block of a
+        group keeps its leader."""
+        items = tuple(range(len(weights)))
+        if self.zero:
+            splits = _zero_and_blocks(items, zero_sizes, block_sizes, weights, self.n - sum(weights))
+        else:
+            splits = (((), groups) for groups in _blocks(items, block_sizes, weights))
+        return tuple(
+            (absorbed, tuple((group[0], j) for group in groups for j in group[1:]))
+            for absorbed, groups in splits
+        )
 
     def encode(self, x) -> int:
         """The code of a canonical partition, or of a canonical DowlingElement
@@ -413,17 +484,25 @@ class BuiltLattice:
 
 
 def _grow(
-    seeds: Iterable, covers_fn: Callable, guard: int, decode: Optional[Callable] = None
+    seeds: Iterable,
+    covers_fn: Callable,
+    guard: int,
+    decode: Optional[Callable] = None,
+    level: Optional[Callable] = None,
 ) -> BuiltLattice:
     """The upper set generated by the minimal elements `seeds` under cover
-    moves (covers_fn(x) lists the distinct elements covering x), grown in one
-    FIFO pass over the element list as it grows, so elements are placed in
-    move order.  The pass collects the cover relation and closes it in the
-    placement order, which is a linear extension as long as every cover move
-    lands on an element placed after the one it leaves; a move back to a seed
-    or an earlier element raises PosetError.  Raises GuardError as soon as
-    more than `guard` elements exist.  `decode` maps the tuple of grown values
-    to the tuple of elements (see BuiltLattice)."""
+    moves (covers_fn(x) lists the distinct elements covering x), grown one
+    level at a time in a pass over the element list as it grows, so elements
+    are placed in move order.  Every cover move lowers `level` (a block
+    count) by one, and the seeds of a level join it just before it is
+    processed, after the elements that moves from the level above placed
+    there; without `level` all seeds form one level and the pass is FIFO.
+    The pass collects the cover relation and closes it in the placement
+    order, which is a linear extension as long as every cover move lands on
+    an element placed after the one it leaves; a move back to a seed or an
+    earlier element raises PosetError.  Raises GuardError as soon as more
+    than `guard` elements exist.  `decode` maps the tuple of grown values to
+    the tuple of elements (see BuiltLattice)."""
     codes, index, covers_up, covers_down = [], {}, [], []
 
     def place(x) -> int:
@@ -434,22 +513,31 @@ def _grow(
         covers_down.append([])
         return i
 
-    for x in seeds:
-        if x not in index:
-            place(x)
-    # the loop also visits the elements that place() appends while it runs
-    for xi, x in enumerate(codes):
-        ups = []
-        for y in covers_fn(x):
-            yi = index.get(y)
-            if yi is None:
-                yi = place(y)
-            ups.append(yi)
-            covers_down[yi].append(xi)
-        ups.sort()
-        if ups and ups[0] <= xi:
-            raise PosetError(f"a cover move from element {xi} goes back to element {ups[0]}")
-        covers_up.append(tuple(ups))
+    pending = {}
+    for x in _listed(seeds, guard):
+        pending.setdefault(level(x) if level else 0, []).append(x)
+    at, done = max(pending, default=0), 0
+    while pending or done < len(codes):
+        if done == len(codes):  # no element at this level: go to the next seeds
+            at = max(pending)
+        for x in pending.pop(at, ()):
+            if x not in index:
+                place(x)
+        # codes[done:end] is level `at`; processing it places level at - 1
+        end = len(codes)
+        for xi in range(done, end):
+            ups = []
+            for y in covers_fn(codes[xi]):
+                yi = index.get(y)
+                if yi is None:
+                    yi = place(y)
+                ups.append(yi)
+                covers_down[yi].append(xi)
+            ups.sort()
+            if ups and ups[0] <= xi:
+                raise PosetError(f"a cover move from element {xi} goes back to element {ups[0]}")
+            covers_up.append(tuple(ups))
+        done, at = end, at - 1
     # filled in index order, so every down list is already sorted
     poset = close_order(tuple(covers_up), tuple(map(tuple, covers_down)), range(len(codes)))
     return BuiltLattice(poset=poset, codes=tuple(codes), decode=decode)
@@ -469,8 +557,10 @@ def build_dowling_lattice(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
     return _grow([code.singletons], code.covers, guard, code.decode_all)
 
 
-# No build path calls ambient_dowling or induce_from_ambient: they are the
-# tests' oracle for build_D_rk.
+# No build path calls ambient_dowling, induce_from_ambient or
+# induced_subposet (nor partition_leq and dowling_leq, the orders it is
+# given): they are the tests' oracles for build_D_rk and for the restricted
+# families.
 @lru_cache(maxsize=8)
 def ambient_dowling(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
     return build_dowling_lattice(n, s, guard=guard)
@@ -604,7 +694,7 @@ def _extended_upper_set(m: int, r: int, j: int, guard: int) -> BuiltLattice:
     # the images of the minimal elements of D^(r,(j or r)-1) at s = 1 under
     # the bijection D^(r,k) -> Pi_m^{r,k+1}, which puts m into the zero block
     code = BlockCode(m, 1, zero=False)
-    minimal = _zero_and_blocks(m - 1, ((j or r) - 1,), (r,))
+    minimal = _zero_and_blocks(tuple(range(1, m)), ((j or r) - 1,), (r,))
     seeds = (code.encode(part + (zero + (m,),)) for zero, part in minimal)
     return _grow(seeds, code.covers, guard, code.decode_all)
 
@@ -631,12 +721,70 @@ def build_Q_r(n: int, r: int, guard: int = GUARD) -> BuiltLattice:
     return _extended_upper_set(r * n, r, r, guard)
 
 
+def semigroup_violation(I: frozenset, J: frozenset, window: int) -> Optional[str]:
+    """Why I is not a semigroup, or I + J escapes J, on the window; None if
+    both closure hypotheses hold (those of Thm 4.1/4.2 and Cor 4.3).  On the
+    window [0, n] they make Q_n^I and R_n^{I,J} upper sets of Pi_n and L_n."""
+    for i in I:
+        for i2 in I:
+            if i + i2 <= window and i + i2 not in I:
+                return f"I is not a semigroup on the window: {i}+{i2} missing"
+        for j in J:
+            if i + j <= window and i + j not in J:
+                return f"I+J escapes J on the window: {i}+{j} missing"
+    return None
+
+
+def _indecomposable(sizes: Iterable[int], I: frozenset) -> tuple:
+    """The sizes in `sizes` that are not a + b with a in I and b in `sizes`,
+    sorted."""
+    sizes = frozenset(sizes)
+    return tuple(sorted(b for b in sizes if not any(b - a in sizes for a in I if 0 < a <= b)))
+
+
+def _order_by_up_sets(elements: list, code: BlockCode, zero_sizes, block_sizes) -> BuiltLattice:
+    """The order of a family that is not grown: `elements` in a linear
+    extension, each x ordered below the elements `code.ups` lists for it.  y covers x when no other element above x lies below y, so every
+    relation is visited once and no pair is compared."""
+    codes = list(map(code.encode, elements))
+    index = {c: i for i, c in enumerate(codes)}
+    above = []  # above[i]: bitmask of the elements strictly above element i
+    for i, c in enumerate(codes):
+        row = 0
+        for y in code.ups(c, zero_sizes, block_sizes):
+            row |= 1 << index[y]
+        above.append(row & ~(1 << i))
+    covers_up, covers_down = [], [[] for _ in codes]
+    for i, row in enumerate(above):
+        higher = 0
+        for z in _bits(row):
+            higher |= above[z]
+        ups = tuple(_bits(row & ~higher))
+        covers_up.append(ups)
+        for j in ups:
+            covers_down[j].append(i)
+    # filled in index order, so every down list is already sorted
+    poset = close_order(tuple(covers_up), tuple(map(tuple, covers_down)), range(len(codes)))
+    return BuiltLattice(poset=poset, codes=tuple(elements))
+
+
 def build_restricted_partition(n: int, I: frozenset, guard: int = GUARD) -> BuiltLattice:
     """Q_n^I for Q = Pi: partitions whose block sizes all lie in I, with a
-    0-hat adjoined."""
+    0-hat adjoined.  When I is a semigroup on [0, n] this is an upper set of
+    Pi_n, grown from its minimal elements: the partitions into blocks whose
+    sizes are not a sum of two in I.  Otherwise its elements are listed,
+    sorted and stably re-sorted by rank, and ordered by their up sets."""
     _check_n_positive(n)
-    elements = sorted(_listed(_blocks(tuple(range(1, n + 1)), I), guard))
-    built = induced_subposet(elements, partition_leq, lambda p: n - len(p))
+    code = BlockCode(n, 1, zero=False)
+    ground = tuple(range(1, n + 1))
+    if semigroup_violation(I, frozenset(), n) is None:
+        sizes = _indecomposable((i for i in I if 0 < i <= n), I)
+        seeds = map(code.encode, _blocks(ground, sizes))
+        built = _grow(seeds, code.covers, guard, code.decode_all, level=code.count_blocks)
+    else:
+        elements = sorted(_listed(_blocks(ground, I), guard))
+        elements.sort(key=len, reverse=True)  # stable: by rank, then sorted
+        built = _order_by_up_sets(elements, code, (), I)
     return adjoin_zero(built)
 
 
@@ -644,10 +792,23 @@ def build_restricted_dowling(
     n: int, s: int, I: frozenset, J: frozenset, guard: int = GUARD
 ) -> BuiltLattice:
     """R_n^{I,J} for R = Dowling(s): zero-block size in J, block sizes in I,
-    with a 0-hat adjoined."""
+    with a 0-hat adjoined.  When I is a semigroup and I + J lies in J on
+    [0, n] this is an upper set of L_n(s), grown from its minimal elements:
+    blocks with sizes not a sum of two in I, and a zero block of a size j
+    with no j - i in J for i in I, in every labelling.  Otherwise its
+    elements are listed, sorted and stably re-sorted by rank, and ordered by
+    their up sets."""
     _check_params(n=n, s=s)
-    elements = sorted(_listed(_dowling_elements(n, s, J, I), guard), key=_dowling_order)
-    built = induced_subposet(elements, lambda x, y: dowling_leq(x, y, s), lambda x: dowling_rank(x, n))
+    code = BlockCode(n, s, zero=True)
+    if semigroup_violation(I, J, n) is None:
+        block_sizes = _indecomposable((i for i in I if 0 < i <= n), I)
+        zero_sizes = _indecomposable((j for j in J if j <= n), I)
+        seeds = map(code.encode, _dowling_elements(n, s, zero_sizes, block_sizes))
+        built = _grow(seeds, code.covers, guard, code.decode_all, level=code.count_blocks)
+    else:
+        elements = sorted(_listed(_dowling_elements(n, s, J, I), guard), key=_dowling_order)
+        elements.sort(key=lambda x: len(x.blocks), reverse=True)  # stable: by rank
+        built = _order_by_up_sets(elements, code, J, I)
     return adjoin_zero(built)
 
 

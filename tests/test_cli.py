@@ -140,6 +140,25 @@ def test_named_suite_echoes_its_defaults(capsys):
     assert json.loads(out)["config"]["nmax"] == 3
 
 
+def test_cor47_checks_every_n_up_to_nmax(capsys):
+    # D_5^(1,k) at s = 3 fits the default guard; n is not clamped to 4
+    code, out = run(capsys, "verify", "cor4.7", "--nmax", "5")
+    assert code == EXIT_OK
+    for report in json.loads(out)["results"]:
+        assert report["verdict"] == "exact"
+        assert report["params"]["n_max"] == 5
+        assert [row["n"] for row in report["rows"]] == [f"n={n}" for n in range(6)]
+
+
+def test_cor47_past_the_guard_exits_usage(capsys):
+    # D_6^(1,1) at s = 3 exceeds the default guard: exit 2, never a shrunk pass
+    code = main(["verify", "cor4.7", "--nmax", "6"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "guard" in captured.err
+
+
 def test_el_check(capsys):
     code, out = run(capsys, "el-check", "--m", "4", "--r", "2", "--j", "2")
     assert code == EXIT_OK
@@ -349,10 +368,12 @@ def test_builder_exception_is_internal(capsys, monkeypatch, command, error):
     assert "raised inside the builder" in captured.err
 
 
-# sha256 of the export.  Grown families (dowling, pi, d-rk) list their
-# elements in the order the cover moves first reach them (absorbs by block,
-# then merges of blocks i < j by shift), which no hash affects; q-I and r-IJ
-# list theirs sorted.
+# sha256 of the export.  Grown families (dowling, pi, d-rk, and q-I and r-IJ
+# when the semigroup condition holds) list their elements in the order the
+# cover moves first reach them (absorbs by block, then merges of blocks i < j
+# by shift, one block count at a time), which no hash affects; q-I and r-IJ
+# ordered by their up sets (q-I 7 {2,3} and r-IJ 4,2,{1,2},{0,2}) list theirs
+# sorted, then stably by rank.
 GOLDEN_EXPORTS = [
     (["--family", "dowling", "--n", "3", "--s", "2"],
      "cea6ca5b413497da79d977822e31f28f1b4c9c6a1479bf9fde5247655ee68e10"),
@@ -364,8 +385,14 @@ GOLDEN_EXPORTS = [
      "0b7fb1a36de19d570995b29eea95f0b0f2140b9aab4cb5a75d4bb3cf31e4012d"),
     (["--family", "r-IJ", "--n", "4", "--s", "2", "--I", "1,2", "--J", "0,2"],
      "0b5102030265f0a91441cb178c1456af81db85c6d3ababf35aa3ca475f7f49d0"),
+    (["--family", "q-I", "--n", "6", "--I", "2,4,6"],
+     "fc1ccd49822447ba569911b97fc51050b73c6f46e047c52bd7c1a54b3d5fcb31"),
+    # the same family as d-rk 2,2,1,2, grown from the same seeds
+    (["--family", "r-IJ", "--n", "5", "--s", "2", "--I", "2,4", "--J", "1,3,5"],
+     "274c6d0a4af0101d06795151ddd183f767ea114d0a9be0a52545f82112aaa96d"),
 ]
-GOLDEN_IDS = ["dowling3,2", "pi5", "d-rk2,2,1,2", "q-I7,{2,3}", "r-IJ4,2,{1,2},{0,2}"]
+GOLDEN_IDS = ["dowling3,2", "pi5", "d-rk2,2,1,2", "q-I7,{2,3}", "r-IJ4,2,{1,2},{0,2}",
+              "q-I6,{2,4,6}", "r-IJ5,2,{2,4},{1,3,5}"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_EXPORTS, ids=GOLDEN_IDS)
@@ -400,6 +427,22 @@ HASH_ORDER_EXPORTS = [
 
 @pytest.mark.parametrize("argv,digest", HASH_ORDER_EXPORTS, ids=GOLDEN_IDS[:3])
 def test_grown_export_is_the_hash_order_export_relabelled(capsys, argv, digest):
+    code, out = run(capsys, "lattice", *argv)
+    assert code == EXIT_OK
+    assert relabelled(out) == digest
+
+
+# relabelled() of the two semigroup exports as they were when Q^I and R^{I,J}
+# were ordered by comparing pairs of sorted elements: growth permutes indices,
+# not lattices
+PAIRWISE_EXPORTS = [
+    (GOLDEN_EXPORTS[5][0], "807bf4950308ac4eac75a68e7c577efaadee062d58f5abba0ca33e10c546c067"),
+    (GOLDEN_EXPORTS[6][0], "900d0348516ad7ff2790aa8b0dd56b59ea86ba5421a0aabc8031105ec62c8f85"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PAIRWISE_EXPORTS, ids=GOLDEN_IDS[5:])
+def test_grown_export_is_the_pairwise_export_relabelled(capsys, argv, digest):
     code, out = run(capsys, "lattice", *argv)
     assert code == EXIT_OK
     assert relabelled(out) == digest

@@ -43,7 +43,9 @@ def assert_same_poset(P, Q):
 
 
 # (builder, arguments) over small grids of all 8 families; Q_7^{2} and
-# R_4^{{2,4},{1,3}} are empty, and Q_6^{1,2,3,6} is not graded
+# R_4^{{2,4},{1,3}} are empty, Q_6^{1,2,3,6} is not graded, and
+# Q_6^{2,...,6} and R_5^{{2,...,5},{1,...,5}} grow from seeds of two block
+# counts
 FAMILIES = (
     [("build_partition_lattice", (m,)) for m in range(1, 7)]
     + [("build_dowling_lattice", (n, s)) for n in range(0, 5) for s in (1, 2, 3) if n + s <= 6]
@@ -55,10 +57,11 @@ FAMILIES = (
     + [("build_D_rk", ((total - k) // r, r, k, s)) for s in (1, 2) for total in range(0, 6)
        for r in range(1, max(total, 1) + 1) for k in range(total % r, total + 1, r)]
     + [("build_restricted_partition", (n, frozenset(I)))
-       for n, I in [(7, {2}), (6, {1, 2, 3, 6}), (6, {2, 3, 6}), (7, {2, 3}), (5, {1, 2, 5})]]
+       for n, I in [(7, {2}), (6, {1, 2, 3, 6}), (6, {2, 3, 6}), (7, {2, 3}), (5, {1, 2, 5}),
+                    (6, {2, 3, 4, 5, 6})]]
     + [("build_restricted_dowling", (n, s, frozenset(I), frozenset(J)))
        for n, s, I, J in [(4, 1, {2, 4}, {1, 3}), (4, 2, {1, 2}, {0, 2}), (3, 1, {1, 3}, {0, 3}),
-                          (4, 1, {1, 2}, {0, 1, 2})]]
+                          (4, 1, {1, 2}, {0, 1, 2}), (5, 2, {2, 3, 4, 5}, {1, 2, 3, 4, 5})]]
 )
 
 

@@ -1,0 +1,166 @@
+"""Q_n^I and R_n^{I,J}(s) against the pairwise order they replaced.
+
+When the semigroup condition holds on [0, n] the family is an upper set and
+is grown from its minimal elements; otherwise its elements are listed and
+ordered by their up sets.  Both paths must give the lattice that the pairwise
+order gives: the same elements, covers and ranks (None when not graded), and
+the same guard outcome.
+
+[ORACLE] `structures.induced_subposet` compares every pair of the listed
+elements with `partition_leq` / `dowling_leq` and recovers the covers by
+transitive reduction.  No build path calls it; the elements it orders are
+all set partitions, or all of L_n(s), filtered by block size.
+"""
+
+from itertools import combinations
+
+import pytest
+
+from expdowling import cli, structures
+from expdowling.structures import (
+    GuardError,
+    adjoin_zero,
+    build_restricted_dowling,
+    build_restricted_partition,
+    dowling_leq,
+    enumerate_dowling,
+    induced_subposet,
+    partition_leq,
+    semigroup_violation,
+    set_partitions,
+)
+
+
+def oracle_q(n, I):
+    elements = [p for p in set_partitions(n) if all(len(b) in I for b in p)]
+    return adjoin_zero(induced_subposet(elements, partition_leq, lambda p: n - len(p)))
+
+
+def oracle_r(n, s, I, J):
+    elements = [x for x in enumerate_dowling(n, s)
+                if len(x.zero) in J and all(len(b) in I for b, _ in x.blocks)]
+    return adjoin_zero(
+        induced_subposet(elements, lambda x, y: dowling_leq(x, y, s), lambda x: n - len(x.blocks))
+    )
+
+
+def shape(built):
+    """The element set, the cover pairs and the rank of each element, with
+    the adjoined 0-hat named by a string."""
+    names = list(built.elements) + ["0-hat"]
+    assert built.bottom == len(names) - 1
+    P = built.poset
+    covers = {(names[x], names[y]) for x in range(P.n) for y in P.covers_up[x]}
+    rank = None if P.rank is None else {names[i]: r for i, r in enumerate(P.rank)}
+    return set(names), covers, rank
+
+
+def assert_matches(build, oracle):
+    built = build()
+    assert shape(built) == shape(oracle)
+    V = len(built.elements)
+    assert len(build(guard=V).elements) == V
+    if V:
+        with pytest.raises(GuardError):
+            build(guard=V - 1)
+
+
+def subsets(items):
+    return [frozenset(c) for k in range(1, len(items) + 1) for c in combinations(items, k)]
+
+
+Q_SMALL = [(n, I) for n in range(1, 7) for I in subsets(range(1, n + 1))]
+
+
+@pytest.mark.parametrize("n,I", Q_SMALL, ids=[f"{n},{sorted(I)}" for n, I in Q_SMALL])
+def test_q_every_I_small(n, I):
+    assert_matches(lambda **kw: build_restricted_partition(n, I, **kw), oracle_q(n, I))
+
+
+# Q_7^{2,4,6} is empty: a semigroup on [0, 7] with no seed
+Q_LARGE = [(n, frozenset(I)) for n in (7, 8) for I in
+           [range(2, n + 1), range(3, n + 1), (2, 4, 5, 6, 7, 8), (3, 5, 6, 8), (1, 2, 3)]]
+Q_LARGE.append((7, frozenset({2, 4, 6})))
+
+
+@pytest.mark.parametrize("n,I", Q_LARGE, ids=[f"{n},{sorted(I)}" for n, I in Q_LARGE])
+def test_q_large(n, I):
+    assert_matches(lambda **kw: build_restricted_partition(n, I, **kw), oracle_q(n, I))
+
+
+def test_q_semigroup_seeds_at_two_levels():
+    # the minimal elements of Q_8^{2..8} have blocks of sizes 2 and 3, so 3 or
+    # 4 blocks; growth must place every level before the next, or a move lands
+    # on an earlier element
+    I = frozenset(range(2, 9))
+    assert semigroup_violation(I, frozenset(), 8) is None
+    built = build_restricted_partition(8, I)
+    assert len(built.elements) == 715
+    minimal_blocks = {len(built.elements[i]) for i in built.poset.covers_up[built.bottom]}
+    assert minimal_blocks == {3, 4}
+
+
+@pytest.mark.parametrize("builder,args", [
+    ("build_restricted_partition", (8, frozenset(range(2, 9)))),
+    ("build_restricted_partition", (9, frozenset({3, 5, 6, 8, 9}))),
+    ("build_restricted_dowling", (5, 2, frozenset({2, 3, 4, 5}), frozenset({1, 2, 3, 4, 5}))),
+    ("build_restricted_dowling", (6, 3, frozenset({3, 6}), frozenset({0, 3, 6}))),
+], ids=["q8", "q9", "r5", "r6"])
+def test_semigroup_seeds_are_the_minimal_elements(monkeypatch, builder, args):
+    # growth skips a seed that a move already reached, so only this shows
+    # that no element above a minimal one is listed as a seed
+    seen = []
+    grow = structures._grow
+
+    def capture(seeds, *rest, **kwargs):
+        seen.append(list(seeds))
+        return grow(seen[-1], *rest, **kwargs)
+
+    monkeypatch.setattr(structures, "_grow", capture)
+    built = getattr(structures, builder)(*args)
+    minimal = built.poset.covers_up[built.bottom]
+    assert sorted(seen[0]) == sorted(built.codes[i] for i in minimal)
+
+
+R_I = [frozenset(I) for I in [(1,), (2,), (1, 2), (2, 3), (2, 4), (1, 2, 3), (3, 4, 5),
+                              (2, 3, 4, 5), (1, 2, 3, 4, 5)]]
+R_J = [frozenset(J) for J in [(0,), (1,), (0, 1), (0, 2), (1, 3, 5), (0, 2, 4), (2, 3, 4, 5),
+                              (3, 4, 5), (0, 1, 2, 3, 4, 5)]]
+R_GRID = [(n, s) for n in range(0, 6) for s in (1, 2)]
+
+
+@pytest.mark.parametrize("n,s", R_GRID)
+def test_r_grid(n, s):
+    for I in R_I:
+        for J in R_J:
+            assert_matches(lambda **kw: build_restricted_dowling(n, s, I, J, **kw),
+                           oracle_r(n, s, I, J))
+
+
+def test_r_grid_takes_both_paths():
+    paths = {semigroup_violation(I, J, n) is None for n, _ in R_GRID for I in R_I for J in R_J}
+    assert paths == {True, False}
+    with_zero = {0 in J for I in R_I for J in R_J if semigroup_violation(I, J, 5) is None}
+    assert with_zero == {True, False}
+
+
+def test_r_at_s_3():
+    I, J = frozenset({3, 6}), frozenset({0, 3, 6})
+    assert semigroup_violation(I, J, 6) is None
+    assert_matches(lambda **kw: build_restricted_dowling(6, 3, I, J, **kw), oracle_r(6, 3, I, J))
+
+
+def test_no_build_compares_pairs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("induced_subposet called by a build")
+
+    monkeypatch.setattr(structures, "induced_subposet", refuse)
+    for family, (builder, keys) in cli.FAMILIES.items():
+        values = {"m": 6, "n": 2, "r": 2, "j": 2, "k": 1, "s": 2,
+                  "I": frozenset({1, 2}), "J": frozenset({0, 2})}
+        if family in ("q-I", "r-IJ"):
+            values["n"] = 4
+        getattr(structures, builder)(*(values[key] for key in keys))
+    for I in (frozenset({2, 3}), frozenset({2, 4, 6})):
+        build_restricted_partition(6, I)
+        build_restricted_dowling(5, 2, I, frozenset({1, 3, 5}))

@@ -415,6 +415,8 @@ def cmd_lattice(ns) -> int:
 
 
 def cmd_mobius(ns) -> int:
+    if ns.family == "q-I" and None not in (ns.n, ns.I) and structures.lacks_unique_top(ns.n, ns.I):
+        raise ParameterError(f"mu(0-hat, 1-hat) is undefined: Q_{ns.n}^I has more than one maximal element")
     built = build_family(ns)
     P = built.poset
     if len(P.minimals) != 1 or len(P.maximals) != 1:
@@ -453,7 +455,7 @@ def cmd_el_check(ns) -> int:
 # the options that several subcommands read; each declares only those it reads
 SHARED_OPTIONS = {
     "--output": {"help": "write to this file instead of standard output"},
-    "--guard": {"type": int, "default": GUARD, "help": "element limit of a build"},
+    "--guard": {"type": _integers(0), "default": GUARD, "help": "element limit of a build"},
 }
 
 

@@ -368,19 +368,15 @@ def rank_polynomial_check(
 
 
 @lru_cache(maxsize=None)
-def _restricted_partition_mu(n: int, I: frozenset):
-    """(mu_I(n) if n in I else 0, m_n) computed from the built poset."""
-    built = build_restricted_partition(n, I)
+def _restricted_mu(n: int, s: int, I: frozenset, J: Optional[frozenset]):
+    """(mu(0-hat, 1-hat) if n is in J, or in I with J None, else 0; m_n) of
+    Q_n^I (J None) or R_n^{I,J}(s), computed from the built poset."""
+    if J is None:
+        built = build_restricted_partition(n, I)
+    else:
+        built = build_restricted_dowling(n, s, I, J)
     table = mobius_table(built.poset, bottom_of(built))
-    mu_value = table[built.poset.top] if n in I else 0
-    return mu_value, sum(table.values())
-
-
-@lru_cache(maxsize=None)
-def _restricted_dowling_mu(n: int, s: int, I: frozenset, J: frozenset):
-    built = build_restricted_dowling(n, s, I, J)
-    table = mobius_table(built.poset, bottom_of(built))
-    mu_value = table[built.poset.top] if n in J else 0
+    mu_value = table[built.poset.top] if n in (I if J is None else J) else 0
     return mu_value, sum(table.values())
 
 
@@ -395,7 +391,7 @@ def restricted_mu_check(
     mu_I = {}
     m = {}
     for n in range(1, n_max + 1):
-        mu_I[n], m[n] = _restricted_partition_mu(n, I)
+        mu_I[n], m[n] = _restricted_mu(n, 1, I, None)
 
     inner_M = series_from_table(
         lambda n: Fraction(1) if (n == 0 or n in I) else Fraction(1) - m[n],
@@ -419,7 +415,7 @@ def restricted_mu_check(
     mu_IJ = {}
     p = {}
     for n in range(0, n_max + 1):
-        mu_IJ[n], p[n] = _restricted_dowling_mu(n, s, I, J)
+        mu_IJ[n], p[n] = _restricted_mu(n, s, I, J)
     lhs = series_from_table(
         lambda n: Fraction(mu_IJ[n]) if n in J else Fraction(0), UNIT, n_max
     )
@@ -450,12 +446,12 @@ def semigroup_check(
     # mechanism from the proof: the restricted posets vanish off the index sets
     for n in range(1, n_max + 1):
         if n not in I:
-            _, m_n = _restricted_partition_mu(n, frozenset(I))
+            _, m_n = _restricted_mu(n, 1, frozenset(I), None)
             if m_n != 1:
                 report.notes.append(f"Q_{n}^I unexpectedly nonempty (m_n={m_n})")
 
     lhs_q = series_from_table(
-        lambda n: Fraction(_restricted_partition_mu(n, I)[0]) if n in I else Fraction(0),
+        lambda n: Fraction(_restricted_mu(n, 1, I, None)[0]) if n in I else Fraction(0),
         UNIT,
         n_max,
     )
@@ -468,7 +464,7 @@ def semigroup_check(
         report.add(f"Q:{n}", lhs_q[n], rhs_q[n])
 
     lhs_r = series_from_table(
-        lambda n: Fraction(_restricted_dowling_mu(n, s, I, J)[0]) if n in J else Fraction(0),
+        lambda n: Fraction(_restricted_mu(n, s, I, J)[0]) if n in J else Fraction(0),
         UNIT,
         n_max,
     )

@@ -9,15 +9,19 @@ Elements are kept in canonical form:
   enters only through residues mod s, and the representative of the scalar
   equivalence class is fixed by giving the minimum of each block the label 0.
 
-Every family is a set of elements whose types satisfy a block-size
-condition, so one generator lists them all: `_blocks` gives the partitions
-of a set into blocks with sizes in a given set, `_zero_and_blocks` adds a
-zero block with a size in another set, and `_dowling_elements` every
-labelling.  Pi_m and L_n(s) grow by cover moves from their bottom, and their
-upper sets Pi_m^r, Q^(r)_n, Pi_m^{r,j} and D_n^(r,k) from their minimal
-elements (the objects counted by M^(r) and N^(r,k)), which the generator
-lists; the seeds of Pi_m^{r,j} are those of D^(r,(j or r)-1) at s = 1 under
-the bijection Pi_m^{r,k+1} <-> D^(r,k).
+Up to the bijection below, every family is Q_n^I, the partitions of [n]
+with block sizes in I, or R_n^{I,J}(s), the elements of L_n(s) with block
+sizes in I and a zero block of a size in J: Pi_m = Q_m^{[1,m]}, L_n(s) = R_n^{[1,n],[0,n]}(s) and
+D_n^(r,k) = R_{rn+k}^{I,J}(s) with I = {r, 2r, ...}, J = {k, k + r, ...}.
+One constructor, `_restricted`, builds them, and one generator lists their
+elements: `_blocks` gives the partitions of a set into blocks with sizes in
+a given set, `_zero_and_blocks` adds a zero block with a size in another
+set, and `_dowling_elements` every labelling.  When the semigroup condition
+of Thm 4.1/4.2 holds on [0, n] (`semigroup_violation`), the family is an
+upper set of Pi_n or L_n(s) and grows by cover moves from its minimal
+elements.  Pi_m^r, Q^(r)_n and Pi_m^{r,j} grow from the images of the
+minimal elements of D^(r,(j or r)-1) at s = 1 under the bijection
+Pi_m^{r,k+1} <-> D^(r,k).
 
 Growth moves ints, not tuples (`BlockCode`).  Each ground element has a
 fixed-width field of the code that holds the least element of its block
@@ -35,17 +39,13 @@ edge list; an adjoined 0-hat is derived from that closure, not rebuilt.
 Seeds may have different block counts, so growth runs one block count at a
 time, and every move removes one block.
 
-Q^I and R^{I,J} are upper sets of Pi_n and L_n(s) when the semigroup
-condition of Thm 4.1/4.2 holds on [0, n] (I + I and I + J lie in I and J;
-`semigroup_violation`), and then grow from their minimal elements like the
-other families.  Otherwise they are listed straight from the generator,
-sorted, and ordered by their up sets: the up set of x groups the blocks of
-x (`_blocks` weighted by block size), absorbs some into the zero block and
-shifts labels, one addition per moved block (`BlockCode.ups`), and the
-covers are the relations with nothing strictly between.  No pair of
-elements is compared.  The condition picks only the build path, never a
-verdict.  Every construction stops with GuardError as soon as it holds
-more than `guard` elements (default GUARD).
+A family that fails the condition is listed from the generator, sorted, and
+ordered by its up sets: the up set of x groups the blocks of x (`_blocks`
+weighted by block size), absorbs some into the zero block and shifts labels,
+one addition per moved block (`BlockCode.ups`); the covers are the relations
+with nothing strictly between, so no pair of elements is compared.  The
+condition picks only the build path, never a verdict.  Every construction
+stops with GuardError as soon as it holds more than `guard` elements.
 """
 
 from __future__ import annotations
@@ -314,8 +314,6 @@ class BlockCode:
         bits = self.lead_bits + (s - 1).bit_length()
         self.width = 8 if bits <= 8 else bits
         self._shifts = range(0, self.width * n, self.width)
-        # every element in a singleton block: the bottom of Pi_n and of L_n(s)
-        self.singletons = sum(e << shift for e, shift in enumerate(self._shifts, start=1))
         if self.width == 8:
             self._leaders, self._keep = _byte_tables(self.lead_bits)
         self._block = cache(self._block_of)
@@ -483,26 +481,18 @@ class BuiltLattice:
         return range(len(self.codes))
 
 
-def _grow(
-    seeds: Iterable,
-    covers_fn: Callable,
-    guard: int,
-    decode: Optional[Callable] = None,
-    level: Optional[Callable] = None,
-) -> BuiltLattice:
-    """The upper set generated by the minimal elements `seeds` under cover
-    moves (covers_fn(x) lists the distinct elements covering x), grown one
-    level at a time in a pass over the element list as it grows, so elements
-    are placed in move order.  Every cover move lowers `level` (a block
-    count) by one, and the seeds of a level join it just before it is
-    processed, after the elements that moves from the level above placed
-    there; without `level` all seeds form one level and the pass is FIFO.
-    The pass collects the cover relation and closes it in the placement
-    order, which is a linear extension as long as every cover move lands on
-    an element placed after the one it leaves; a move back to a seed or an
-    earlier element raises PosetError.  Raises GuardError as soon as more
-    than `guard` elements exist.  `decode` maps the tuple of grown values to
-    the tuple of elements (see BuiltLattice)."""
+def _grow(seeds: Iterable[int], code: BlockCode, guard: int) -> BuiltLattice:
+    """The upper set generated by the minimal elements `seeds` (codes) under
+    the cover moves `code.covers`, grown one level at a time in a pass over
+    the element list as it grows, so elements are placed in move order.
+    Every cover move lowers the level `code.count_blocks` by one, and the
+    seeds of a level join it just before it is processed, after the elements
+    that moves from the level above placed there.  The pass collects the
+    cover relation and closes it in the placement order, which is a linear
+    extension as long as every cover move lands on an element placed after
+    the one it leaves; a move back to a seed or an earlier element raises
+    PosetError.  Raises GuardError as soon as more than `guard` elements
+    exist.  The codes decode through `code.decode_all` (see BuiltLattice)."""
     codes, index, covers_up, covers_down = [], {}, [], []
 
     def place(x) -> int:
@@ -515,7 +505,7 @@ def _grow(
 
     pending = {}
     for x in _listed(seeds, guard):
-        pending.setdefault(level(x) if level else 0, []).append(x)
+        pending.setdefault(code.count_blocks(x), []).append(x)
     at, done = max(pending, default=0), 0
     while pending or done < len(codes):
         if done == len(codes):  # no element at this level: go to the next seeds
@@ -527,7 +517,7 @@ def _grow(
         end = len(codes)
         for xi in range(done, end):
             ups = []
-            for y in covers_fn(codes[xi]):
+            for y in code.covers(codes[xi]):
                 yi = index.get(y)
                 if yi is None:
                     yi = place(y)
@@ -540,21 +530,19 @@ def _grow(
         done, at = end, at - 1
     # filled in index order, so every down list is already sorted
     poset = close_order(tuple(covers_up), tuple(map(tuple, covers_down)), range(len(codes)))
-    return BuiltLattice(poset=poset, codes=tuple(codes), decode=decode)
+    return BuiltLattice(poset=poset, codes=tuple(codes), decode=code.decode_all)
 
 
 def build_partition_lattice(m: int, guard: int = GUARD) -> BuiltLattice:
-    """The partition lattice Pi_m under refinement, bottom = all singletons."""
+    """The partition lattice Pi_m = Q_m^{[1,m]}, bottom = all singletons."""
     _check_params(m=m)
-    code = BlockCode(m, 1, zero=False)
-    return _grow([code.singletons], code.covers, guard, code.decode_all)
+    return _restricted(m, 1, frozenset(range(1, m + 1)), None, guard)
 
 
 def build_dowling_lattice(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
-    """The Dowling lattice L_n of rank n for a group of order s."""
+    """The Dowling lattice L_n(s) = R_n^{[1,n],[0,n]}(s) of rank n."""
     _check_params(n=n, s=s)
-    code = BlockCode(n, s, zero=True)
-    return _grow([code.singletons], code.covers, guard, code.decode_all)
+    return _restricted(n, s, frozenset(range(1, n + 1)), frozenset(range(n + 1)), guard)
 
 
 # No build path calls ambient_dowling, induce_from_ambient or
@@ -696,7 +684,7 @@ def _extended_upper_set(m: int, r: int, j: int, guard: int) -> BuiltLattice:
     code = BlockCode(m, 1, zero=False)
     minimal = _zero_and_blocks(tuple(range(1, m)), ((j or r) - 1,), (r,))
     seeds = (code.encode(part + (zero + (m,),)) for zero, part in minimal)
-    return _grow(seeds, code.covers, guard, code.decode_all)
+    return _grow(seeds, code, guard)
 
 
 def build_r_divisible(m: int, r: int, guard: int = GUARD) -> BuiltLattice:
@@ -735,6 +723,17 @@ def semigroup_violation(I: frozenset, J: frozenset, window: int) -> Optional[str
     return None
 
 
+def lacks_unique_top(n: int, I: frozenset) -> bool:
+    """Whether Q_n^I has several maximal elements, without building it.  A
+    unique one is fixed by every permutation of [n], so it is [n] itself (n
+    in I) or the only element, all singletons; so there is none when n is
+    not in I but a sum of sizes in I that uses a size >= 2."""
+    sums = [True]  # sums[t]: t is a sum of sizes in I
+    for t in range(1, n + 1):
+        sums.append(any(sums[t - i] for i in I if 0 < i <= t))
+    return n not in I and any(sums[n - i] for i in I if 2 <= i <= n)
+
+
 def _indecomposable(sizes: Iterable[int], I: frozenset) -> tuple:
     """The sizes in `sizes` that are not a + b with a in I and b in `sizes`,
     sorted."""
@@ -744,8 +743,9 @@ def _indecomposable(sizes: Iterable[int], I: frozenset) -> tuple:
 
 def _order_by_up_sets(elements: list, code: BlockCode, zero_sizes, block_sizes) -> BuiltLattice:
     """The order of a family that is not grown: `elements` in a linear
-    extension, each x ordered below the elements `code.ups` lists for it.  y covers x when no other element above x lies below y, so every
-    relation is visited once and no pair is compared."""
+    extension, each x ordered below the elements `code.ups` lists for it.
+    y covers x when no other element above x lies below y, so every relation
+    is visited once and no pair is compared."""
     codes = list(map(code.encode, elements))
     index = {c: i for i, c in enumerate(codes)}
     above = []  # above[i]: bitmask of the elements strictly above element i
@@ -768,59 +768,51 @@ def _order_by_up_sets(elements: list, code: BlockCode, zero_sizes, block_sizes) 
     return BuiltLattice(poset=poset, codes=tuple(elements))
 
 
+def _restricted(n: int, s: int, I: frozenset, J: Optional[frozenset], guard: int) -> BuiltLattice:
+    """Q_n^I in partition code (J None), else R_n^{I,J}(s) in Dowling code;
+    no 0-hat.  Under the semigroup condition on [0, n] it is grown from its
+    minimal elements: blocks of sizes not a sum of two in I, and a zero block
+    of a size j with no j - i in J for i in I.  Otherwise it is listed,
+    sorted by rank and then by value, and ordered by its up sets."""
+    code = BlockCode(n, s, zero=J is not None)
+
+    def listed(zero_sizes, block_sizes) -> Iterator:
+        if J is None:
+            return _blocks(tuple(range(1, n + 1)), block_sizes)
+        return _dowling_elements(n, s, zero_sizes, block_sizes)
+
+    if semigroup_violation(I, J or frozenset(), n) is None:
+        zero_sizes = _indecomposable((j for j in J or () if j <= n), I)
+        seeds = listed(zero_sizes, _indecomposable((i for i in I if 0 < i <= n), I))
+        return _grow(map(code.encode, seeds), code, guard)
+    elements = sorted(_listed(listed(J, I), guard), key=lambda x: (-len(x if J is None else x.blocks), x))
+    return _order_by_up_sets(elements, code, J, I)
+
+
 def build_restricted_partition(n: int, I: frozenset, guard: int = GUARD) -> BuiltLattice:
     """Q_n^I for Q = Pi: partitions whose block sizes all lie in I, with a
-    0-hat adjoined.  When I is a semigroup on [0, n] this is an upper set of
-    Pi_n, grown from its minimal elements: the partitions into blocks whose
-    sizes are not a sum of two in I.  Otherwise its elements are listed,
-    sorted and stably re-sorted by rank, and ordered by their up sets."""
+    0-hat adjoined (see `_restricted`)."""
     _check_n_positive(n)
-    code = BlockCode(n, 1, zero=False)
-    ground = tuple(range(1, n + 1))
-    if semigroup_violation(I, frozenset(), n) is None:
-        sizes = _indecomposable((i for i in I if 0 < i <= n), I)
-        seeds = map(code.encode, _blocks(ground, sizes))
-        built = _grow(seeds, code.covers, guard, code.decode_all, level=code.count_blocks)
-    else:
-        elements = sorted(_listed(_blocks(ground, I), guard))
-        elements.sort(key=len, reverse=True)  # stable: by rank, then sorted
-        built = _order_by_up_sets(elements, code, (), I)
-    return adjoin_zero(built)
+    return adjoin_zero(_restricted(n, 1, I, None, guard))
 
 
 def build_restricted_dowling(
     n: int, s: int, I: frozenset, J: frozenset, guard: int = GUARD
 ) -> BuiltLattice:
     """R_n^{I,J} for R = Dowling(s): zero-block size in J, block sizes in I,
-    with a 0-hat adjoined.  When I is a semigroup and I + J lies in J on
-    [0, n] this is an upper set of L_n(s), grown from its minimal elements:
-    blocks with sizes not a sum of two in I, and a zero block of a size j
-    with no j - i in J for i in I, in every labelling.  Otherwise its
-    elements are listed, sorted and stably re-sorted by rank, and ordered by
-    their up sets."""
+    with a 0-hat adjoined (see `_restricted`)."""
     _check_params(n=n, s=s)
-    code = BlockCode(n, s, zero=True)
-    if semigroup_violation(I, J, n) is None:
-        block_sizes = _indecomposable((i for i in I if 0 < i <= n), I)
-        zero_sizes = _indecomposable((j for j in J if j <= n), I)
-        seeds = map(code.encode, _dowling_elements(n, s, zero_sizes, block_sizes))
-        built = _grow(seeds, code.covers, guard, code.decode_all, level=code.count_blocks)
-    else:
-        elements = sorted(_listed(_dowling_elements(n, s, J, I), guard), key=_dowling_order)
-        elements.sort(key=lambda x: len(x.blocks), reverse=True)  # stable: by rank
-        built = _order_by_up_sets(elements, code, J, I)
-    return adjoin_zero(built)
+    return adjoin_zero(_restricted(n, s, I, J, guard))
 
 
 def build_D_rk(n: int, r: int, k: int, s: int, guard: int = GUARD) -> BuiltLattice:
-    """D_n^{(r,k)}: the upper set of L_{rn+k} of elements with b >= k,
-    b = k mod r and all block sizes divisible by r, grown from the minimal
-    ones (a zero block of size k and n blocks of size r, in every labelling);
-    0-hat adjoined."""
+    """D_n^{(r,k)} = R_{rn+k}^{I,J}(s), I = {r, 2r, ...}, J = {k, k + r, ...}:
+    grown from a zero block of size k and n blocks of size r, in every
+    labelling; 0-hat adjoined."""
     _check_params(n=n, r=r, k=k, s=s)
-    code = BlockCode(r * n + k, s, zero=True)
-    seeds = map(code.encode, _dowling_elements(r * n + k, s, (k,), (r,)))
-    return adjoin_zero(_grow(seeds, code.covers, guard, code.decode_all))
+    size = r * n + k
+    I, J = frozenset(range(r, size + 1, r)), frozenset(range(k, size + 1, r))
+    return adjoin_zero(_restricted(size, s, I, J, guard))
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,9 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     ["series", "--name", "prop4.5", "--k", "-1"],
     ["series", "--name", "prop4.5", "--T", "-1"],
     ["descents", "--word", "xyz"],
+    ["mobius", "--family", "pi", "--m", "3", "--guard", "-5"],
+    ["el-check", "--m", "5", "--r", "2", "--j", "3", "--guard", "-3"],
+    ["lattice", "--family", "pi", "--m", "3", "--guard", "-1"],
 ])
 def test_invalid_parameters_exit_usage(capsys, argv):
     code = main(argv)
@@ -345,6 +348,20 @@ def test_invalid_parameters_exit_usage(capsys, argv):
 def test_mobius_without_unique_bounds_is_undefined(capsys):
     # Q^I_4 with I = {2} has 0-hat adjoined but three maximal elements
     code = main(["mobius", "--family", "q-I", "--n", "4", "--I", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "mu(0-hat, 1-hat) is undefined" in captured.err
+
+
+def test_mobius_without_unique_top_exits_before_building(capsys, monkeypatch):
+    # 9 is not in I = {1, 2, 3} but a sum of sizes in I, so Q_9^I has several
+    # maximal elements; it has 12,644 elements, and none is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a family whose mu is undefined")
+
+    monkeypatch.setattr(structures, "build_restricted_partition", refuse)
+    code = main(["mobius", "--family", "q-I", "--n", "9", "--I", "1,2,3"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
@@ -446,6 +463,32 @@ def test_grown_export_is_the_pairwise_export_relabelled(capsys, argv, digest):
     code, out = run(capsys, "lattice", *argv)
     assert code == EXIT_OK
     assert relabelled(out) == digest
+
+
+# sha256 and relabelled() of one export of each family grown from marked
+# seeds (the block containing m), taken before Pi_m, L_n(s), D^(r,k), Q^I and
+# R^{I,J} came to share one constructor.  pi-r 6,2 is Q_6^{2,4,6}, so its
+# relabelled() equals that of the q-I export above.
+MARKED_EXPORTS = [
+    (["--family", "pi-r", "--m", "6", "--r", "2"],
+     "8f05411a888ffd9509d2b502ce6bb77b3d27a70812e206c94af41ed7eb9befe3",
+     "807bf4950308ac4eac75a68e7c577efaadee062d58f5abba0ca33e10c546c067"),
+    (["--family", "pi-rj", "--m", "7", "--r", "2", "--j", "3"],
+     "31329e2cf221c71bdcc1fe227a1589e5de08b3e140c22ba953d3bc671bb1602a",
+     "046e245c7ef49aaf9cc5849df25bc115d68ecb74c9b40d28e84122ce35777af1"),
+    (["--family", "q-r", "--n", "3", "--r", "2"],
+     "ebc859b707b68203744fb1ac0030d2924d825a3b4b5fee80c41d991ecb7e022c",
+     "2d6c0b302288e3369e22f77f49cc7be2cf422d6fc09942fa9dd0e97bf71a7f36"),
+]
+
+
+@pytest.mark.parametrize("argv,digest,relabelled_digest", MARKED_EXPORTS,
+                         ids=["pi-r6,2", "pi-rj7,2,3", "q-r3,2"])
+def test_marked_seed_export_is_pinned(capsys, argv, digest, relabelled_digest):
+    code, out = run(capsys, "lattice", *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert relabelled(out) == relabelled_digest
 
 
 def test_lattice_cache_keyed_on_guard(tmp_path, capsys):

@@ -10,6 +10,8 @@ the covers of P plus one cover from the new bottom to each minimal element,
 closed again from scratch by `from_covers`.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from expdowling import structures
@@ -110,6 +112,12 @@ def chain(x):
     return {x + 1} if x < 3 else set()
 
 
+def toy_code(covers):
+    """What `_grow` reads of a BlockCode: the moves `covers`, every seed on
+    one level, and codes that are their own elements."""
+    return SimpleNamespace(covers=covers, count_blocks=lambda x: 0, decode_all=tuple)
+
+
 @pytest.mark.parametrize("covers_fn", [
     lambda x: chain(x) or {0},               # the top moves back to the seed
     lambda x: {0: {1, 2}, 2: {1}}.get(x, set()),  # 2 moves to 1, placed before it
@@ -117,11 +125,11 @@ def chain(x):
 ], ids=["to-seed", "to-earlier", "to-itself"])
 def test_grow_rejects_moves_back(covers_fn):
     with pytest.raises(PosetError, match="goes back"):
-        structures._grow([0], covers_fn, guard=100)
+        structures._grow([0], toy_code(covers_fn), guard=100)
 
 
 def test_grow_accepts_forward_moves():
-    built = structures._grow([0], chain, guard=100)
+    built = structures._grow([0], toy_code(chain), guard=100)
     assert built.poset.covers_up == ((1,), (2,), (3,), ())
     assert built.poset.rank == (0, 1, 2, 3)
 
@@ -131,9 +139,11 @@ def test_move_back_through_cli_is_internal(capsys, monkeypatch, command):
     # the top of Pi_3 "covered" by its bottom, injected through the integer
     # cover moves: a fault of the program, not bad usage and not a pass
     moves = structures.BlockCode.covers
-    monkeypatch.setattr(
-        structures.BlockCode, "covers", lambda self, code: moves(self, code) or [self.singletons]
-    )
+
+    def back_to_bottom(self, code):
+        return moves(self, code) or [self.encode(tuple((e,) for e in range(1, self.n + 1)))]
+
+    monkeypatch.setattr(structures.BlockCode, "covers", back_to_bottom)
     code = main([command, "--family", "pi", "--m", "3"])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL

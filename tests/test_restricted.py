@@ -25,6 +25,7 @@ from expdowling.structures import (
     dowling_leq,
     enumerate_dowling,
     induced_subposet,
+    lacks_unique_top,
     partition_leq,
     semigroup_violation,
     set_partitions,
@@ -164,3 +165,12 @@ def test_no_build_compares_pairs(monkeypatch):
     for I in (frozenset({2, 3}), frozenset({2, 4, 6})):
         build_restricted_partition(6, I)
         build_restricted_dowling(5, 2, I, frozenset({1, 3, 5}))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_unique_top_decided_before_building(n):
+    # every nonempty I of [1..n]: 247 cases for n <= 7
+    for size in range(1, n + 1):
+        for I in map(frozenset, combinations(range(1, n + 1), size)):
+            unique = len(build_restricted_partition(n, I).poset.maximals) == 1
+            assert lacks_unique_top(n, I) is not unique, sorted(I)

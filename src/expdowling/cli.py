@@ -144,19 +144,21 @@ def suite_compositional_dowling(ns):
     return out
 
 
+# The default grids of ex3.5 and cor3.4 stop their Dowling and r-divisible
+# rows at n = 4; a given --nmax runs every row to it.
 def suite_rank_polynomials(ns):
     t_values = [Fraction(v) for v in range(-1, ns.nmax + 2)]
     out = [identities.rank_polynomial_check("partition", 1, t_values, ns.nmax)]
     for s in ns.s_list:
-        out.append(identities.rank_polynomial_check("dowling", s, t_values, min(ns.nmax, 4)))
+        out.append(identities.rank_polynomial_check("dowling", s, t_values, ns.given_nmax or 4))
     return out
 
 
 def suite_mu_series(ns):
     out = [identities.check_mu_series_partition(ns.nmax)]
-    out.append(identities.check_mu_series_partition_r(2, min(4, ns.nmax)))
+    out.append(identities.check_mu_series_partition_r(2, ns.given_nmax or 4))
     for s in ns.s_list:
-        out.append(identities.check_mu_series_dowling(s, min(4, ns.nmax)))
+        out.append(identities.check_mu_series_dowling(s, ns.given_nmax or 4))
     return out
 
 
@@ -334,7 +336,8 @@ def cmd_verify(ns) -> int:
         if fn in runs:
             continue
         local = argparse.Namespace(
-            **vars(ns) | {k: v for k, v in defaults.items() if getattr(ns, k) is None}
+            **vars(ns) | {k: v for k, v in defaults.items() if getattr(ns, k) is None},
+            given_nmax=ns.nmax,
         )
         try:
             validate_suite_params(fn, local)
@@ -414,17 +417,25 @@ def cmd_lattice(ns) -> int:
     return EXIT_OK
 
 
-def cmd_mobius(ns) -> int:
+def _undefined_mu(ns):
+    """Why mu(0-hat, 1-hat) is undefined, from the parameters alone; None if
+    it is defined or the builder rejects them.  The other families always
+    have a 0-hat and a 1-hat."""
     if ns.family == "q-I" and None not in (ns.n, ns.I) and structures.lacks_unique_top(ns.n, ns.I):
-        raise ParameterError(f"mu(0-hat, 1-hat) is undefined: Q_{ns.n}^I has more than one maximal element")
-    built = build_family(ns)
-    P = built.poset
-    if len(P.minimals) != 1 or len(P.maximals) != 1:
-        raise ParameterError(
-            f"mu(0-hat, 1-hat) is undefined: the {ns.family} poset has "
-            f"{len(P.minimals)} minimal and {len(P.maximals)} maximal elements"
-        )
-    print(identities.brute_mu(built))
+        return f"Q_{ns.n}^I has more than one maximal element"
+    if (ns.family == "r-IJ" and None not in (ns.n, ns.I, ns.J) and ns.s >= 1
+            and structures.lacks_unique_top(ns.n, ns.I, ns.J, ns.s)):
+        return f"R_{ns.n}^(I,J)({ns.s}) has more than one maximal element"
+    if ns.family == "q-r" and None not in (ns.n, ns.r) and min(ns.n, ns.r) >= 2:
+        return f"Q^({ns.r})_{ns.n} has {structures.denominator_M_r(ns.n, ns.r)} minimal elements"
+    return None
+
+
+def cmd_mobius(ns) -> int:
+    reason = _undefined_mu(ns)
+    if reason:
+        raise ParameterError(f"mu(0-hat, 1-hat) is undefined: {reason}")
+    print(identities.brute_mu(build_family(ns)))
     return EXIT_OK
 
 

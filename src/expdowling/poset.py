@@ -1,23 +1,19 @@
-"""Finite graded posets from cover relations.
+"""Finite posets from cover relations.
 
 Elements are dense integer indices 0..n-1; the semantic objects (partitions,
-enriched partitions) live in `structures` and map to indices there.  The order
-closure is stored as one bitmask row per element, which keeps Mobius-function
-sweeps and interval extraction cheap even for posets with thousands of
-elements.  The down rows (x <= y) are built with the poset; the up rows
-(y >= x) only when a caller first reads them, since the Mobius numbers
-mu(0-hat, y) need only the down rows and the up rows of a large lattice built
-by growth are its widest bitmasks.
-
-`close_order` is the one routine that closes an order: it takes the sorted
-cover tuples and a linear extension.  Growth in `structures` hands it both
-directly; `from_covers` checks and sorts arbitrary cover pairs first.
-`adjoin_bottom` derives a poset with a new 0-hat from the closure it already
-has, without closing again.
+enriched partitions) live in `structures` and map to indices there.  A poset
+stores only its up covers and a linear extension, `topo`.  The down covers,
+the closure as one bitmask row per element (down rows x <= y, up rows
+y >= x), the rank and the minimal and maximal elements are each built by
+one pass along `topo` when first read.  The Mobius numbers read none of
+them: `_mobius_stream` walks `topo` and holds only the rows of its frontier.
+Growth in `structures` hands `close_order` its covers and a linear
+extension; `from_covers` checks and sorts arbitrary cover pairs first.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -36,18 +32,35 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Poset:
+    """Stores n, the up covers and a linear extension; every other structure
+    is a cached property, built by one pass along `topo` on first read."""
+
     n: int
     covers_up: tuple            # covers_up[x] = sorted tuple of y with x <| y
-    covers_down: tuple
-    down_rows: tuple            # down_rows[y] bitmask of x <= y (reflexive)
-    rank: Optional[tuple]       # present iff the poset is graded
-    minimals: tuple
-    maximals: tuple
     topo: tuple = field(compare=False, repr=False)  # a linear extension
 
     @cached_property
+    def covers_down(self) -> tuple:
+        """covers_down[y] = sorted tuple of x with x <| y."""
+        downs = [[] for _ in range(self.n)]
+        for x, ups in enumerate(self.covers_up):
+            for y in ups:
+                downs[y].append(x)
+        return tuple(map(tuple, downs))
+
+    @cached_property
+    def down_rows(self) -> tuple:
+        """down_rows[y] bitmask of x <= y (reflexive)."""
+        rows = [0] * self.n
+        for x in self.topo:
+            row = rows[x] = rows[x] | 1 << x
+            for y in self.covers_up[x]:
+                rows[y] |= row
+        return tuple(rows)
+
+    @cached_property
     def up_rows(self) -> tuple:
-        """up_rows[x] bitmask of y >= x (reflexive), built on first read."""
+        """up_rows[x] bitmask of y >= x (reflexive)."""
         rows = [0] * self.n
         for x in reversed(self.topo):
             row = 1 << x
@@ -55,6 +68,26 @@ class Poset:
                 row |= rows[y]
             rows[x] = row
         return tuple(rows)
+
+    @cached_property
+    def rank(self) -> Optional[tuple]:
+        """rank[x] = the length of every maximal chain of the elements <= x,
+        or None when the poset is not graded: a cover steps it by more than one."""
+        rank = dict.fromkeys(self.minimals, 0)
+        for x in self.topo:
+            for y in self.covers_up[x]:
+                if rank.setdefault(y, rank[x] + 1) != rank[x] + 1:
+                    return None
+        return tuple(rank[x] for x in range(self.n))
+
+    @cached_property
+    def minimals(self) -> tuple:
+        covered = {y for ups in self.covers_up for y in ups}
+        return tuple(x for x in range(self.n) if x not in covered)
+
+    @cached_property
+    def maximals(self) -> tuple:
+        return tuple(x for x in range(self.n) if not self.covers_up[x])
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.down_rows[y] >> x & 1)
@@ -91,23 +124,20 @@ class Poset:
 
 
 def from_covers(n: int, covers: Iterable[tuple]) -> Poset:
-    """Build a poset from arbitrary cover pairs: check them, drop duplicates,
-    find a linear extension by Kahn's sort and close the order.
+    """Build a poset from arbitrary cover pairs: check them, drop duplicates
+    and find a linear extension by Kahn's sort.
 
     Raises on cycles and on cover pairs referencing invalid indices.
     """
     up_adj = [set() for _ in range(n)]
-    down_adj = [set() for _ in range(n)]
     for x, y in covers:
         if not (0 <= x < n and 0 <= y < n) or x == y:
             raise PosetError(f"invalid cover pair ({x}, {y}) for n={n}")
         up_adj[x].add(y)
-        down_adj[y].add(x)
     covers_up = tuple(tuple(sorted(ups)) for ups in up_adj)
-    covers_down = tuple(tuple(sorted(downs)) for downs in down_adj)
 
     # Kahn topological sort; leftover in-degree means a cycle.
-    indeg = [len(downs) for downs in covers_down]
+    indeg = Counter(y for ups in covers_up for y in ups)
     queue = [x for x in range(n) if indeg[x] == 0]
     topo = []
     while queue:
@@ -119,58 +149,18 @@ def from_covers(n: int, covers: Iterable[tuple]) -> Poset:
                 queue.append(y)
     if len(topo) != n:
         raise PosetError("cover relation contains a cycle")
-    return close_order(covers_up, covers_down, topo)
+    return close_order(covers_up, topo)
 
 
-def close_order(covers_up: tuple, covers_down: tuple, topo: Sequence[int]) -> Poset:
-    """The poset with these covers: covers_up[x] and covers_down[y] sorted
-    tuples of the same relation, and `topo` a linear extension of it.  The
-    caller vouches for all three; nothing is checked here.
-
-    Builds the down rows of the closure, and the longest-path rank from the
-    minimal elements; the poset is graded iff every cover steps the rank by
-    exactly one.
-    """
-    n = len(covers_up)
-    down_rows = [0] * n
-    rank = [0] * n
-    for y in topo:
-        row = 1 << y
-        for x in covers_down[y]:
-            row |= down_rows[x]
-        down_rows[y] = row
-        if covers_down[y]:
-            rank[y] = max(rank[x] + 1 for x in covers_down[y])
-    graded = all(rank[y] == rank[x] + 1 for x in range(n) for y in covers_up[x])
-
-    return Poset(
-        n=n,
-        covers_up=covers_up,
-        covers_down=covers_down,
-        down_rows=tuple(down_rows),
-        rank=tuple(rank) if graded else None,
-        minimals=tuple(x for x in range(n) if not covers_down[x]),
-        maximals=tuple(x for x in range(n) if not covers_up[x]),
-        topo=tuple(topo),
-    )
+def close_order(covers_up: tuple, topo: Sequence[int]) -> Poset:
+    """The poset whose up covers are the sorted tuples `covers_up`, with the
+    linear extension `topo`; the caller vouches for both."""
+    return Poset(n=len(covers_up), covers_up=covers_up, topo=tuple(topo))
 
 
 def adjoin_bottom(P: Poset) -> Poset:
-    """P with a new least element, index P.n, that the minimal elements of P
-    cover.  Derived from the closure of P: every row gains the new bit and
-    every rank grows by one, so nothing is closed again."""
-    V = P.n
-    bit = 1 << V
-    return Poset(
-        n=V + 1,
-        covers_up=P.covers_up + (P.minimals,),
-        covers_down=tuple(downs or (V,) for downs in P.covers_down) + ((),),
-        down_rows=tuple(row | bit for row in P.down_rows) + (bit,),
-        rank=None if P.rank is None else tuple(r + 1 for r in P.rank) + (0,),
-        minimals=(V,),
-        maximals=P.maximals or (V,),
-        topo=(V,) + P.topo,
-    )
+    """P with a new least element, index P.n, below its minimal elements."""
+    return close_order(P.covers_up + (P.minimals,), (P.n,) + P.topo)
 
 
 def _masked_sum(masks: dict, segment: int) -> int:
@@ -179,40 +169,44 @@ def _masked_sum(masks: dict, segment: int) -> int:
     return sum(v * (segment & mask).bit_count() for v, mask in masks.items())
 
 
-def _mobius_sweep(start: int, members: Iterable[int], segment_rows: tuple) -> dict:
+def _mobius_stream(start: int, order: Iterable[int], covers: tuple) -> dict:
     """The Mobius recursion mu(start, z) = -sum of mu(start, w) over the
-    half-open interval segment_rows[z] - {z}, for every z in `members` (the
-    elements of the closed segment that starts at `start`).
+    half-open segment [start, z), for every z that `covers` (up or down
+    covers) reach from `start`, walking `order`, a linear extension in the
+    same direction.
 
-    Elements are visited by increasing popcount of `segment_rows`: w in
-    segment_rows[z] - {z} makes segment_rows[w] a proper subset of
-    segment_rows[z], so in either direction every element of a half-open
-    interval is filled before its end.  Instead of a lookup per interval
-    element, the sweep keeps one bitmask per distinct nonzero value filled so
-    far; each sum is then a popcount per value class (Stanley, EC1 3.6-3.7).
-    Only filled elements sit in a mask, so segment_rows[z] needs no
-    intersection with `members`.
+    Each element reached but not yet visited holds a row: the union of the
+    closed segments of its covers visited so far.  They all come before it
+    in `order`, so its row is complete when the walk gets there; it takes
+    its value, passes row | {z} on to its covers and drops the row.  The sum
+    is a popcount per value class: one bitmask per distinct nonzero value
+    (Stanley, EC1 3.6-3.7).
     """
+    rows = {start: 0}
     table = {}
     masks = {}
-    for z in sorted(members, key=lambda w: segment_rows[w].bit_count()):
-        value = 1 if z == start else -_masked_sum(masks, segment_rows[z])
+    for z in order:
+        row = rows.pop(z, None)
+        if row is None:
+            continue
+        value = 1 if z == start else -_masked_sum(masks, row)
         table[z] = value
         if value:
             masks[value] = masks.get(value, 0) | 1 << z
+        row |= 1 << z
+        for w in covers[z]:
+            rows[w] = rows.get(w, 0) | row
     return table
 
 
 def mobius_table(P: Poset, x: int) -> dict:
-    """mu(x, y) for every y >= x, by the bottom-up recursion.  Every element
-    lies above a unique minimal element, so that case reads no up row."""
-    members = range(P.n) if P.minimals == (x,) else _bits(P.up_rows[x])
-    return _mobius_sweep(x, members, P.down_rows)
+    """mu(x, y) for every y >= x, by the bottom-up recursion."""
+    return _mobius_stream(x, P.topo, P.covers_up)
 
 
 def mobius_table_to_top(P: Poset, y: int) -> dict:
     """mu(x, y) for every x <= y, by the top-down recursion."""
-    return _mobius_sweep(y, _bits(P.down_rows[y]), P.up_rows)
+    return _mobius_stream(y, reversed(P.topo), P.covers_down)
 
 
 def mobius(P: Poset, x: int, y: int) -> int:
@@ -223,14 +217,8 @@ def mobius(P: Poset, x: int, y: int) -> int:
 
 def verify_mobius_identity(P: Poset, x: int) -> bool:
     """Defining identity: sum of mu(x, z) over x <= z <= y vanishes for y > x."""
-    masks = {}
-    for z, value in mobius_table(P, x).items():
-        if value:
-            masks[value] = masks.get(value, 0) | 1 << z
-    return all(
-        _masked_sum(masks, P.down_rows[y]) == 0
-        for y in _bits(P.up_rows[x] & ~(1 << x))
-    )
+    table = mobius_table(P, x)
+    return all(sum(table.get(z, 0) for z in _bits(P.down_rows[y])) == 0 for y in table if y != x)
 
 
 def maximal_chains(P: Poset, x: int, y: int) -> list:
@@ -305,8 +293,9 @@ def _heights(P: Poset) -> list:
     """Longest-chain height of every element above a minimal one; it equals
     the rank when P is graded and is strictly monotone in any poset."""
     height = [0] * P.n
-    for z in sorted(range(P.n), key=lambda w: P.down_rows[w].bit_count()):
-        height[z] = max((height[c] + 1 for c in P.covers_down[z]), default=0)
+    for x in P.topo:
+        for y in P.covers_up[x]:
+            height[y] = max(height[y], height[x] + 1)
     return height
 
 

@@ -33,9 +33,9 @@ D_j, memoized per block, relabels it.  Elements are placed in move order
 (the absorbs by block, then the merges i < j by shift), which depends on no
 hash.  A grown lattice keeps its codes, and decodes them into partitions or
 DowlingElements only when `elements` or `index` is first read, so the Mobius
-path never decodes an element.  The growth pass collects the covers of each
-element as it goes and closes the order in its own placement order, with no
-edge list; an adjoined 0-hat is derived from that closure, not rebuilt.
+path never decodes an element.  The growth pass collects the up covers of
+each element, and its placement order is the linear extension kept beside
+them; no part of the closure is built until it is read (see `poset`).
 Seeds may have different block counts, so growth runs one block count at a
 time, and every move removes one block.
 
@@ -488,19 +488,18 @@ def _grow(seeds: Iterable[int], code: BlockCode, guard: int) -> BuiltLattice:
     Every cover move lowers the level `code.count_blocks` by one, and the
     seeds of a level join it just before it is processed, after the elements
     that moves from the level above placed there.  The pass collects the
-    cover relation and closes it in the placement order, which is a linear
-    extension as long as every cover move lands on an element placed after
-    the one it leaves; a move back to a seed or an earlier element raises
+    up covers, and the placement order is the poset's linear extension as
+    long as every cover move lands on an element placed after the one it
+    leaves; a move back to a seed or an earlier element raises
     PosetError.  Raises GuardError as soon as more than `guard` elements
     exist.  The codes decode through `code.decode_all` (see BuiltLattice)."""
-    codes, index, covers_up, covers_down = [], {}, [], []
+    codes, index, covers_up = [], {}, []
 
     def place(x) -> int:
         if len(codes) >= guard:
             raise GuardError(f"construction exceeds guard {guard} elements")
         i = index[x] = len(codes)
         codes.append(x)
-        covers_down.append([])
         return i
 
     pending = {}
@@ -522,14 +521,12 @@ def _grow(seeds: Iterable[int], code: BlockCode, guard: int) -> BuiltLattice:
                 if yi is None:
                     yi = place(y)
                 ups.append(yi)
-                covers_down[yi].append(xi)
             ups.sort()
             if ups and ups[0] <= xi:
                 raise PosetError(f"a cover move from element {xi} goes back to element {ups[0]}")
             covers_up.append(tuple(ups))
         done, at = end, at - 1
-    # filled in index order, so every down list is already sorted
-    poset = close_order(tuple(covers_up), tuple(map(tuple, covers_down)), range(len(codes)))
+    poset = close_order(tuple(covers_up), range(len(codes)))
     return BuiltLattice(poset=poset, codes=tuple(codes), decode=code.decode_all)
 
 
@@ -723,15 +720,19 @@ def semigroup_violation(I: frozenset, J: frozenset, window: int) -> Optional[str
     return None
 
 
-def lacks_unique_top(n: int, I: frozenset) -> bool:
-    """Whether Q_n^I has several maximal elements, without building it.  A
-    unique one is fixed by every permutation of [n], so it is [n] itself (n
-    in I) or the only element, all singletons; so there is none when n is
-    not in I but a sum of sizes in I that uses a size >= 2."""
+def lacks_unique_top(n: int, I: frozenset, J: Optional[frozenset] = None, s: int = 1) -> bool:
+    """Whether Q_n^I = R_n^{I,{0}}(1) (J None) or R_n^{I,J}(s) has several
+    maximal elements, without building it.  A unique one is fixed by every
+    permutation and relabelling, so it is the zero block [n] (the top of
+    L_n(s)), the one block [n] (fixed only at s = 1, and above only the
+    elements with no zero block) or all singletons (the bottom of L_n(s))."""
     sums = [True]  # sums[t]: t is a sum of sizes in I
     for t in range(1, n + 1):
         sums.append(any(sums[t - i] for i in I if 0 < i <= t))
-    return n not in I and any(sums[n - i] for i in I if 2 <= i <= n)
+    zero_sizes = {j for j in (J if J is not None else (0,)) if j <= n and sums[n - j]}
+    if not zero_sizes or n in zero_sizes:  # empty (the 0-hat is the top), or [n] on top
+        return False
+    return zero_sizes != {0} or not (n in I and s == 1 or not any(2 <= i <= n for i in I))
 
 
 def _indecomposable(sizes: Iterable[int], I: frozenset) -> tuple:
@@ -754,17 +755,13 @@ def _order_by_up_sets(elements: list, code: BlockCode, zero_sizes, block_sizes) 
         for y in code.ups(c, zero_sizes, block_sizes):
             row |= 1 << index[y]
         above.append(row & ~(1 << i))
-    covers_up, covers_down = [], [[] for _ in codes]
-    for i, row in enumerate(above):
+    covers_up = []
+    for row in above:
         higher = 0
         for z in _bits(row):
             higher |= above[z]
-        ups = tuple(_bits(row & ~higher))
-        covers_up.append(ups)
-        for j in ups:
-            covers_down[j].append(i)
-    # filled in index order, so every down list is already sorted
-    poset = close_order(tuple(covers_up), tuple(map(tuple, covers_down)), range(len(codes)))
+        covers_up.append(tuple(_bits(row & ~higher)))
+    poset = close_order(tuple(covers_up), range(len(codes)))
     return BuiltLattice(poset=poset, codes=tuple(elements))
 
 

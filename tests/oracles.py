@@ -1,0 +1,107 @@
+"""The eager closure and the popcount-ordered Mobius sweep that the streamed
+poset replaced, kept as oracles for the differential tests in
+`test_mobius_kernel.py` and `test_closure.py`.
+
+Oracle notes.
+[ORACLE] `eager_poset` is the former `from_covers` followed by the former
+`close_order`, kept verbatim but for its return value: it rebuilds both
+cover directions from the cover pairs through sets, finds its own linear
+extension by Kahn's sort, stores the down row of every element, the
+longest-path rank from the minimal elements and the graded test of every
+cover, and derives the up rows by transposing the down rows.
+[ORACLE] `eager_sweep` is the former `_mobius_sweep`, kept verbatim: it
+visits the elements of a segment by increasing popcount of their closure
+rows, and `eager_mobius_table` / `eager_mobius_table_to_top` are the former
+callers, reading the eager rows.
+"""
+
+from types import SimpleNamespace
+
+from expdowling.poset import PosetError, _bits, _masked_sum, mobius_table, mobius_table_to_top
+
+
+def eager_poset(n, covers):
+    up_adj = [set() for _ in range(n)]
+    down_adj = [set() for _ in range(n)]
+    for x, y in covers:
+        if not (0 <= x < n and 0 <= y < n) or x == y:
+            raise PosetError(f"invalid cover pair ({x}, {y}) for n={n}")
+        up_adj[x].add(y)
+        down_adj[y].add(x)
+    covers_up = tuple(tuple(sorted(ups)) for ups in up_adj)
+    covers_down = tuple(tuple(sorted(downs)) for downs in down_adj)
+
+    indeg = [len(downs) for downs in covers_down]
+    queue = [x for x in range(n) if indeg[x] == 0]
+    topo = []
+    while queue:
+        x = queue.pop()
+        topo.append(x)
+        for y in covers_up[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                queue.append(y)
+    if len(topo) != n:
+        raise PosetError("cover relation contains a cycle")
+
+    down_rows = [0] * n
+    rank = [0] * n
+    for y in topo:
+        row = 1 << y
+        for x in covers_down[y]:
+            row |= down_rows[x]
+        down_rows[y] = row
+        if covers_down[y]:
+            rank[y] = max(rank[x] + 1 for x in covers_down[y])
+    graded = all(rank[y] == rank[x] + 1 for x in range(n) for y in covers_up[x])
+
+    up_rows = [0] * n
+    for y, row in enumerate(down_rows):
+        for x in _bits(row):
+            up_rows[x] |= 1 << y
+    return SimpleNamespace(
+        n=n,
+        covers_up=covers_up,
+        covers_down=covers_down,
+        down_rows=tuple(down_rows),
+        up_rows=tuple(up_rows),
+        rank=tuple(rank) if graded else None,
+        minimals=tuple(x for x in range(n) if not covers_down[x]),
+        maximals=tuple(x for x in range(n) if not covers_up[x]),
+    )
+
+
+def eager_sweep(start, members, segment_rows):
+    table = {}
+    masks = {}
+    for z in sorted(members, key=lambda w: segment_rows[w].bit_count()):
+        value = 1 if z == start else -_masked_sum(masks, segment_rows[z])
+        table[z] = value
+        if value:
+            masks[value] = masks.get(value, 0) | 1 << z
+    return table
+
+
+def eager_mobius_table(E, x):
+    members = range(E.n) if E.minimals == (x,) else _bits(E.up_rows[x])
+    return eager_sweep(x, members, E.down_rows)
+
+
+def eager_mobius_table_to_top(E, y):
+    return eager_sweep(y, _bits(E.down_rows[y]), E.up_rows)
+
+
+DERIVED = ("covers_down", "down_rows", "up_rows", "rank", "minimals", "maximals")
+
+
+def assert_matches_eager(P):
+    """Every structure P derives on first read, and its Mobius tables from
+    every x up and from every y down, equal those of the eager oracle built
+    from P's cover pairs."""
+    E = eager_poset(P.n, [(x, y) for x in range(P.n) for y in P.covers_up[x]])
+    assert P.covers_up == E.covers_up
+    for name in DERIVED:
+        assert getattr(P, name) == getattr(E, name), name
+    for x in range(P.n):
+        assert mobius_table(P, x) == eager_mobius_table(E, x)
+        assert mobius_table_to_top(P, x) == eager_mobius_table_to_top(E, x)

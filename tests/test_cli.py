@@ -150,6 +150,35 @@ def test_cor47_checks_every_n_up_to_nmax(capsys):
         assert [row["n"] for row in report["rows"]] == [f"n={n}" for n in range(6)]
 
 
+def checked_sizes(report):
+    """The sizes n of a cor3.4 row (n) or an ex3.5 row ("n=..,t=..")."""
+    return sorted({int(str(row["n"]).split(",")[0].removeprefix("n=")) for row in report["rows"]})
+
+
+@pytest.mark.parametrize("suite,first", [("cor3.4", [1, 1, 0, 0, 0]), ("ex3.5", [0, 0, 0])])
+def test_suite_checks_every_n_up_to_nmax(capsys, suite, first):
+    # without --nmax the r-divisible and Dowling rows stop at n = 4; with it
+    # every row runs to --nmax, and each report's params say so
+    code, out = run(capsys, "verify", suite)
+    assert code == EXIT_OK
+    assert {max(checked_sizes(r)) for r in json.loads(out)["results"][1:]} == {4}
+    code, out = run(capsys, "verify", suite, "--nmax", "5")
+    assert code == EXIT_OK
+    reports = json.loads(out)["results"]
+    assert [checked_sizes(r) for r in reports] == [list(range(low, 6)) for low in first]
+    assert all(r["params"]["n_max"] == 5 and r["verdict"] == "exact" for r in reports)
+
+
+def test_cor34_past_the_guard_exits_usage(capsys):
+    # Q^(2)_6, the 150,349 partitions of [12] into even blocks, exceeds the
+    # default guard: exit 2, never a shrunk pass
+    code = main(["verify", "cor3.4", "--nmax", "6"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "guard" in captured.err
+
+
 def test_cor47_past_the_guard_exits_usage(capsys):
     # D_6^(1,1) at s = 3 exceeds the default guard: exit 2, never a shrunk pass
     code = main(["verify", "cor4.7", "--nmax", "6"])
@@ -366,6 +395,38 @@ def test_mobius_without_unique_top_exits_before_building(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "mu(0-hat, 1-hat) is undefined" in captured.err
+
+
+@pytest.mark.parametrize("family,builder,argv", [
+    # 7 is in I but not in J: the one block [7] in each of its 64 labellings
+    # is maximal, and so are elements with a zero block (1,093 in all)
+    ("r-IJ", "build_restricted_dowling",
+     ["--n", "7", "--s", "2", "--I", "1,2,3,4,5,6,7", "--J", "0,1,2,3,4,5,6"]),
+    # the one block [6] is the top, but no 0-hat is adjoined and the 15
+    # perfect matchings of [6] are minimal
+    ("q-r", "build_Q_r", ["--n", "3", "--r", "2"]),
+], ids=["r-IJ", "q-r"])
+def test_mobius_without_unique_bounds_exits_before_building(capsys, monkeypatch, family, builder, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a family whose mu is undefined")
+
+    monkeypatch.setattr(structures, builder, refuse)
+    code = main(["mobius", "--family", family, *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "mu(0-hat, 1-hat) is undefined" in captured.err
+
+
+def test_q_r_bounds_decided_before_building():
+    # Q^(r)_n has the one block [rn] on top, and a unique minimal element
+    # only when r = 1 or n = 1
+    for r in range(1, 5):
+        for n in range(1, 9 // r + 1):
+            P = structures.build_Q_r(n, r).poset
+            defined = len(P.minimals) == len(P.maximals) == 1
+            ns = cli.make_parser().parse_args(["mobius", "--family", "q-r", "--n", str(n), "--r", str(r)])
+            assert (cli._undefined_mu(ns) is None) is defined, (n, r)
 
 
 @pytest.mark.parametrize("error", [ValueError, PosetError])

@@ -1,10 +1,14 @@
-"""The closure built during cover growth and the adjoined 0-hat, against the
-full closure of the same covers that they replaced.
+"""The posets made by cover growth and by adjoining a 0-hat, against the
+same covers rebuilt from scratch and against the eager closure they
+replaced.
 
 Oracle notes.
 [ORACLE] `from_covers` of a grown poset's own cover pairs: it checks and
-deduplicates the pairs, finds a linear extension by Kahn's sort and closes
-the order independently of the growth pass.
+deduplicates the pairs and finds a linear extension by Kahn's sort,
+independently of the growth pass.
+[ORACLE] `oracles.assert_matches_eager`: the former eager closure and
+popcount-ordered Mobius sweep (see `oracles`), compared on every structure
+a poset derives and on its Mobius tables from every element.
 [ORACLE] `oracle_adjoin` is the former `adjoin_zero` closure, kept verbatim:
 the covers of P plus one cover from the new bottom to each minimal element,
 closed again from scratch by `from_covers`.
@@ -13,6 +17,7 @@ closed again from scratch by `from_covers`.
 from types import SimpleNamespace
 
 import pytest
+from oracles import assert_matches_eager
 
 from expdowling import structures
 from expdowling.cli import EXIT_INTERNAL, main
@@ -93,8 +98,10 @@ def test_grown_and_adjoined_closures_match_full_rebuild(made, builder, args):
     grown, adjoined = made
     for P in grown:
         assert_same_poset(P, from_covers(P.n, cover_pairs(P)))
+        assert_matches_eager(P)
     for P, Q in adjoined:
         assert_same_poset(Q, oracle_adjoin(P))
+        assert_matches_eager(Q)
     assert len(adjoined) == (built.bottom is not None)
     assert any(built.poset is P for P in grown + [Q for _, Q in adjoined])
 

@@ -1,7 +1,9 @@
-"""Differential tests of the value-class Mobius kernel, the lazily built up
-rows and the one-candidate lattice check against the sum-over-bits
-recursion, an eager closure and the full upper-set scan they replaced; and a
-check that the mu(0-hat, 1-hat) path never builds the up rows.
+"""Differential tests of the streamed Mobius kernel, the structures a poset
+derives on first read and the one-candidate lattice check against the
+sum-over-bits recursion, an eager closure, the popcount-ordered sweep
+(`oracles`) and the full upper-set scan they replaced; a check that the
+mu(0-hat, 1-hat) path never builds the closure; and a check that the
+stream drops each row once its element is visited.
 
 Oracle notes.
 [ORACLE] `oracle_mobius_table`, `oracle_mobius_table_to_top` and
@@ -9,10 +11,16 @@ Oracle notes.
 lookup per interval element, and a scan of every common upper (lower) bound.
 [ORACLE] `oracle_closure` walks the covers up from every element, eagerly
 and independently of the poset's own rows.
+[ORACLE] `oracles.assert_matches_eager` compares every derived structure
+and both Mobius tables of every element with the former eager closure and
+popcount-ordered sweep (see `oracles`).
 """
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from oracles import assert_matches_eager
 from hypothesis import strategies as st
 
 from expdowling import identities, shelling, structures
@@ -154,6 +162,7 @@ CASES = (
 def test_kernel_matches_oracle(build):
     P = build()
     check_closure(P)
+    assert_matches_eager(P)
     for x in range(P.n):
         assert mobius_table(P, x) == oracle_mobius_table(P, x)
         assert mobius_table_to_top(P, x) == oracle_mobius_table_to_top(P, x)
@@ -184,6 +193,7 @@ def random_bounded_poset(draw):
 @settings(max_examples=80, deadline=None)
 def test_random_bounded_posets_match_oracle(P):
     check_closure(P)
+    assert_matches_eager(P)
     for x in range(P.n):
         assert mobius_table(P, x) == oracle_mobius_table(P, x)
         assert mobius_table_to_top(P, x) == oracle_mobius_table_to_top(P, x)
@@ -194,8 +204,8 @@ def test_random_bounded_posets_match_oracle(P):
 @pytest.fixture
 def made_posets(monkeypatch):
     """Every poset the builders make during the test, recorded at each
-    constructor `structures` calls: the closure of grown covers, the adjoined
-    0-hat and the closure of arbitrary cover pairs."""
+    constructor `structures` calls: the poset of grown covers, the adjoined
+    0-hat and the poset of arbitrary cover pairs."""
     made = []
 
     def recording(make):
@@ -209,14 +219,38 @@ def made_posets(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("run,mu", [
-    (lambda: identities.brute_mu(build_dowling_lattice(4, 2)), 105),
-    (lambda: identities.brute_mu(build_extended(7, 2, 3)), -61),
-    (lambda: shelling.el_verify(7, 2, 3)["mu"], -61),
-    (lambda: main(["mobius", "--family", "dowling", "--n", "4", "--s", "2"]), EXIT_OK),
-    (lambda: main(["el-check", "--m", "7", "--r", "2", "--j", "3"]), EXIT_OK),
-], ids=["brute_mu-dowling4,2", "brute_mu-extended7,2,3", "el_verify7,2,3", "cli-mobius", "cli-el-check"])
-def test_mu_path_never_builds_up_rows(made_posets, capsys, run, mu):
+# what the mu(0-hat, 1-hat) path of each run must never build: no closure,
+# and for `mobius` no rank either (the EL labels read the rank)
+CLOSURE = {"down_rows", "up_rows", "covers_down"}
+
+
+@pytest.mark.parametrize("run,mu,unbuilt", [
+    (lambda: identities.brute_mu(build_dowling_lattice(4, 2)), 105, CLOSURE),
+    (lambda: identities.brute_mu(build_extended(7, 2, 3)), -61, CLOSURE),
+    (lambda: shelling.el_verify(7, 2, 3)["mu"], -61, CLOSURE),
+    (lambda: main(["mobius", "--family", "dowling", "--n", "4", "--s", "2"]), EXIT_OK, CLOSURE | {"rank"}),
+    (lambda: main(["el-check", "--m", "7", "--r", "2", "--j", "3"]), EXIT_OK, CLOSURE),
+    (lambda: main(["mobius", "--family", "d-rk", "--n", "2", "--r", "2", "--k", "1", "--s", "2"]), EXIT_OK,
+     CLOSURE | {"rank"}),
+], ids=["brute_mu-dowling4,2", "brute_mu-extended7,2,3", "el_verify7,2,3", "cli-mobius", "cli-el-check",
+        "cli-mobius-adjoined"])
+def test_mu_path_never_builds_up_rows(made_posets, capsys, run, mu, unbuilt):
     assert run() == mu
     assert made_posets
-    assert all("up_rows" not in vars(P) for P in made_posets)
+    assert all(unbuilt.isdisjoint(vars(P)) for P in made_posets)
+
+
+def test_stream_drops_each_row():
+    # on a chain the stream holds one row at a time; kept rows would hold
+    # n^2 / 2 bits, 4 MB at n = 8000, and the table of n entries takes about
+    # 0.4 MB
+    n = 8000
+    P = from_covers(n, [(x, x + 1) for x in range(n - 1)])
+    tracemalloc.start()
+    try:
+        table = mobius_table(P, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table == {0: 1, 1: -1, **dict.fromkeys(range(2, n), 0)}
+    assert peak < n * n // 32

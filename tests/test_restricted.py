@@ -174,3 +174,18 @@ def test_unique_top_decided_before_building(n):
         for I in map(frozenset, combinations(range(1, n + 1), size)):
             unique = len(build_restricted_partition(n, I).poset.maximals) == 1
             assert lacks_unique_top(n, I) is not unique, sorted(I)
+
+
+def subsets(items):
+    return [frozenset(c) for size in range(len(items) + 1) for c in combinations(items, size)]
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_unique_top_of_r_decided_before_building(n):
+    # every I of [1..n] and J of [0..n] at s = 1, 2, 3: 1,536 cases at n = 4;
+    # an empty family has its adjoined 0-hat as the top
+    for s in (1, 2, 3):
+        for I in subsets(range(1, n + 1)):
+            for J in subsets(range(n + 1)):
+                unique = len(build_restricted_dowling(n, s, I, J).poset.maximals) == 1
+                assert lacks_unique_top(n, I, J, s) is not unique, (s, sorted(I), sorted(J))

@@ -188,9 +188,10 @@ def multiplication_check(u: str, v: str) -> bool:
     return lhs == rhs
 
 
-def euler_number(i: int, guard: int = 30) -> int:
-    """Number of alternating permutations of size i (boustrophedon recurrence)."""
-    if i < 0 or i > guard:
+def euler_number(i: int) -> int:
+    """Number of alternating permutations of size i (boustrophedon recurrence,
+    O(i^2) exact integer additions)."""
+    if i < 0:
         raise ValueError(f"Euler number index out of range: {i}")
     row = [1]
     for k in range(1, i + 1):

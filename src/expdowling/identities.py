@@ -332,34 +332,33 @@ def rank_polynomial_check(
     certified by evaluation at more rational points than the degree."""
     if len(t_values) <= n_max:
         raise ValueError("need more sample points than the maximum degree")
+    if family not in ("partition", "dowling"):
+        raise ValueError(f"unknown family {family!r}")
     report = IdentityReport(
         "rank-polynomial", {"family": family, "s": s, "n_max": n_max}
     )
+    # {exponent: count} of each n's census polynomial, built once for all t
+    censuses = []
+    for n in range(0, n_max + 1):
+        if family == "dowling":
+            censuses.append(corank_census(build_dowling_lattice(n, s)))
+        elif n == 0:
+            censuses.append({0: 1})
+        else:
+            # the closed form counts blocks, which is corank + 1 here
+            hist = corank_census(build_partition_lattice(n))
+            censuses.append({c + 1: count for c, count in hist.items()})
     T = n_max
     inner = egf(UNIT, T) - 1  # sum_{n>=1} x^n/n!
     for t in t_values:
         t = Fraction(t)
         if family == "partition":
             closed = exp(inner * t)
-        elif family == "dowling":
-            closed = egf(UNIT, T) * exp(inner.scale_argument(s) * (t / s))
         else:
-            raise ValueError(f"unknown family {family!r}")
-        for n in range(0, n_max + 1):
-            if family == "partition":
-                # the closed form counts blocks, which is corank + 1 here
-                if n == 0:
-                    census = Fraction(1)
-                else:
-                    built = build_partition_lattice(n)
-                    census = sum(
-                        count * t ** (c + 1)
-                        for c, count in corank_census(built).items()
-                    )
-            else:
-                built = build_dowling_lattice(n, s)
-                census = sum(count * t**c for c, count in corank_census(built).items())
-            report.add(f"n={n},t={t}", census, coeff_den(closed, n, UNIT))
+            closed = egf(UNIT, T) * exp(inner.scale_argument(s) * (t / s))
+        for n, census in enumerate(censuses):
+            value = sum(count * t**e for e, count in census.items())
+            report.add(f"n={n},t={t}", value, coeff_den(closed, n, UNIT))
     return report
 
 

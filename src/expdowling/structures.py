@@ -19,9 +19,9 @@ a given set, `_zero_and_blocks` adds a zero block with a size in another
 set, and `_dowling_elements` every labelling.  When the semigroup condition
 of Thm 4.1/4.2 holds on [0, n] (`semigroup_violation`), the family is an
 upper set of Pi_n or L_n(s) and grows by cover moves from its minimal
-elements.  Pi_m^r, Q^(r)_n and Pi_m^{r,j} grow from the images of the
-minimal elements of D^(r,(j or r)-1) at s = 1 under the bijection
-Pi_m^{r,k+1} <-> D^(r,k).
+elements.  Q^(r)_n is Q_{rn}^I with I = {r, 2r, ...}, and Pi_m^{r,j} is
+D^(r,k) at s = 1, k = (j or r) - 1, read through the bijection
+Pi_m^{r,k+1} <-> D^(r,k) (`ExtendedCode`).
 
 Growth moves ints, not tuples (`BlockCode`).  Each ground element has a
 fixed-width field of the code that holds the least element of its block
@@ -131,10 +131,6 @@ def _listed(items: Iterable, guard: int) -> list:
     return out
 
 
-def canonical_partition(blocks: Iterable[Iterable[int]]) -> tuple:
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
-
 def set_partitions(m: int, guard: int = GUARD) -> list:
     _check_params(m=m)
     return sorted(_listed(_blocks(tuple(range(1, m + 1)), range(1, m + 1)), guard))
@@ -171,23 +167,6 @@ class DowlingElement(NamedTuple):
             "zero_block": list(self.zero),
             "blocks": [{"elems": list(b), "labels": list(l)} for b, l in self.blocks],
         }
-
-
-def make_dowling(zero: Iterable[int], blocks: Iterable, s: int) -> DowlingElement:
-    """Canonicalize: sort everything and shift each block's labels so the
-    minimum element carries label 0."""
-    canon = []
-    for elems, labels in blocks:
-        pairs = sorted(zip(elems, labels))
-        base = pairs[0][1]
-        canon.append(
-            (
-                tuple(e for e, _ in pairs),
-                tuple((l - base) % s for _, l in pairs),
-            )
-        )
-    canon.sort()
-    return DowlingElement(zero=tuple(sorted(zero)), blocks=tuple(canon))
 
 
 def dowling_rank(x: DowlingElement, n: int) -> int:
@@ -668,22 +647,6 @@ def all_types(n: int) -> Iterator[StructureType]:
 # derived partition families
 
 
-def _extended_upper_set(m: int, r: int, j: int, guard: int) -> BuiltLattice:
-    """The partitions of [m] whose block containing m has size >= j and whose
-    other blocks have sizes divisible by r, grown from the minimal ones: m in
-    a block of size j (size r when j = 0), every other block of size r."""
-    _check_params(m=m, r=r, j=j)
-    if (m - j) % r != 0 or m < j:
-        raise ParameterError(f"need m = r*n + j: got m={m}, r={r}, j={j}")
-
-    # the images of the minimal elements of D^(r,(j or r)-1) at s = 1 under
-    # the bijection D^(r,k) -> Pi_m^{r,k+1}, which puts m into the zero block
-    code = BlockCode(m, 1, zero=False)
-    minimal = _zero_and_blocks(tuple(range(1, m)), ((j or r) - 1,), (r,))
-    seeds = (code.encode(part + (zero + (m,),)) for zero, part in minimal)
-    return _grow(seeds, code, guard)
-
-
 def build_r_divisible(m: int, r: int, guard: int = GUARD) -> BuiltLattice:
     """Pi_m^r: partitions with all block sizes divisible by r, 0-hat adjoined."""
     _check_params(m=m, r=r)
@@ -694,16 +657,22 @@ def build_r_divisible(m: int, r: int, guard: int = GUARD) -> BuiltLattice:
 
 def build_extended(m: int, r: int, j: int, guard: int = GUARD) -> BuiltLattice:
     """Pi_m^{r,j}: the block containing m has size >= j, all other blocks have
-    size divisible by r; 0-hat adjoined."""
-    return adjoin_zero(_extended_upper_set(m, r, j, guard))
+    size divisible by r; 0-hat adjoined.  It is D^(r,k) at s = 1 with
+    k = (j or r) - 1 (`_D_rk`), its codes read as partitions of [m] by
+    `ExtendedCode`."""
+    _check_params(m=m, r=r, j=j)
+    if (m - j) % r != 0 or m < j:
+        raise ParameterError(f"need m = r*n + j: got m={m}, r={r}, j={j}")
+    built = _D_rk(m - 1, r, (j or r) - 1, 1, guard)
+    return adjoin_zero(replace(built, decode=ExtendedCode(m).decode_all))
 
 
 def build_Q_r(n: int, r: int, guard: int = GUARD) -> BuiltLattice:
-    """Q^(r)_n: the subposet of Pi_{rn} of r-divisible partitions (no adjoined
-    bottom); it is Pi_{rn}^{r,r} without its 0-hat."""
+    """Q^(r)_n = Q_{rn}^I with I = {r, 2r, ..., rn}: the subposet of Pi_{rn} of
+    r-divisible partitions (no adjoined bottom)."""
     _check_params(r=r)
     _check_n_positive(n)
-    return _extended_upper_set(r * n, r, r, guard)
+    return _restricted(r * n, 1, frozenset(range(r, r * n + 1, r)), None, guard)
 
 
 def semigroup_violation(I: frozenset, J: frozenset, window: int) -> Optional[str]:
@@ -807,9 +776,13 @@ def build_D_rk(n: int, r: int, k: int, s: int, guard: int = GUARD) -> BuiltLatti
     grown from a zero block of size k and n blocks of size r, in every
     labelling; 0-hat adjoined."""
     _check_params(n=n, r=r, k=k, s=s)
-    size = r * n + k
+    return adjoin_zero(_D_rk(r * n + k, r, k, s, guard))
+
+
+def _D_rk(size: int, r: int, k: int, s: int, guard: int) -> BuiltLattice:
+    """D^(r,k) on the ground set [size] = [rn + k], in Dowling code; no 0-hat."""
     I, J = frozenset(range(r, size + 1, r)), frozenset(range(k, size + 1, r))
-    return adjoin_zero(_restricted(size, s, I, J, guard))
+    return _restricted(size, s, I, J, guard)
 
 
 # ---------------------------------------------------------------------------
@@ -843,30 +816,42 @@ def denominator_N_rk(n: int, r: int, k: int, s: int) -> int:
 # the extended-lattice / Dowling bijection
 
 
-def extended_to_dowling(p: tuple, m: int, s: int = 1) -> DowlingElement:
-    """Remove m from its block and rename that block as the zero block."""
-    zero = None
-    blocks = []
-    for block in p:
-        if m in block:
-            zero = tuple(e for e in block if e != m)
-        else:
-            blocks.append((block, (0,) * len(block)))
-    if zero is None:
-        raise ValueError(f"{m} lies in no block of {p}")
-    return make_dowling(zero, blocks, s)
+def _with_marked(x: DowlingElement, marked: tuple) -> tuple:
+    """The element tuples of the blocks of x, reused, and the block `marked`
+    that holds m (the zero block of x plus m), sorted by minimum: a
+    partition of [m]."""
+    blocks = [elems for elems, _ in x.blocks]
+    blocks.insert(sum(elems[0] < marked[0] for elems in blocks), marked)
+    return tuple(blocks)
 
 
 def dowling_to_extended(x: DowlingElement, m: int) -> tuple:
-    blocks = [b for b, _ in x.blocks]
-    blocks.append(tuple(sorted(x.zero + (m,))))
-    return canonical_partition(blocks)
+    """The partition of Pi_m^{r,k+1} that x in D^(r,k) at s = 1 stands for,
+    m = rn + k + 1: m joins the zero block."""
+    return _with_marked(x, x.zero + (m,))
+
+
+class ExtendedCode(BlockCode):
+    """The codes of D^(r,k) at s = 1 read as the partitions of [m] that they
+    stand for, m = rn + k + 1 (`dowling_to_extended`).  The block holding m
+    is memoized by its zero block, and the other blocks are the decoded
+    element tuples, so the partitions share every block and no
+    DowlingElement is kept."""
+
+    def __init__(self, m: int):
+        super().__init__(m - 1, 1, zero=True)
+        self._marked = cache(lambda zero: zero + (m,))
+
+    def decode(self, code: int) -> tuple:
+        x = super().decode(code)
+        return _with_marked(x, self._marked(x.zero))
 
 
 def bijection_extended_to_dowling(m: int, r: int, k: int, guard: int = GUARD) -> list:
     """Element-level bijection Pi_m^{r,k+1} <-> D_n^{(r,k)} at s=1, as a list
-    of (partition, dowling element) pairs; m = r*n + k + 1."""
+    of (partition, dowling element) pairs; m = r*n + k + 1.  The pairs are the
+    two decodings of each code of `build_extended`."""
     if (m - k - 1) % r != 0:
         raise ParameterError(f"need m = r*n + k + 1: got m={m}, r={r}, k={k}")
     built = build_extended(m, r, k + 1, guard=guard)
-    return [(p, extended_to_dowling(p, m)) for p in built.elements]
+    return list(zip(built.elements, BlockCode(m - 1, 1, zero=True).decode_all(built.codes)))

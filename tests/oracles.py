@@ -13,11 +13,17 @@ cover, and derives the up rows by transposing the down rows.
 visits the elements of a segment by increasing popcount of their closure
 rows, and `eager_mobius_table` / `eager_mobius_table_to_top` are the former
 callers, reading the eager rows.
+[ORACLE] `canonical_partition`, `make_dowling` and `extended_to_dowling` are
+the former whole-element canonicalizations and the former partition-to-
+Dowling map of the bijection Pi_m^{r,k+1} <-> D^(r,k), kept verbatim: they
+sort every block and every element again, independently of the cover moves
+and of `structures.ExtendedCode`.
 """
 
 from types import SimpleNamespace
 
 from expdowling.poset import PosetError, _bits, _masked_sum, mobius_table, mobius_table_to_top
+from expdowling.structures import DowlingElement
 
 
 def eager_poset(n, covers):
@@ -105,3 +111,38 @@ def assert_matches_eager(P):
     for x in range(P.n):
         assert mobius_table(P, x) == eager_mobius_table(E, x)
         assert mobius_table_to_top(P, x) == eager_mobius_table_to_top(E, x)
+
+
+def canonical_partition(blocks):
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def make_dowling(zero, blocks, s):
+    """Canonicalize: sort everything and shift each block's labels so the
+    minimum element carries label 0."""
+    canon = []
+    for elems, labels in blocks:
+        pairs = sorted(zip(elems, labels))
+        base = pairs[0][1]
+        canon.append(
+            (
+                tuple(e for e, _ in pairs),
+                tuple((l - base) % s for _, l in pairs),
+            )
+        )
+    canon.sort()
+    return DowlingElement(zero=tuple(sorted(zero)), blocks=tuple(canon))
+
+
+def extended_to_dowling(p, m, s=1):
+    """Remove m from its block and rename that block as the zero block."""
+    zero = None
+    blocks = []
+    for block in p:
+        if m in block:
+            zero = tuple(e for e in block if e != m)
+        else:
+            blocks.append((block, (0,) * len(block)))
+    if zero is None:
+        raise ValueError(f"{m} lies in no block of {p}")
+    return make_dowling(zero, blocks, s)

@@ -526,19 +526,23 @@ def test_grown_export_is_the_pairwise_export_relabelled(capsys, argv, digest):
     assert relabelled(out) == digest
 
 
-# sha256 and relabelled() of one export of each family grown from marked
-# seeds (the block containing m), taken before Pi_m, L_n(s), D^(r,k), Q^I and
-# R^{I,J} came to share one constructor.  pi-r 6,2 is Q_6^{2,4,6}, so its
-# relabelled() equals that of the q-I export above.
+# sha256 and relabelled() of one export of pi-r, pi-rj and q-r.  The
+# relabelled() digests were taken when these families grew from marked seeds
+# (the block containing m), before Pi_m, L_n(s), D^(r,k), Q^I and R^{I,J}
+# came to share one constructor; they pin the lattices.  The raw digests pin
+# the order: pi-r and q-r are Q^I grown from partitions into r-blocks, and
+# pi-rj is D^(r,k) at s = 1 grown in Dowling code and read through the
+# bijection.  pi-r 6,2 is Q_6^{2,4,6}, so both its digests equal those of the
+# q-I export above.
 MARKED_EXPORTS = [
     (["--family", "pi-r", "--m", "6", "--r", "2"],
-     "8f05411a888ffd9509d2b502ce6bb77b3d27a70812e206c94af41ed7eb9befe3",
+     "fc1ccd49822447ba569911b97fc51050b73c6f46e047c52bd7c1a54b3d5fcb31",
      "807bf4950308ac4eac75a68e7c577efaadee062d58f5abba0ca33e10c546c067"),
     (["--family", "pi-rj", "--m", "7", "--r", "2", "--j", "3"],
-     "31329e2cf221c71bdcc1fe227a1589e5de08b3e140c22ba953d3bc671bb1602a",
+     "ca1bcbf531e5f0bec30de838dadfb2344696a5b682e8c491389c6f1f1a6e9a88",
      "046e245c7ef49aaf9cc5849df25bc115d68ecb74c9b40d28e84122ce35777af1"),
     (["--family", "q-r", "--n", "3", "--r", "2"],
-     "ebc859b707b68203744fb1ac0030d2924d825a3b4b5fee80c41d991ecb7e022c",
+     "4d9f849125adeb0750e4b2d59f919c5c422748bb0f6058bb8e86667795281da0",
      "2d6c0b302288e3369e22f77f49cc7be2cf422d6fc09942fa9dd0e97bf71a7f36"),
 ]
 
@@ -550,6 +554,14 @@ def test_marked_seed_export_is_pinned(capsys, argv, digest, relabelled_digest):
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert relabelled(out) == relabelled_digest
+
+
+def test_r_divisible_export_is_the_restricted_export(capsys):
+    """Pi_m^r is Q_m^I with I = {r, 2r, ..., m}, built by the same call."""
+    pi_r = run(capsys, "lattice", "--family", "pi-r", "--m", "6", "--r", "2")
+    q_I = run(capsys, "lattice", *GOLDEN_EXPORTS[5][0])
+    assert pi_r == q_I
+    assert pi_r[0] == EXIT_OK
 
 
 def test_lattice_cache_keyed_on_guard(tmp_path, capsys):

@@ -31,6 +31,7 @@ from expdowling.descents import (
     q_factorial,
     q_int,
 )
+from expdowling.series import TruncatedSeries, pow_rational
 
 words = st.integers(min_value=0, max_value=5).flatmap(
     lambda n: st.lists(st.sampled_from("ab"), min_size=n, max_size=n).map("".join)
@@ -111,6 +112,18 @@ def test_euler_numbers_vs_enumeration():
     assert euler_number(3) == 2
     assert euler_number(5) == 16
     assert euler_number(7) == 272
+
+
+def test_euler_numbers_are_sec_plus_tan_coefficients():
+    # [DERIVED] E_i = i! [x^i] (1 + sin x)/cos x, exact to order 40, which is
+    # past any size cap
+    T = 40
+    sin = TruncatedSeries([0 if i % 2 == 0 else Fraction((-1) ** (i // 2), math.factorial(i)) for i in range(T + 1)])
+    cos = TruncatedSeries([0 if i % 2 else Fraction((-1) ** (i // 2), math.factorial(i)) for i in range(T + 1)])
+    f = (1 + sin) * pow_rational(cos, -1)
+    assert [euler_number(i) for i in range(T + 1)] == [f[i] * math.factorial(i) for i in range(T + 1)]
+    with pytest.raises(ValueError):
+        euler_number(-1)
 
 
 def test_eulerian_product_word():

@@ -17,12 +17,15 @@ are checked against moves that canonicalize the whole element.
 from functools import lru_cache
 
 import pytest
+from oracles import canonical_partition, extended_to_dowling, make_dowling
 
 from expdowling import cli, structures
 from expdowling.structures import (
     BlockCode,
     DowlingElement,
+    ExtendedCode,
     GuardError,
+    _blocks,
     _dowling_elements,
     adjoin_zero,
     ambient_dowling,
@@ -32,11 +35,9 @@ from expdowling.structures import (
     build_partition_lattice,
     build_Q_r,
     build_r_divisible,
-    canonical_partition,
     dowling_to_extended,
     induce_from_ambient,
     induced_subposet,
-    make_dowling,
     partition_leq,
     set_partitions,
 )
@@ -240,43 +241,54 @@ def grown_shape(built):
 
 
 def extended_seeds(m, r, j):
+    """The partitions that the seeds of D^(r,(j or r)-1) at s = 1 stand for:
+    the minimal elements of Pi_m^{r,j}."""
     return [dowling_to_extended(x, m) for x in _dowling_elements(m - 1, 1, ((j or r) - 1,), (r,))]
+
+
+def r_blocks(m, r):
+    return list(_blocks(tuple(range(1, m + 1)), (r,)))
 
 
 def singletons(n):
     return tuple((e,) for e in range(1, n + 1))
 
 
-# (name, build, BlockCode arguments, seeds, tuple moves) of every grown
-# family on the grid: pi for m <= 7, dowling for n <= 4 and s <= 3, and pi-r,
-# pi-rj, q-r and d-rk for r*n + k <= 6 (m <= 6) and s <= 2; then three
-# families whose code fields are wider than a byte
+# (name, build, the code the build grows and decodes with, seeds, tuple
+# moves) of every grown family on the grid: pi for m <= 7, dowling for n <= 4
+# and s <= 3, and pi-r, pi-rj, q-r and d-rk for r*n + k <= 6 (m <= 6) and
+# s <= 2; then three families whose code fields are wider than a byte.
+# pi-r and q-r are Q_m^{r, 2r, ...}, grown from partitions into r-blocks;
+# pi-rj is grown in the code of D^(r,(j or r)-1) at s = 1 and read through
+# the bijection, so its oracle grows the partitions from the seeds' images.
 GROWN = (
-    [(f"pi{m}", lambda m=m: build_partition_lattice(m), (m, 1, False),
+    [(f"pi{m}", lambda m=m: build_partition_lattice(m), lambda m=m: BlockCode(m, 1, False),
       [singletons(m)], partition_covers) for m in range(1, 8)]
-    + [(f"dowling{n},{s}", lambda n=n, s=s: build_dowling_lattice(n, s), (n, s, True),
+    + [(f"dowling{n},{s}", lambda n=n, s=s: build_dowling_lattice(n, s),
+        lambda n=n, s=s: BlockCode(n, s, True),
         [DowlingElement((), tuple((b, (0,)) for b in singletons(n)))],
         lambda x, s=s: dowling_covers(x, s))
        for n in range(0, 5) for s in (1, 2, 3)]
-    + [(f"pi-r{m},{r}", lambda m=m, r=r: build_r_divisible(m, r), (m, 1, False),
-        extended_seeds(m, r, r), partition_covers)
+    + [(f"pi-r{m},{r}", lambda m=m, r=r: build_r_divisible(m, r), lambda m=m: BlockCode(m, 1, False),
+        r_blocks(m, r), partition_covers)
        for m in range(1, 7) for r in range(1, m + 1) if m % r == 0]
-    + [(f"pi-rj{m},{r},{j}", lambda m=m, r=r, j=j: build_extended(m, r, j), (m, 1, False),
+    + [(f"pi-rj{m},{r},{j}", lambda m=m, r=r, j=j: build_extended(m, r, j), lambda m=m: ExtendedCode(m),
         extended_seeds(m, r, j), partition_covers)
        for m in range(1, 7) for r in range(1, m + 1) for j in range(m % r, m + 1, r)]
-    + [(f"q-r{n},{r}", lambda n=n, r=r: build_Q_r(n, r), (r * n, 1, False),
-        extended_seeds(r * n, r, r), partition_covers)
+    + [(f"q-r{n},{r}", lambda n=n, r=r: build_Q_r(n, r), lambda n=n, r=r: BlockCode(r * n, 1, False),
+        r_blocks(r * n, r), partition_covers)
        for r in range(1, 7) for n in range(1, 6 // r + 1)]
     + [(f"d-rk{n},{r},{k},{s}", lambda n=n, r=r, k=k, s=s: build_D_rk(n, r, k, s),
-        (r * n + k, s, True), list(_dowling_elements(r * n + k, s, (k,), (r,))),
+        lambda n=n, r=r, k=k, s=s: BlockCode(r * n + k, s, True),
+        list(_dowling_elements(r * n + k, s, (k,), (r,))),
         lambda x, s=s: dowling_covers(x, s))
        for n, r, k, s in D_RK]
-    + [("dowling2,300", lambda: build_dowling_lattice(2, 300), (2, 300, True),
+    + [("dowling2,300", lambda: build_dowling_lattice(2, 300), lambda: BlockCode(2, 300, True),
         [DowlingElement((), (((1,), (0,)), ((2,), (0,))))], lambda x: dowling_covers(x, 300)),
-       ("d-rk1,2,1,100", lambda: build_D_rk(1, 2, 1, 100), (3, 100, True),
+       ("d-rk1,2,1,100", lambda: build_D_rk(1, 2, 1, 100), lambda: BlockCode(3, 100, True),
         list(_dowling_elements(3, 100, (1,), (2,))), lambda x: dowling_covers(x, 100)),
-       ("q-r1,300", lambda: build_Q_r(1, 300), (300, 1, False),
-        extended_seeds(300, 300, 300), partition_covers)]
+       ("q-r1,300", lambda: build_Q_r(1, 300), lambda: BlockCode(300, 1, False),
+        r_blocks(300, 300), partition_covers)]
 )
 
 
@@ -291,11 +303,22 @@ def test_integer_moves_match_tuple_moves(name, build):
     assert grown_shape(build()) == tuple_grown(name)
 
 
-@pytest.mark.parametrize("name,args", [(g[0], g[2]) for g in GROWN], ids=[g[0] for g in GROWN])
-def test_decode_inverts_encode(name, args):
-    code = BlockCode(*args)
+@pytest.mark.parametrize("name,make_code", [(g[0], g[2]) for g in GROWN], ids=[g[0] for g in GROWN])
+def test_decode_inverts_encode(name, make_code):
+    code = make_code()
     for x in tuple_grown(name)[0]:
-        assert code.decode(code.encode(x)) == x
+        # ExtendedCode encodes the Dowling element that partition x stands for
+        coded = extended_to_dowling(x, code.n + 1) if isinstance(code, ExtendedCode) else x
+        assert code.decode(code.encode(coded)) == x
+
+
+@pytest.mark.parametrize("m,r,j", EXTENDED)
+def test_extended_is_D_rk_read_through_the_bijection(m, r, j):
+    k = (j or r) - 1
+    extended, dowling = build_extended(m, r, j), build_D_rk((m - 1 - k) // r, r, k, 1)
+    assert extended.codes == dowling.codes
+    assert extended.poset.covers_up == dowling.poset.covers_up
+    assert extended.elements == tuple(dowling_to_extended(x, m) for x in dowling.elements)
 
 
 def test_wide_fields_are_exercised():
@@ -308,6 +331,15 @@ def test_wide_fields_are_exercised():
 def test_decoded_blocks_are_shared():
     seen = {}
     for p in build_partition_lattice(5).elements:
+        for block in p:
+            assert seen.setdefault(block, block) is block
+
+
+def test_extended_blocks_are_shared():
+    """The block holding m is memoized by its zero block, and the others are
+    the decoded element tuples of D^(r,k)."""
+    seen = {}
+    for p in build_extended(9, 2, 3).elements:
         for block in p:
             assert seen.setdefault(block, block) is block
 

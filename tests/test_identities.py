@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from expdowling import identities
 from expdowling.identities import (
     IdentityReport,
     binomial_mu_check,
@@ -101,6 +102,16 @@ def test_rank_polynomials():
     t_values = [Fraction(v) for v in range(-1, 6)]
     assert_exact(rank_polynomial_check("partition", 1, t_values, 5))
     assert_exact(rank_polynomial_check("dowling", 2, t_values, 3))
+
+
+@pytest.mark.parametrize("family,builder", [("partition", "build_partition_lattice"),
+                                            ("dowling", "build_dowling_lattice")])
+def test_rank_polynomial_builds_each_lattice_once(monkeypatch, family, builder):
+    built = []
+    build = getattr(identities, builder)
+    monkeypatch.setattr(identities, builder, lambda n, *args: built.append(n) or build(n, *args))
+    assert_exact(rank_polynomial_check(family, 2, [Fraction(v) for v in range(-1, 7)], 4))
+    assert built == ([1, 2, 3, 4] if family == "partition" else [0, 1, 2, 3, 4])
 
 
 def test_rank_polynomial_needs_enough_samples():

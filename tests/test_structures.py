@@ -13,6 +13,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import canonical_partition, extended_to_dowling
 
 from expdowling.poset import is_lattice, mobius_table
 from expdowling.structures import (
@@ -26,7 +27,6 @@ from expdowling.structures import (
     build_r_divisible,
     build_restricted_dowling,
     build_restricted_partition,
-    canonical_partition,
     count_of_type,
     denominator_M_r,
     denominator_N_rk,
@@ -34,7 +34,6 @@ from expdowling.structures import (
     dowling_rank,
     dowling_to_extended,
     enumerate_dowling,
-    extended_to_dowling,
     partition_leq,
     set_partitions,
     type_of,

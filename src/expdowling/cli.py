@@ -155,10 +155,11 @@ def suite_rank_polynomials(ns):
 
 
 def suite_mu_series(ns):
-    out = [identities.check_mu_series_partition(ns.nmax)]
-    out.append(identities.check_mu_series_partition_r(2, ns.given_nmax or 4))
+    # Pi_n is Q^(1)_n and L_n(s) is D^(1,0)(s)
+    out = [identities.check_mu_series(1, None, 1, ns.nmax)]
+    out.append(identities.check_mu_series(2, None, 1, ns.given_nmax or 4))
     for s in ns.s_list:
-        out.append(identities.check_mu_series_dowling(s, ns.given_nmax or 4))
+        out.append(identities.check_mu_series(1, 0, s, ns.given_nmax or 4))
     return out
 
 

@@ -7,23 +7,41 @@ to one global sign (the constant epsilon), since a couple of the printed
 closed forms carry the opposite sign convention from the recursion; an
 n-dependent sign flip is always a hard mismatch.  A report passes only when
 its sign is the one expected for its identity (`EXPECTED_EPSILON`).
+
+Every Mobius generating function is one of two closed forms over coefficient
+tables a, b with a(0) = 1:
+
+- `exponential_form(a, T)` = -log sum a(n) x^n/n!, the Mobius series of an
+  exponential structure (Stanley);
+- `dowling_form(b, a, s, T)` = -(sum b(n) x^n/n!) (sum a(n) (sx)^n/n!)^(-1/s),
+  its Dowling analogue.
+
+Cor 3.4 passes a = 1/M and b = 1/N, one over the minimal-element counts of
+the family (`check_mu_series`).  Thm 4.1 and 4.2 pass a(n) = 1 on {0} and I
+and 1 - m_n elsewhere, b(n) = 1 on J and 1 - p_n elsewhere, where m_n and
+p_n sum the Mobius function of Q_n^I and R_n^{I,J}(s) (`restricted_mu_check`).
+Cor 4.3 passes the indicator tables of {0} and I and of J (`semigroup_check`).
+The printed Prop 4.5 is minus `dowling_form` of the indicator tables of
+{k, k + r, ...} and {0, r, 2r, ...} (`d_rk_rhs_series`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from . import descents
+from . import shelling
 from .poset import mobius_table
 from .series import (
     UNIT,
     DenominatorSequence,
     TruncatedSeries,
     coeff_den,
+    compose,
     cosh_series,
     exp,
     log,
@@ -34,6 +52,7 @@ from .series import (
 )
 from .structures import (
     BuiltLattice,
+    StructureType,
     adjoin_zero,
     all_types,
     build_D_rk,
@@ -132,125 +151,112 @@ def brute_mu(built: BuiltLattice) -> int:
 
 
 # ---------------------------------------------------------------------------
-# denominator sequences and closed forms
+# the two closed forms
 
 
-def M_r_sequence(r: int) -> DenominatorSequence:
-    return DenominatorSequence(f"M^({r})", lambda n: denominator_M_r(n, r))
+def exponential_form(a, T: int) -> TruncatedSeries:
+    """-log sum a(n) x^n/n!, the Mobius series of an exponential structure
+    (Stanley); `a` is a table or a function of n with a(0) = 1."""
+    return -log(series_from_table(a, UNIT, T))
 
 
-def N_rk_sequence(r: int, k: int, s: int) -> DenominatorSequence:
-    return DenominatorSequence(f"N^({r},{k})", lambda n: denominator_N_rk(n, r, k, s))
-
-
-def egf(D: DenominatorSequence, T: int, scale=1) -> TruncatedSeries:
-    """Sum of (scale*x)^n / (D(n) * n!)."""
-    f = series_from_table(lambda n: Fraction(1), D, T)
-    return f.scale_argument(scale) if scale != 1 else f
+def dowling_form(b, a, s: int, T: int) -> TruncatedSeries:
+    """-(sum b(n) x^n/n!) * (sum a(n) (sx)^n/n!)^(-1/s), the Dowling analogue
+    of `exponential_form`; a(0) = 1."""
+    A = series_from_table(a, UNIT, T).scale_argument(s)
+    return -(series_from_table(b, UNIT, T) * pow_rational(A, Fraction(-1, s)))
 
 
 def series_mu_exponential(M: DenominatorSequence, T: int) -> TruncatedSeries:
     """Closed form for the Mobius numbers of Q_n with a bottom adjoined."""
-    return -log(egf(M, T))
+    return exponential_form(lambda n: Fraction(1, M(n)), T)
 
 
 def series_mu_dowling(
     s: int, M: DenominatorSequence, N: DenominatorSequence, T: int
 ) -> TruncatedSeries:
     """Closed form for the Mobius numbers of R_n with a bottom adjoined."""
-    return -(egf(N, T) * pow_rational(egf(M, T, scale=s), Fraction(-1, s)))
+    return dowling_form(lambda n: Fraction(1, N(n)), lambda n: Fraction(1, M(n)), s, T)
 
 
 # ---------------------------------------------------------------------------
-# Mobius generating functions, brute vs closed
+# the derived families Q^(r) and D^(r,k)(s)
 
 
-def check_mu_series_partition(n_max: int) -> IdentityReport:
-    report = IdentityReport("mu-series-exponential", {"family": "partition", "n_max": n_max})
-    closed = series_mu_exponential(UNIT, n_max)
-    for n in range(1, n_max + 1):
-        built = adjoin_zero(build_partition_lattice(n))
-        report.add(n, brute_mu(built), coeff_den(closed, n, UNIT))
+def _derived_family(r: int, k: Optional[int], s: int) -> tuple:
+    """(its family in the mu-series report, its family in the minimal-count
+    report, n -> its n-th lattice with a 0-hat adjoined, its first n, M, N)
+    for Q^(r) (k None) or D^(r,k)(s).  N counts the minimal elements; it is
+    M for Q^(r).  Pi_n is Q^(1)_n and L_n(s) is D^(1,0)(s), where M = N = 1."""
+    M = DenominatorSequence(f"M^({r})", lambda n: denominator_M_r(n, r))
+    if k is None:
+        label = "partition" if r == 1 else f"partition^({r})"
+        return label, f"Q^({r})", lambda n: adjoin_zero(build_Q_r(n, r)), 1, M, M
+    N = DenominatorSequence(f"N^({r},{k})", lambda n: denominator_N_rk(n, r, k, s))
+    label = f"D^({r},{k})(s={s})"
+    series_label = f"dowling(s={s})" if (r, k) == (1, 0) else label
+    return series_label, label, lambda n: build_D_rk(n, r, k, s), 0, M, N
+
+
+def check_mu_series(r: int, k: Optional[int], s: int, n_max: int) -> IdentityReport:
+    """Cor 3.4: mu(0-hat, 1-hat) of each lattice of Q^(r) (k None) or
+    D^(r,k)(s) against the coefficients of `series_mu_exponential` or
+    `series_mu_dowling`."""
+    label, _, build, first, M, N = _derived_family(r, k, s)
+    if k is None:
+        name, closed = "mu-series-exponential", series_mu_exponential(M, n_max)
+    else:
+        name, closed = "mu-series-dowling", series_mu_dowling(s, M, N, n_max)
+    report = IdentityReport(name, {"family": label, "n_max": n_max})
+    for n in range(first, n_max + 1):
+        report.add(n, brute_mu(build(n)), coeff_den(closed, n, N))
     return report
 
 
-def check_mu_series_partition_r(r: int, n_max: int) -> IdentityReport:
-    """The r-divisible family: structure index n corresponds to Pi_{rn}."""
-    M = M_r_sequence(r)
-    report = IdentityReport(
-        "mu-series-exponential", {"family": f"partition^({r})", "n_max": n_max}
-    )
-    closed = series_mu_exponential(M, n_max)
-    for n in range(1, n_max + 1):
-        built = adjoin_zero(build_Q_r(n, r))
-        report.add(n, brute_mu(built), coeff_den(closed, n, M))
-    return report
-
-
-def check_mu_series_dowling(s: int, n_max: int) -> IdentityReport:
-    report = IdentityReport("mu-series-dowling", {"family": f"dowling(s={s})", "n_max": n_max})
-    closed = series_mu_dowling(s, UNIT, UNIT, n_max)
-    for n in range(0, n_max + 1):
-        built = adjoin_zero(build_dowling_lattice(n, s))
-        report.add(n, brute_mu(built), coeff_den(closed, n, UNIT))
-    return report
-
-
-def check_mu_series_dowling_rk(r: int, k: int, s: int, n_max: int) -> IdentityReport:
-    M = M_r_sequence(r)
-    N = N_rk_sequence(r, k, s)
-    report = IdentityReport(
-        "mu-series-dowling", {"family": f"D^({r},{k})(s={s})", "n_max": n_max}
-    )
-    closed = series_mu_dowling(s, M, N, n_max)
-    for n in range(0, n_max + 1):
-        built = build_D_rk(n, r, k, s)
-        report.add(n, brute_mu(built), coeff_den(closed, n, N))
+def minimal_count_check(r: int, k: Optional[int], s: int, n_max: int) -> IdentityReport:
+    """Minimal-element counts of Q^(r) (k None) or D^(r,k)(s) against the
+    denominator formulas."""
+    _, label, build, first, _, N = _derived_family(r, k, s)
+    report = IdentityReport("minimal-count", {"family": label, "n_max": n_max})
+    for n in range(first, n_max + 1):
+        built = build(n)
+        report.add(n, len(built.poset.covers_up[built.bottom]), N(n))
     return report
 
 
 # ---------------------------------------------------------------------------
-# type census
+# type census and compositional formulas
+
+
+@lru_cache(maxsize=None)
+def _type_histogram(n: int, s: Optional[int]) -> tuple:
+    """The (type, element count) pairs of Pi_n (s None) or L_n(s), counted
+    on the built lattice, which each process builds once."""
+    built = build_partition_lattice(n) if s is None else build_dowling_lattice(n, s)
+    return tuple(Counter(type_of(x, n) for x in built.elements).items())
+
+
+def _type_sum(n: int, s: Optional[int], term: Callable) -> Fraction:
+    """The sum of term(type of x) over the elements x of Pi_n (s None) or
+    L_n(s), one term per type."""
+    return sum((count * term(t) for t, count in _type_histogram(n, s)), Fraction(0))
+
+
+def _blocks_term(f: Callable, g: Callable, t: StructureType) -> Fraction:
+    """g(number of blocks) times f(size) of each block, for a type t."""
+    term = Fraction(g(sum(t.a)))
+    for i, ai in enumerate(t.a, start=1):
+        term *= Fraction(f(i)) ** ai
+    return term
 
 
 def census_check(n: int, s: int) -> IdentityReport:
     """Per-type element counts of L_n(s): closed formula versus enumeration."""
     report = IdentityReport("type-census", {"n": n, "s": s})
-    built = build_dowling_lattice(n, s)
-    hist = {}
-    for x in built.elements:
-        t = type_of(x, n)
-        hist[t] = hist.get(t, 0) + 1
+    hist = dict(_type_histogram(n, s))
     for t in all_types(n):
-        closed = count_of_type(n, s, t)
-        report.add(f"(b={t.b}; a={t.a})", hist.get(t, 0), closed)
-    if sum(hist.values()) != built.poset.n:
-        report.notes.append("histogram does not cover the lattice")
-        report.add("total", sum(hist.values()), built.poset.n)
+        report.add(f"(b={t.b}; a={t.a})", hist.get(t, 0), count_of_type(n, s, t))
     return report
-
-
-def minimal_count_check(r: int, k: Optional[int], s: int, n_max: int) -> IdentityReport:
-    """Minimal-element counts of the derived families against the denominator
-    formulas (k None checks the partition family, else the Dowling family)."""
-    if k is None:
-        report = IdentityReport("minimal-count", {"family": f"Q^({r})", "n_max": n_max})
-        for n in range(1, n_max + 1):
-            built = build_Q_r(n, r)
-            report.add(n, len(built.poset.minimals), denominator_M_r(n, r))
-    else:
-        report = IdentityReport(
-            "minimal-count", {"family": f"D^({r},{k})(s={s})", "n_max": n_max}
-        )
-        for n in range(0, n_max + 1):
-            built = build_D_rk(n, r, k, s)
-            atoms = built.poset.covers_up[built.bottom]
-            report.add(n, len(atoms), denominator_N_rk(n, r, k, s))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# compositional formulas
 
 
 def compositional_check_partition(
@@ -258,27 +264,14 @@ def compositional_check_partition(
 ) -> IdentityReport:
     """Type-sum h(n) over Pi_n versus the coefficient of G(F(x))."""
     report = IdentityReport("compositional-partition", {"n_max": n_max})
-    T = n_max
-    F = TruncatedSeries(
-        [0] + [Fraction(f(n), math.factorial(n)) for n in range(1, T + 1)]
-    )
-    G = TruncatedSeries([Fraction(g(n), math.factorial(n)) for n in range(T + 1)])
-    from .series import compose
-
-    H = compose(G, F)
+    F = series_from_table(lambda n: f(n) if n else 0, UNIT, n_max)
+    H = compose(series_from_table(g, UNIT, n_max), F)
     for n in range(0, n_max + 1):
         if n == 0:
             # the empty structure has zero blocks and contributes g(0)
             brute = Fraction(g(0))
         else:
-            built = build_partition_lattice(n)
-            brute = Fraction(0)
-            for x in built.elements:
-                t = type_of(x, n)
-                term = Fraction(g(sum(t.a)))
-                for i, ai in enumerate(t.a, start=1):
-                    term *= Fraction(f(i)) ** ai
-                brute += term
+            brute = _type_sum(n, None, lambda t: _blocks_term(f, g, t))
         report.add(n, brute, coeff_den(H, n, UNIT))
     return report
 
@@ -288,24 +281,11 @@ def compositional_check_dowling(
 ) -> IdentityReport:
     """Type-sum h(n) over L_n(s) versus the coefficient of K(x)*G(1/s*F(s*x))."""
     report = IdentityReport("compositional-dowling", {"s": s, "n_max": n_max})
-    T = n_max
-    F = TruncatedSeries(
-        [0] + [Fraction(f(n), math.factorial(n)) for n in range(1, T + 1)]
-    )
-    G = TruncatedSeries([Fraction(g(n), math.factorial(n)) for n in range(T + 1)])
-    K = TruncatedSeries([Fraction(k(n), math.factorial(n)) for n in range(T + 1)])
-    from .series import compose
-
+    F = series_from_table(lambda n: f(n) if n else 0, UNIT, n_max)
+    G, K = series_from_table(g, UNIT, n_max), series_from_table(k, UNIT, n_max)
     H = K * compose(G, F.scale_argument(s) * Fraction(1, s))
     for n in range(0, n_max + 1):
-        built = build_dowling_lattice(n, s)
-        brute = Fraction(0)
-        for x in built.elements:
-            t = type_of(x, n)
-            term = Fraction(k(t.b)) * Fraction(g(sum(t.a)))
-            for i, ai in enumerate(t.a, start=1):
-                term *= Fraction(f(i)) ** ai
-            brute += term
+        brute = _type_sum(n, s, lambda t: Fraction(k(t.b)) * _blocks_term(f, g, t))
         report.add(n, brute, coeff_den(H, n, UNIT))
     return report
 
@@ -349,13 +329,14 @@ def rank_polynomial_check(
             hist = corank_census(build_partition_lattice(n))
             censuses.append({c + 1: count for c, count in hist.items()})
     T = n_max
-    inner = egf(UNIT, T) - 1  # sum_{n>=1} x^n/n!
+    e_x = series_from_table(lambda n: 1, UNIT, T)
+    inner = e_x - 1  # sum_{n>=1} x^n/n!
     for t in t_values:
         t = Fraction(t)
         if family == "partition":
             closed = exp(inner * t)
         else:
-            closed = egf(UNIT, T) * exp(inner.scale_argument(s) * (t / s))
+            closed = e_x * exp(inner.scale_argument(s) * (t / s))
         for n, census in enumerate(censuses):
             value = sum(count * t**e for e, count in census.items())
             report.add(f"n={n},t={t}", value, coeff_den(closed, n, UNIT))
@@ -379,61 +360,50 @@ def _restricted_mu(n: int, s: int, I: frozenset, J: Optional[frozenset]):
     return mu_value, sum(table.values())
 
 
+def _restricted_rows(report, I, J, s, closed: TruncatedSeries, side: str = "") -> None:
+    """Rows n = 0..T (labelled n, or "side:n"): mu(Q_n^I) (J None) or
+    mu(R_n^{I,J}(s)) over n!, 0 off I (or J), against the coefficient of x^n
+    in `closed`."""
+    for n in range(closed.order + 1):
+        mu = _restricted_mu(n, s, I, J)[0] if n in (I if J is None else J) else 0
+        report.add(f"{side}:{n}" if side else n, Fraction(mu, math.factorial(n)), closed[n])
+
+
 def restricted_mu_check(
     I: frozenset, J: Optional[frozenset], s: int, n_max: int
 ) -> IdentityReport:
     """Restricted Mobius generating-function identity, coefficientwise.
 
-    With J None this is the exponential-structure identity over Pi; with J it
-    is the Dowling-structure identity over L_n(s)."""
+    With J None this is the exponential-structure identity over Pi (Thm 4.1);
+    with J it is the Dowling-structure identity over L_n(s) (Thm 4.2)."""
     I = frozenset(I)
-    mu_I = {}
-    m = {}
-    for n in range(1, n_max + 1):
-        mu_I[n], m[n] = _restricted_mu(n, 1, I, None)
 
-    inner_M = series_from_table(
-        lambda n: Fraction(1) if (n == 0 or n in I) else Fraction(1) - m[n],
-        UNIT,
-        n_max,
-    )
+    def a(n):  # 1 on {0} and I, else 1 - m_n, the Mobius sum of Q_n^I
+        return 1 if n == 0 or n in I else 1 - _restricted_mu(n, 1, I, None)[1]
+
     if J is None:
         report = IdentityReport("restricted-mu", {"I": sorted(I), "n_max": n_max})
-        lhs = series_from_table(
-            lambda n: Fraction(mu_I[n]) if n in I else Fraction(0), UNIT, n_max
-        )
-        rhs = -log(inner_M)
-        for n in range(0, n_max + 1):
-            report.add(n, lhs[n], rhs[n])
+        _restricted_rows(report, I, None, 1, exponential_form(a, n_max))
         return report
 
     J = frozenset(J)
     report = IdentityReport(
         "restricted-mu-dowling", {"I": sorted(I), "J": sorted(J), "s": s, "n_max": n_max}
     )
-    mu_IJ = {}
-    p = {}
-    for n in range(0, n_max + 1):
-        mu_IJ[n], p[n] = _restricted_mu(n, s, I, J)
-    lhs = series_from_table(
-        lambda n: Fraction(mu_IJ[n]) if n in J else Fraction(0), UNIT, n_max
-    )
-    numerator = series_from_table(
-        lambda n: Fraction(-1) if n in J else Fraction(p[n]) - 1, UNIT, n_max
-    )
-    rhs = numerator * pow_rational(
-        inner_M.scale_argument(s), Fraction(-1, s)
-    )
-    for n in range(0, n_max + 1):
-        report.add(n, lhs[n], rhs[n])
+
+    def b(n):  # 1 on J, else 1 - p_n, the Mobius sum of R_n^{I,J}(s)
+        return 1 if n in J else 1 - _restricted_mu(n, s, I, J)[1]
+
+    _restricted_rows(report, I, J, s, dowling_form(b, a, s, n_max))
     return report
 
 
 def semigroup_check(
     I: frozenset, J: frozenset, s: int, n_max: int, window: int
 ) -> IdentityReport:
-    """The semigroup specialization: closure hypotheses are verified on the
-    finite window first, then both closed forms are checked coefficientwise."""
+    """The semigroup specialization (Cor 4.3): closure hypotheses are verified
+    on the finite window first, then both closed forms are checked
+    coefficientwise, over the indicator tables of {0} + I and of J."""
     I, J = frozenset(I), frozenset(J)
     problem = semigroup_violation(I, J, window)
     if problem:
@@ -445,43 +415,15 @@ def semigroup_check(
     # mechanism from the proof: the restricted posets vanish off the index sets
     for n in range(1, n_max + 1):
         if n not in I:
-            _, m_n = _restricted_mu(n, 1, frozenset(I), None)
+            _, m_n = _restricted_mu(n, 1, I, None)
             if m_n != 1:
                 report.notes.append(f"Q_{n}^I unexpectedly nonempty (m_n={m_n})")
 
-    lhs_q = series_from_table(
-        lambda n: Fraction(_restricted_mu(n, 1, I, None)[0]) if n in I else Fraction(0),
-        UNIT,
-        n_max,
-    )
-    rhs_q = -log(
-        series_from_table(
-            lambda n: Fraction(1) if (n == 0 or n in I) else Fraction(0), UNIT, n_max
-        )
-    )
-    for n in range(0, n_max + 1):
-        report.add(f"Q:{n}", lhs_q[n], rhs_q[n])
+    def a(n):
+        return int(n == 0 or n in I)
 
-    lhs_r = series_from_table(
-        lambda n: Fraction(_restricted_mu(n, s, I, J)[0]) if n in J else Fraction(0),
-        UNIT,
-        n_max,
-    )
-    rhs_r = -(
-        series_from_table(
-            lambda n: Fraction(1) if n in J else Fraction(0), UNIT, n_max
-        )
-        * pow_rational(
-            series_from_table(
-                lambda n: Fraction(1) if (n == 0 or n in I) else Fraction(0),
-                UNIT,
-                n_max,
-            ).scale_argument(s),
-            Fraction(-1, s),
-        )
-    )
-    for n in range(0, n_max + 1):
-        report.add(f"R:{n}", lhs_r[n], rhs_r[n])
+    _restricted_rows(report, I, None, 1, exponential_form(a, n_max), "Q")
+    _restricted_rows(report, I, J, s, dowling_form(lambda n: int(n in J), a, s, n_max), "R")
     return report
 
 
@@ -490,15 +432,12 @@ def semigroup_check(
 
 
 def d_rk_rhs_series(r: int, k: int, s: int, T: int) -> TruncatedSeries:
-    """The printed closed form: (sum x^{rn+k}/(rn+k)!)*(sum (sx)^{rn}/(rn)!)^{-1/s}."""
-    left = TruncatedSeries(
-        Fraction(1, math.factorial(n)) if n >= k and (n - k) % r == 0 else 0
-        for n in range(T + 1)
+    """The printed closed form (sum x^{rn+k}/(rn+k)!)*(sum (sx)^{rn}/(rn)!)^{-1/s}:
+    minus `dowling_form` of the indicator tables of {k, k+r, ...} and
+    {0, r, 2r, ...}."""
+    return -dowling_form(
+        lambda n: int(n >= k and (n - k) % r == 0), lambda n: int(n % r == 0), s, T
     )
-    right = TruncatedSeries(
-        Fraction(s**n, math.factorial(n)) if n % r == 0 else 0 for n in range(T + 1)
-    )
-    return left * pow_rational(right, Fraction(-1, s))
 
 
 def d_rk_series_check(r: int, k: int, s: int, max_rnk: int) -> IdentityReport:
@@ -564,8 +503,7 @@ def mu_descent_check(r: int, k: int, n: int) -> IdentityReport:
     m = r * n + k + 1
     report = IdentityReport("mu-descent", {"r": r, "k": k, "n": n, "m": m})
     built = build_extended(m, r, k + 1)
-    word = descents.eulerian_product_word(r, n, "a" * (k - 1))
-    closed = (-1) ** n * descents.des_count(word)
+    closed = (-1) ** n * shelling.descent_class_size(m, r, k + 1)
     report.add(f"m={m}", brute_mu(built), closed)
     if report.epsilon == -1:
         report.notes.append("brute sign is (-1)^(n+1), opposite to the printed (-1)^n")

@@ -41,13 +41,13 @@ def test_criterion_1_census():
 
 def test_criterion_2_mu_series():
     start = time.monotonic()
-    r = identities.check_mu_series_partition(7)
+    r = identities.check_mu_series(1, None, 1, 7)
     assert_exact(r)
     assert r.epsilon == 1
-    r = identities.check_mu_series_partition_r(2, 4)
+    r = identities.check_mu_series(2, None, 1, 4)
     assert_exact(r)
     for s in (1, 2, 3):
-        r = identities.check_mu_series_dowling(s, 4)
+        r = identities.check_mu_series(1, 0, s, 4)
         assert_exact(r)
         assert r.epsilon == 1
     elapsed = time.monotonic() - start

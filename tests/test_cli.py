@@ -271,15 +271,29 @@ def test_default_guard_admits_pi_10_r_2(capsys):
     assert out.strip() == "-7936"
 
 
+# sha256 of the stdout of `verify all` in each format
+VERIFY_ALL_DIGESTS = {
+    "json": "7df30235a83ab3f65a19fb4d9fcd0f983fcb744c403046cc3ebcb2475664040e",
+    "csv": "21dfe2aff04f9e50f73a6ef3e2680e8d0dd676b7a0b7dff1dcf5c0d7ae5054cf",
+}
+
+
 def test_verify_all_end_to_end(capsys):
     code, out = run(capsys, "verify", "all")
     assert code == EXIT_OK
     results = json.loads(out)["results"]
     assert len(results) == 75
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS["json"]
     assert all(r["verdict"] != "mismatch" for r in results)
     flipped = {r["identity"] for r in results if r["epsilon"] == -1}
     assert flipped == {"d-rk-series", "mu-descent"}
     assert all(r["epsilon"] == 1 for r in results if r["identity"] not in flipped)
+
+
+def test_verify_all_csv_digest(capsys):
+    code, out = run(capsys, "verify", "all", "--format", "csv")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS["csv"]
 
 
 BASE_ARGV = {

@@ -9,6 +9,7 @@ constant sign epsilon = -1 relative to the brute values, recorded in the
 reports, never silently corrected.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,21 +20,31 @@ from expdowling.identities import (
     binomial_mu_check,
     brute_mu,
     census_check,
-    check_mu_series_dowling,
-    check_mu_series_dowling_rk,
-    check_mu_series_partition,
-    check_mu_series_partition_r,
+    check_mu_series,
     compositional_check_dowling,
     compositional_check_partition,
+    d_rk_rhs_series,
     d_rk_series_check,
+    dowling_form,
+    exponential_form,
     hyperbolic_series_check,
     minimal_count_check,
     mu_descent_check,
     rank_polynomial_check,
     restricted_mu_check,
     semigroup_check,
+    series_mu_dowling,
+    series_mu_exponential,
     theorem_j1_check,
 )
+from expdowling.series import (
+    DenominatorSequence,
+    TruncatedSeries,
+    log,
+    pow_rational,
+    series_from_table,
+)
+from expdowling.structures import denominator_M_r, denominator_N_rk
 
 
 def assert_exact(report):
@@ -66,21 +77,42 @@ def test_minimal_counts():
 
 
 def test_mu_series_partition():
-    assert_exact(check_mu_series_partition(6))
+    assert_exact(check_mu_series(1, None, 1, 6))
 
 
 def test_mu_series_partition_r():
-    assert_exact(check_mu_series_partition_r(2, 3))
+    assert_exact(check_mu_series(2, None, 1, 3))
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_mu_series_dowling(s):
-    assert_exact(check_mu_series_dowling(s, 3))
+    assert_exact(check_mu_series(1, 0, s, 3))
 
 
 @pytest.mark.parametrize("r,k,s", [(2, 1, 1), (2, 0, 2), (1, 1, 2)])
 def test_mu_series_dowling_rk(r, k, s):
-    assert_exact(check_mu_series_dowling_rk(r, k, s, 2))
+    assert_exact(check_mu_series(r, k, s, 2))
+
+
+def test_type_histogram_builds_each_lattice_once(monkeypatch):
+    identities._type_histogram.cache_clear()
+    built = []
+    for name in ("build_partition_lattice", "build_dowling_lattice"):
+        build = getattr(identities, name)
+        monkeypatch.setattr(
+            identities, name, lambda n, *args, build=build: built.append((n, *args)) or build(n, *args)
+        )
+    f = {n: n * n - 2 for n in range(5)}
+    g = {n: 3 - n for n in range(5)}
+    k = {n: 2 - n for n in range(5)}
+    for _ in range(3):
+        for n in (1, 2, 3):
+            assert_exact(census_check(n, 2))
+        assert_exact(compositional_check_partition(f.__getitem__, g.__getitem__, 4))
+        assert_exact(
+            compositional_check_dowling(f.__getitem__, g.__getitem__, k.__getitem__, 2, 3)
+        )
+    assert sorted(built) == [(0, 2), (1,), (1, 2), (2,), (2, 2), (3,), (3, 2), (4,)]
 
 
 def test_compositional_partition():
@@ -176,6 +208,17 @@ def test_mu_descent_values():
     assert report.passed
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_mu_descent_without_zero_block(r):
+    # k = 0 is Pi_{rn+1}^{r,1}: mu vanishes for n >= 1 (Thm 5.5), and no
+    # permutation of S_{rn} ending in rn + 1 exists
+    for n in range(4):
+        report = mu_descent_check(r, 0, n)
+        assert report.passed, report.to_json_dict()
+        _, brute, closed = report.rows[0]
+        assert (brute, closed) == ((-1, 1) if n == 0 else (0, 0))
+
+
 def test_j1_vanishing():
     for r, n in [(2, 1), (2, 2), (3, 1)]:
         report = theorem_j1_check(r, n)
@@ -194,3 +237,37 @@ def test_report_passes_only_with_expected_sign():
     zero = IdentityReport("d-rk-series", {})
     zero.add(0, 0, 0)
     assert zero.passed
+
+
+def test_exponential_form_of_exp_x():
+    assert exponential_form(lambda n: 1, 5).coeffs == (0, -1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_dowling_form_gives_the_printed_prop_4_5(r):
+    T = 10
+    for k in range(4):
+        for s in range(1, 4):
+            left = TruncatedSeries(
+                Fraction(1, math.factorial(n)) if n >= k and (n - k) % r == 0 else 0
+                for n in range(T + 1)
+            )
+            right = TruncatedSeries(
+                Fraction(s**n, math.factorial(n)) if n % r == 0 else 0 for n in range(T + 1)
+            )
+            printed = left * pow_rational(right, Fraction(-1, s))
+            assert d_rk_rhs_series(r, k, s, T).coeffs == printed.coeffs
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_two_forms_give_the_cor_3_4_series(r):
+    T = 8
+    M = DenominatorSequence(f"M^({r})", lambda n: denominator_M_r(n, r))
+    E_M = series_from_table(lambda n: 1, M, T)
+    assert series_mu_exponential(M, T).coeffs == (-log(E_M)).coeffs
+    for k in range(3):
+        for s in (1, 2, 3):
+            N = DenominatorSequence(f"N^({r},{k})", lambda n: denominator_N_rk(n, r, k, s))
+            E_N = series_from_table(lambda n: 1, N, T)
+            closed = -(E_N * pow_rational(E_M.scale_argument(s), Fraction(-1, s)))
+            assert series_mu_dowling(s, M, N, T).coeffs == closed.coeffs

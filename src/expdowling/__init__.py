@@ -3,7 +3,7 @@ Mobius computations, generating function identities, descent statistics, and
 EL-labelings, all over rational arithmetic."""
 
 from .poset import Poset, mobius, mobius_table
-from .series import DenominatorSequence, TruncatedSeries
+from .series import TruncatedSeries
 from .structures import (
     BuiltLattice,
     DowlingElement,
@@ -15,7 +15,6 @@ __all__ = [
     "Poset",
     "mobius",
     "mobius_table",
-    "DenominatorSequence",
     "TruncatedSeries",
     "BuiltLattice",
     "DowlingElement",

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, descents, identities, shelling, structures
-from .series import UNIT, coeff_den
+from .series import coeff_den
 from .structures import GUARD, DowlingElement, GuardError, ParameterError
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
@@ -244,8 +244,7 @@ def suite_cor56(ns):
     report = identities.IdentityReport("r-divisible-euler", {})
     for n in (1, 2):
         m = 2 * n + 2
-        check = identities.mu_descent_check(2, 1, n)
-        _, brute, _ = check.rows[0]
+        brute = identities.extended_mu(m, 2, 2)
         report.add(f"m={m}", abs(brute), descents.euler_number(2 * n + 1))
     return [report]
 
@@ -428,7 +427,8 @@ def _undefined_mu(ns):
             and structures.lacks_unique_top(ns.n, ns.I, ns.J, ns.s)):
         return f"R_{ns.n}^(I,J)({ns.s}) has more than one maximal element"
     if ns.family == "q-r" and None not in (ns.n, ns.r) and min(ns.n, ns.r) >= 2:
-        return f"Q^({ns.r})_{ns.n} has {structures.denominator_M_r(ns.n, ns.r)} minimal elements"
+        count = structures.denominator_N_rk(ns.n, ns.r, 0, 1)
+        return f"Q^({ns.r})_{ns.n} has {count} minimal elements"
     return None
 
 
@@ -441,15 +441,15 @@ def cmd_mobius(ns) -> int:
 
 
 SERIES = {
-    "cor3.4-exponential": lambda ns: identities.series_mu_exponential(UNIT, ns.T),
-    "cor3.4-dowling": lambda ns: identities.series_mu_dowling(ns.s, UNIT, UNIT, ns.T),
+    "cor3.4-exponential": lambda ns: identities.exponential_form(lambda n: 1, ns.T),
+    "cor3.4-dowling": lambda ns: identities.dowling_form(lambda n: 1, lambda n: 1, ns.s, ns.T),
     "prop4.5": lambda ns: identities.d_rk_rhs_series(ns.r, ns.k, ns.s, ns.T),
 }
 
 
 def cmd_series(ns) -> int:
     f = SERIES[ns.name](ns)
-    print(", ".join(str(coeff_den(f, n, UNIT)) for n in range(ns.T + 1)))
+    print(", ".join(str(coeff_den(f, n)) for n in range(ns.T + 1)))
     return EXIT_OK
 
 

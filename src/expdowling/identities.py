@@ -17,9 +17,11 @@ tables a, b with a(0) = 1:
   its Dowling analogue.
 
 Cor 3.4 passes a = 1/M and b = 1/N, one over the minimal-element counts of
-the family (`check_mu_series`).  Thm 4.1 and 4.2 pass a(n) = 1 on {0} and I
-and 1 - m_n elsewhere, b(n) = 1 on J and 1 - p_n elsewhere, where m_n and
-p_n sum the Mobius function of Q_n^I and R_n^{I,J}(s) (`restricted_mu_check`).
+the family (`check_mu_series`); M and N count the elements of one type of
+L_n(s), by the formula of Lemma 2.1 / Prop 3.2 (`denominator_N_rk`).  Thm 4.1
+and 4.2 pass a(n) = 1 on {0} and I and 1 - m_n elsewhere, b(n) = 1 on J and
+1 - p_n elsewhere, where m_n and p_n sum the Mobius function of Q_n^I and
+R_n^{I,J}(s) (`restricted_mu_check`).
 Cor 4.3 passes the indicator tables of {0} and I and of J (`semigroup_check`).
 The printed Prop 4.5 is minus `dowling_form` of the indicator tables of
 {k, k + r, ...} and {0, r, 2r, ...} (`d_rk_rhs_series`).
@@ -37,8 +39,6 @@ from typing import Callable, Optional
 from . import shelling
 from .poset import mobius_table
 from .series import (
-    UNIT,
-    DenominatorSequence,
     TruncatedSeries,
     coeff_den,
     compose,
@@ -63,7 +63,6 @@ from .structures import (
     build_restricted_dowling,
     build_restricted_partition,
     count_of_type,
-    denominator_M_r,
     denominator_N_rk,
     semigroup_violation,
     type_of,
@@ -157,26 +156,14 @@ def brute_mu(built: BuiltLattice) -> int:
 def exponential_form(a, T: int) -> TruncatedSeries:
     """-log sum a(n) x^n/n!, the Mobius series of an exponential structure
     (Stanley); `a` is a table or a function of n with a(0) = 1."""
-    return -log(series_from_table(a, UNIT, T))
+    return -log(series_from_table(a, T))
 
 
 def dowling_form(b, a, s: int, T: int) -> TruncatedSeries:
     """-(sum b(n) x^n/n!) * (sum a(n) (sx)^n/n!)^(-1/s), the Dowling analogue
     of `exponential_form`; a(0) = 1."""
-    A = series_from_table(a, UNIT, T).scale_argument(s)
-    return -(series_from_table(b, UNIT, T) * pow_rational(A, Fraction(-1, s)))
-
-
-def series_mu_exponential(M: DenominatorSequence, T: int) -> TruncatedSeries:
-    """Closed form for the Mobius numbers of Q_n with a bottom adjoined."""
-    return exponential_form(lambda n: Fraction(1, M(n)), T)
-
-
-def series_mu_dowling(
-    s: int, M: DenominatorSequence, N: DenominatorSequence, T: int
-) -> TruncatedSeries:
-    """Closed form for the Mobius numbers of R_n with a bottom adjoined."""
-    return dowling_form(lambda n: Fraction(1, N(n)), lambda n: Fraction(1, M(n)), s, T)
+    A = series_from_table(a, T).scale_argument(s)
+    return -(series_from_table(b, T) * pow_rational(A, Fraction(-1, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +174,19 @@ def _derived_family(r: int, k: Optional[int], s: int) -> tuple:
     """(its family in the mu-series report, its family in the minimal-count
     report, n -> its n-th lattice with a 0-hat adjoined, its first n, M, N)
     for Q^(r) (k None) or D^(r,k)(s).  N counts the minimal elements; it is
-    M for Q^(r).  Pi_n is Q^(1)_n and L_n(s) is D^(1,0)(s), where M = N = 1."""
-    M = DenominatorSequence(f"M^({r})", lambda n: denominator_M_r(n, r))
+    M = N^(r,0) at s = 1 for Q^(r).  Pi_n is Q^(1)_n and L_n(s) is
+    D^(1,0)(s), where M = N = 1."""
+
+    def M(n):
+        return denominator_N_rk(n, r, 0, 1)
+
     if k is None:
         label = "partition" if r == 1 else f"partition^({r})"
         return label, f"Q^({r})", lambda n: adjoin_zero(build_Q_r(n, r)), 1, M, M
-    N = DenominatorSequence(f"N^({r},{k})", lambda n: denominator_N_rk(n, r, k, s))
+
+    def N(n):
+        return denominator_N_rk(n, r, k, s)
+
     label = f"D^({r},{k})(s={s})"
     series_label = f"dowling(s={s})" if (r, k) == (1, 0) else label
     return series_label, label, lambda n: build_D_rk(n, r, k, s), 0, M, N
@@ -200,22 +194,26 @@ def _derived_family(r: int, k: Optional[int], s: int) -> tuple:
 
 def check_mu_series(r: int, k: Optional[int], s: int, n_max: int) -> IdentityReport:
     """Cor 3.4: mu(0-hat, 1-hat) of each lattice of Q^(r) (k None) or
-    D^(r,k)(s) against the coefficients of `series_mu_exponential` or
-    `series_mu_dowling`."""
+    D^(r,k)(s) against N(n) n! [x^n] of `exponential_form` of 1/M or
+    `dowling_form` of 1/N and 1/M."""
     label, _, build, first, M, N = _derived_family(r, k, s)
     if k is None:
-        name, closed = "mu-series-exponential", series_mu_exponential(M, n_max)
+        name = "mu-series-exponential"
+        closed = exponential_form(lambda n: Fraction(1, M(n)), n_max)
     else:
-        name, closed = "mu-series-dowling", series_mu_dowling(s, M, N, n_max)
+        name = "mu-series-dowling"
+        closed = dowling_form(
+            lambda n: Fraction(1, N(n)), lambda n: Fraction(1, M(n)), s, n_max
+        )
     report = IdentityReport(name, {"family": label, "n_max": n_max})
     for n in range(first, n_max + 1):
-        report.add(n, brute_mu(build(n)), coeff_den(closed, n, N))
+        report.add(n, brute_mu(build(n)), coeff_den(closed, n) * N(n))
     return report
 
 
 def minimal_count_check(r: int, k: Optional[int], s: int, n_max: int) -> IdentityReport:
     """Minimal-element counts of Q^(r) (k None) or D^(r,k)(s) against the
-    denominator formulas."""
+    type counts N."""
     _, label, build, first, _, N = _derived_family(r, k, s)
     report = IdentityReport("minimal-count", {"family": label, "n_max": n_max})
     for n in range(first, n_max + 1):
@@ -264,15 +262,15 @@ def compositional_check_partition(
 ) -> IdentityReport:
     """Type-sum h(n) over Pi_n versus the coefficient of G(F(x))."""
     report = IdentityReport("compositional-partition", {"n_max": n_max})
-    F = series_from_table(lambda n: f(n) if n else 0, UNIT, n_max)
-    H = compose(series_from_table(g, UNIT, n_max), F)
+    F = series_from_table(lambda n: f(n) if n else 0, n_max)
+    H = compose(series_from_table(g, n_max), F)
     for n in range(0, n_max + 1):
         if n == 0:
             # the empty structure has zero blocks and contributes g(0)
             brute = Fraction(g(0))
         else:
             brute = _type_sum(n, None, lambda t: _blocks_term(f, g, t))
-        report.add(n, brute, coeff_den(H, n, UNIT))
+        report.add(n, brute, coeff_den(H, n))
     return report
 
 
@@ -281,12 +279,12 @@ def compositional_check_dowling(
 ) -> IdentityReport:
     """Type-sum h(n) over L_n(s) versus the coefficient of K(x)*G(1/s*F(s*x))."""
     report = IdentityReport("compositional-dowling", {"s": s, "n_max": n_max})
-    F = series_from_table(lambda n: f(n) if n else 0, UNIT, n_max)
-    G, K = series_from_table(g, UNIT, n_max), series_from_table(k, UNIT, n_max)
+    F = series_from_table(lambda n: f(n) if n else 0, n_max)
+    G, K = series_from_table(g, n_max), series_from_table(k, n_max)
     H = K * compose(G, F.scale_argument(s) * Fraction(1, s))
     for n in range(0, n_max + 1):
         brute = _type_sum(n, s, lambda t: Fraction(k(t.b)) * _blocks_term(f, g, t))
-        report.add(n, brute, coeff_den(H, n, UNIT))
+        report.add(n, brute, coeff_den(H, n))
     return report
 
 
@@ -329,7 +327,7 @@ def rank_polynomial_check(
             hist = corank_census(build_partition_lattice(n))
             censuses.append({c + 1: count for c, count in hist.items()})
     T = n_max
-    e_x = series_from_table(lambda n: 1, UNIT, T)
+    e_x = series_from_table(lambda n: 1, T)
     inner = e_x - 1  # sum_{n>=1} x^n/n!
     for t in t_values:
         t = Fraction(t)
@@ -339,7 +337,7 @@ def rank_polynomial_check(
             closed = e_x * exp(inner.scale_argument(s) * (t / s))
         for n, census in enumerate(censuses):
             value = sum(count * t**e for e, count in census.items())
-            report.add(f"n={n},t={t}", value, coeff_den(closed, n, UNIT))
+            report.add(f"n={n},t={t}", value, coeff_den(closed, n))
     return report
 
 
@@ -449,9 +447,7 @@ def d_rk_series_check(r: int, k: int, s: int, max_rnk: int) -> IdentityReport:
     closed = d_rk_rhs_series(r, k, s, max_rnk)
     n = 0
     while r * n + k <= max_rnk:
-        built = build_D_rk(n, r, k, s)
-        coefficient = closed[r * n + k] * math.factorial(r * n + k)
-        report.add(n, brute_mu(built), coefficient)
+        report.add(n, brute_mu(build_D_rk(n, r, k, s)), coeff_den(closed, r * n + k))
         n += 1
     if report.epsilon == -1:
         report.notes.append(
@@ -482,10 +478,7 @@ def hyperbolic_series_check(k: int, s: int, T: int) -> IdentityReport:
     # cosh (resp. sinh) minus its first terms below x^k, leaving the tail
     # sum over n >= k, n = k mod 2, of x^n/n!
     base = cosh_series(T) if parity == 0 else sinh_series(T)
-    head = base - TruncatedSeries(
-        Fraction(1, math.factorial(n)) if n % 2 == parity and n < k else 0
-        for n in range(T + 1)
-    )
+    head = base - series_from_table(lambda n: int(n % 2 == parity and n < k), T)
     hyperbolic = head * sech_pow_series(s, T)
     generic = d_rk_rhs_series(2, k, s, T)
     for n in range(T + 1):
@@ -497,14 +490,19 @@ def hyperbolic_series_check(k: int, s: int, T: int) -> IdentityReport:
 # descent-statistic Mobius values
 
 
+@lru_cache(maxsize=None)
+def extended_mu(m: int, r: int, j: int) -> int:
+    """mu(0-hat, 1-hat) of Pi_m^{r,j}, built once per process."""
+    return brute_mu(build_extended(m, r, j))
+
+
 def mu_descent_check(r: int, k: int, n: int) -> IdentityReport:
     """Brute mu of the extended r-divisible lattice against the signed descent
     count (m = r*n + k + 1)."""
     m = r * n + k + 1
     report = IdentityReport("mu-descent", {"r": r, "k": k, "n": n, "m": m})
-    built = build_extended(m, r, k + 1)
     closed = (-1) ** n * shelling.descent_class_size(m, r, k + 1)
-    report.add(f"m={m}", brute_mu(built), closed)
+    report.add(f"m={m}", extended_mu(m, r, k + 1), closed)
     if report.epsilon == -1:
         report.notes.append("brute sign is (-1)^(n+1), opposite to the printed (-1)^n")
     return report

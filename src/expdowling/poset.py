@@ -243,52 +243,6 @@ def maximal_chains(P: Poset, x: int, y: int) -> list:
     return out
 
 
-@dataclass
-class ChainAxiomReport:
-    expected_length: int
-    chain_lengths_ok: bool
-    has_unique_maximal: bool
-    minimal_count: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.chain_lengths_ok and self.has_unique_maximal
-
-
-def check_chain_axioms(P: Poset, expected_length: int) -> ChainAxiomReport:
-    """Check that all bottom-to-top maximal chains have the expected element
-    count and that a unique maximal element exists; also reports the number of
-    minimal elements."""
-    failures = []
-    unique_max = len(P.maximals) == 1
-    if not unique_max:
-        failures.append(f"{len(P.maximals)} maximal elements")
-    lengths_ok = True
-    if unique_max and len(P.minimals) == 1:
-        chains = maximal_chains(P, P.bottom, P.top)
-        bad = {len(c) for c in chains if len(c) != expected_length}
-        if bad:
-            lengths_ok = False
-            failures.append(f"chain element counts {sorted(bad)} != {expected_length}")
-    elif unique_max:
-        top = P.top
-        for m in P.minimals:
-            bad = {len(c) for c in maximal_chains(P, m, top) if len(c) != expected_length}
-            if bad:
-                lengths_ok = False
-                failures.append(
-                    f"chains from minimal {m} have element counts {sorted(bad)}"
-                )
-    return ChainAxiomReport(
-        expected_length=expected_length,
-        chain_lengths_ok=lengths_ok,
-        has_unique_maximal=unique_max,
-        minimal_count=len(P.minimals),
-        failures=failures,
-    )
-
-
 def _heights(P: Poset) -> list:
     """Longest-chain height of every element above a minimal one; it equals
     the rank when P is graded and is strictly monotone in any poset."""

@@ -3,6 +3,8 @@
 All coefficients are `fractions.Fraction`; no floating point ever enters.
 A series of truncation order T stores coefficients of x^0 .. x^T.
 Binary operations on series of different orders truncate to the shorter one.
+Coefficient tables h enter and leave as exponential generating functions
+sum h(n) x^n/n! (`series_from_table`, `coeff_den`).
 """
 
 from __future__ import annotations
@@ -14,32 +16,6 @@ from typing import Callable, Iterable, Mapping
 
 class SeriesError(ValueError):
     pass
-
-
-class DenominatorSequence:
-    """A named map n -> positive integer, normalizing generalized EGFs.
-
-    The coefficient of x^n in the associated series shape is h(n)/(D(n)*n!).
-    """
-
-    def __init__(self, name: str, eval_fn: Callable[[int], int]):
-        self.name = name
-        self._eval = eval_fn
-
-    def __call__(self, n: int) -> int:
-        value = self._eval(n)
-        if value <= 0:
-            raise SeriesError(
-                f"denominator sequence {self.name!r} must be positive, got D({n})={value}"
-            )
-        return value
-
-    def __repr__(self):
-        return f"DenominatorSequence({self.name!r})"
-
-
-#: The trivial denominator sequence D(n) = 1 (plain exponential shape).
-UNIT = DenominatorSequence("unit", lambda n: 1)
 
 
 def _frac(value) -> Fraction:
@@ -222,11 +198,10 @@ def pow_rational(f: TruncatedSeries, q) -> TruncatedSeries:
 
 
 def series_from_table(
-    h: Mapping[int, Fraction] | Callable[[int], Fraction],
-    D: DenominatorSequence,
-    T: int,
+    h: Mapping[int, Fraction] | Callable[[int], Fraction], T: int
 ) -> TruncatedSeries:
-    """Build sum of h(n) * x^n / (D(n) * n!) for 0 <= n <= T.
+    """Build the exponential generating function sum of h(n) * x^n / n! for
+    0 <= n <= T.
 
     A missing table entry is a caller bug and raises, it is never treated as zero.
     """
@@ -239,26 +214,20 @@ def series_from_table(
             values = [h[n] for n in range(T + 1)]
         except KeyError as exc:
             raise SeriesError(f"table is missing h({exc.args[0]})") from exc
-    return TruncatedSeries(
-        Fraction(v) / (D(n) * math.factorial(n)) for n, v in enumerate(values)
-    )
+    return TruncatedSeries(Fraction(v) / math.factorial(n) for n, v in enumerate(values))
 
 
-def coeff_den(f: TruncatedSeries, n: int, D: DenominatorSequence) -> Fraction:
-    """Read h(n) back from a series of shape sum h(n) x^n/(D(n) n!)."""
-    return f[n] * D(n) * math.factorial(n)
+def coeff_den(f: TruncatedSeries, n: int) -> Fraction:
+    """Read h(n) = n! [x^n] f back from an exponential generating function."""
+    return f[n] * math.factorial(n)
 
 
 def sinh_series(T: int) -> TruncatedSeries:
-    return TruncatedSeries(
-        Fraction(1, math.factorial(n)) if n % 2 == 1 else 0 for n in range(T + 1)
-    )
+    return series_from_table(lambda n: n % 2, T)
 
 
 def cosh_series(T: int) -> TruncatedSeries:
-    return TruncatedSeries(
-        Fraction(1, math.factorial(n)) if n % 2 == 0 else 0 for n in range(T + 1)
-    )
+    return series_from_table(lambda n: 1 - n % 2, T)
 
 
 def sech_pow_series(s: int, T: int) -> TruncatedSeries:

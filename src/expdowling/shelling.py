@@ -36,19 +36,17 @@ tests.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from . import descents
 from .poset import maximal_chains, mobius_table
-from .structures import GUARD, BuiltLattice, ParameterError, build_extended
-
-
-def atom_count_closed_form(m: int, r: int, j: int) -> int:
-    n = (m - j) // r
-    return math.factorial(m - 1) // (
-        math.factorial(n) * math.factorial(r) ** n * math.factorial(j - 1)
-    )
+from .structures import (
+    GUARD,
+    BuiltLattice,
+    ParameterError,
+    build_extended,
+    denominator_N_rk,
+)
 
 
 def a_tilde(p: tuple) -> tuple:
@@ -91,10 +89,10 @@ class LabeledLattice:
         built = build_extended(m, r, j, guard=guard)
         atoms = built.poset.covers_up[built.bottom]
         ordered = sorted(atoms, key=lambda a: a_tilde(built.elements[a]))
-        expected = atom_count_closed_form(m, r, j)
+        expected = denominator_N_rk((m - j) // r, r, j - 1, 1)
         if len(ordered) != expected:
             raise RuntimeError(
-                f"atom count {len(ordered)} differs from closed form {expected}"
+                f"atom count {len(ordered)} differs from the type count {expected}"
             )
         L = cls(
             m=m,

@@ -21,7 +21,10 @@ of Thm 4.1/4.2 holds on [0, n] (`semigroup_violation`), the family is an
 upper set of Pi_n or L_n(s) and grows by cover moves from its minimal
 elements.  Q^(r)_n is Q_{rn}^I with I = {r, 2r, ...}, and Pi_m^{r,j} is
 D^(r,k) at s = 1, k = (j or r) - 1, read through the bijection
-Pi_m^{r,k+1} <-> D^(r,k) (`ExtendedCode`).
+Pi_m^{r,k+1} <-> D^(r,k) (`ExtendedCode`).  The minimal elements of
+D^(r,k)(s) are the elements of one type (k; n blocks of size r), so their
+number N^(r,k)(n), and with it M^(r)(n) and the atom count of Pi_m^{r,j},
+is a type count (`count_of_type`, `denominator_N_rk`).
 
 Growth moves ints, not tuples (`BlockCode`).  Each ground element has a
 fixed-width field of the code that holds the least element of its block
@@ -618,7 +621,9 @@ def type_of(x, n: int) -> StructureType:
 
 
 def count_of_type(n: int, s: int, t: StructureType) -> int:
-    """Number of elements of L_n(s) of the given type."""
+    """Number of elements of L_n(s) of the given type (b; a), Lemma 2.1 at
+    s = 1 and Prop 3.2: s^n n! / (s^b b! prod_i (s i!)^{a_i} a_i!).  Every
+    minimal-element and atom count of a derived family is one of these."""
     if t.weight() != n:
         raise ValueError(f"inconsistent type {t} for n={n}")
     den = s**t.b * math.factorial(t.b)
@@ -786,30 +791,15 @@ def _D_rk(size: int, r: int, k: int, s: int, guard: int) -> BuiltLattice:
 
 
 # ---------------------------------------------------------------------------
-# denominator sequences of the derived families
-
-
-def denominator_M_r(n: int, r: int) -> int:
-    """Minimal-element count M^(r)(n) of the r-divisible family over Pi."""
-    if n == 0:
-        return 1
-    value = Fraction(
-        math.factorial(r * n), math.factorial(n) * math.factorial(r) ** n
-    )
-    if value.denominator != 1:
-        raise RuntimeError(f"M^({r})({n}) is not an integer: {value}")
-    return int(value)
+# minimal-element counts of the derived families
 
 
 def denominator_N_rk(n: int, r: int, k: int, s: int) -> int:
-    """Minimal-element count N^(r,k)(n) of the (r,k) family over Dowling(s)."""
-    value = Fraction(
-        math.factorial(r * n + k) * s ** ((r - 1) * n),
-        math.factorial(k) * math.factorial(r) ** n * math.factorial(n),
-    )
-    if value.denominator != 1:
-        raise RuntimeError(f"N^({r},{k})({n}) at s={s} is not an integer: {value}")
-    return int(value)
+    """N^(r,k)(n), the minimal elements of D^(r,k)(s): the elements of
+    L_{rn+k}(s) of type (k; n blocks of size r).  At s = 1 and k = 0 it is
+    M^(r)(n), the minimal elements of Q^(r)_n; at s = 1 it is also the atom
+    count of Pi_{rn+k+1}^{r,k+1}."""
+    return count_of_type(r * n + k, s, StructureType(k, (0,) * (r - 1) + (n,)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,28 @@ def test_series_dowling_constant(capsys):
     assert out.strip() == "-1, 0, 0, 0, 0, 0"
 
 
+# the stdout of `series` at T = 10, one line each
+SERIES_LINES = [
+    pytest.param(["--name", "cor3.4-exponential"], "0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0",
+                 id="cor3.4-exponential"),
+    pytest.param(["--name", "cor3.4-dowling", "--s", "2"], "-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0",
+                 id="cor3.4-dowling-s2"),
+    pytest.param(["--name", "cor3.4-dowling", "--s", "3"], "-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0",
+                 id="cor3.4-dowling-s3"),
+    pytest.param(["--name", "prop4.5", "--r", "2", "--k", "1", "--s", "2"],
+                 "0, 1, 0, -5, 0, 121, 0, -6845, 0, 698161, 0", id="prop4.5-r2-k1-s2"),
+    pytest.param(["--name", "prop4.5", "--r", "3", "--k", "2", "--s", "3"],
+                 "0, 0, 1, 0, 0, -89, 0, 0, 83413, 0, 0", id="prop4.5-r3-k2-s3"),
+]
+
+
+@pytest.mark.parametrize("argv,line", SERIES_LINES)
+def test_series_lines_are_pinned(capsys, argv, line):
+    code, out = run(capsys, "series", *argv, "--T", "10")
+    assert code == EXIT_OK
+    assert out == line + "\n"
+
+
 def test_descents_q(capsys):
     code, out = run(capsys, "descents", "--word", "aba", "--q")
     assert code == EXIT_OK
@@ -430,6 +452,36 @@ def test_mobius_without_unique_bounds_exits_before_building(capsys, monkeypatch,
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "mu(0-hat, 1-hat) is undefined" in captured.err
+
+
+def test_q_r_message_names_the_minimal_count(capsys):
+    code = main(["mobius", "--family", "q-r", "--n", "3", "--r", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err == (
+        "invalid parameters: mu(0-hat, 1-hat) is undefined: "
+        "Q^(2)_3 has 15 minimal elements\n"
+    )
+
+
+def test_descent_suites_build_each_extended_lattice_once(capsys, monkeypatch):
+    # thm5.4 and cor5.6 both read mu of Pi_4^{2,2} and Pi_6^{2,2}
+    built = []
+
+    def counted(m, r, j, *args, **kwargs):
+        built.append((m, r, j))
+        return structures.build_extended(m, r, j, *args, **kwargs)
+
+    identities.extended_mu.cache_clear()
+    monkeypatch.setattr(identities, "build_extended", counted)
+    try:
+        assert main(["verify", "thm5.4"]) == EXIT_OK
+        assert main(["verify", "cor5.6"]) == EXIT_OK
+    finally:
+        identities.extended_mu.cache_clear()
+    capsys.readouterr()
+    assert sorted(built) == sorted(set(built))
+    assert {(4, 2, 2), (6, 2, 2)} <= set(built)
 
 
 def test_q_r_bounds_decided_before_building():

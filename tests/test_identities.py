@@ -33,18 +33,9 @@ from expdowling.identities import (
     rank_polynomial_check,
     restricted_mu_check,
     semigroup_check,
-    series_mu_dowling,
-    series_mu_exponential,
     theorem_j1_check,
 )
-from expdowling.series import (
-    DenominatorSequence,
-    TruncatedSeries,
-    log,
-    pow_rational,
-    series_from_table,
-)
-from expdowling.structures import denominator_M_r, denominator_N_rk
+from expdowling.series import TruncatedSeries, log, pow_rational
 
 
 def assert_exact(report):
@@ -261,13 +252,22 @@ def test_dowling_form_gives_the_printed_prop_4_5(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_two_forms_give_the_cor_3_4_series(r):
+    # N^(r,k)(n) = (rn + k)! s^((r-1)n) / (k! r!^n n!) and M^(r) = N^(r,0) at
+    # s = 1, written out from factorials; E_N = sum x^n / (N(n) n!)
     T = 8
-    M = DenominatorSequence(f"M^({r})", lambda n: denominator_M_r(n, r))
-    E_M = series_from_table(lambda n: 1, M, T)
-    assert series_mu_exponential(M, T).coeffs == (-log(E_M)).coeffs
+    f = math.factorial
+
+    def N_of(k, s):
+        return lambda n: Fraction(f(r * n + k) * s ** ((r - 1) * n), f(k) * f(r) ** n * f(n))
+
+    def E(N):
+        return TruncatedSeries(1 / (N(n) * f(n)) for n in range(T + 1))
+
+    M = N_of(0, 1)
+    assert exponential_form(lambda n: 1 / M(n), T).coeffs == (-log(E(M))).coeffs
     for k in range(3):
         for s in (1, 2, 3):
-            N = DenominatorSequence(f"N^({r},{k})", lambda n: denominator_N_rk(n, r, k, s))
-            E_N = series_from_table(lambda n: 1, N, T)
-            closed = -(E_N * pow_rational(E_M.scale_argument(s), Fraction(-1, s)))
-            assert series_mu_dowling(s, M, N, T).coeffs == closed.coeffs
+            N = N_of(k, s)
+            closed = -(E(N) * pow_rational(E(M).scale_argument(s), Fraction(-1, s)))
+            forms = dowling_form(lambda n: 1 / N(n), lambda n: 1 / M(n), s, T)
+            assert forms.coeffs == closed.coeffs

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from expdowling.series import (
     SeriesError,
     TruncatedSeries,
-    UNIT,
     coeff_den,
     compose,
     cosh_series,
@@ -48,10 +47,16 @@ def small_series(order=6, nonzero_const=None):
 
 
 def test_exponential_coefficients():
-    e = series_from_table(lambda n: Fraction(1), UNIT, T)
+    e = series_from_table(lambda n: Fraction(1), T)
     for n in range(T + 1):
         assert e[n] == Fraction(1, math.factorial(n))
-        assert coeff_den(e, n, UNIT) == 1
+        assert coeff_den(e, n) == 1
+
+
+def test_hyperbolic_coefficients():
+    for n in range(T + 1):
+        assert sinh_series(T)[n] == (Fraction(1, math.factorial(n)) if n % 2 else 0)
+        assert cosh_series(T)[n] == (0 if n % 2 else Fraction(1, math.factorial(n)))
 
 
 def test_geometric_inverse():
@@ -61,7 +66,7 @@ def test_geometric_inverse():
 
 
 def test_log_exp_explicit():
-    f = series_from_table(lambda n: Fraction(1), UNIT, T)
+    f = series_from_table(lambda n: Fraction(1), T)
     assert log(f) == TruncatedSeries.x(T)
     assert exp(TruncatedSeries.x(T)) == f
 
@@ -77,9 +82,9 @@ def test_tanh_two_ways():
     )
     assert tanh1 == tanh2
     # tangent numbers 1, 2, 16 at odd indices
-    assert coeff_den(tanh1, 1, UNIT) == 1
-    assert coeff_den(tanh1, 3, UNIT) == -2
-    assert coeff_den(tanh1, 5, UNIT) == 16
+    assert coeff_den(tanh1, 1) == 1
+    assert coeff_den(tanh1, 3) == -2
+    assert coeff_den(tanh1, 5) == 16
 
 
 def test_sech_pow_consistency():
@@ -91,7 +96,7 @@ def test_sech_pow_consistency():
 
 
 def test_scale_argument():
-    f = series_from_table(lambda n: Fraction(1), UNIT, T)
+    f = series_from_table(lambda n: Fraction(1), T)
     g = f.scale_argument(3)
     for n in range(T + 1):
         assert g[n] == Fraction(3**n, math.factorial(n))
@@ -121,7 +126,7 @@ def test_exp_requires_zero_constant():
 def test_missing_table_entry_raises():
     table = {n: Fraction(1) for n in range(6) if n != 3}
     with pytest.raises(SeriesError):
-        series_from_table(table, UNIT, 5)
+        series_from_table(table, 5)
 
 
 @given(small_series(), small_series(), small_series())

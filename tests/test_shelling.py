@@ -13,6 +13,7 @@ also under deliberately broken labelings.
 """
 
 import json
+import math
 
 import pytest
 
@@ -21,7 +22,6 @@ from expdowling.descents import des_count, euler_number
 from expdowling.shelling import (
     LabeledLattice,
     a_tilde,
-    atom_count_closed_form,
     descent_class_size,
     el_verify,
     f_sigma,
@@ -46,9 +46,14 @@ def test_a_tilde():
 
 
 def test_atom_count_closed_form_matches_enumeration():
+    # the atoms of Pi_m^{r,j}, m = rn + j: (m - 1)! / (n! r!^n (j - 1)!)
     for m, r, j in [(4, 2, 2), (5, 2, 3), (6, 2, 2), (7, 3, 4)]:
         L = LabeledLattice.build(m, r, j)
-        assert len(L.atom_rank_of) == atom_count_closed_form(m, r, j)
+        n = (m - j) // r
+        expected = math.factorial(m - 1) // (
+            math.factorial(n) * math.factorial(r) ** n * math.factorial(j - 1)
+        )
+        assert len(L.atom_rank_of) == expected
 
 
 def test_rising_unique_and_lex_first_small():

@@ -28,7 +28,6 @@ from expdowling.structures import (
     build_restricted_dowling,
     build_restricted_partition,
     count_of_type,
-    denominator_M_r,
     denominator_N_rk,
     dowling_leq,
     dowling_rank,
@@ -172,10 +171,24 @@ def test_minimal_element_counts():
     for n, r in [(1, 2), (2, 2), (1, 3), (4, 1)]:
         built = build_Q_r(n, r)
         mins = built.poset.minimals
-        assert len(mins) == denominator_M_r(n, r)
+        assert len(mins) == denominator_N_rk(n, r, 0, 1)
     for n, r, k, s in [(1, 2, 1, 1), (1, 2, 1, 2), (2, 2, 0, 1), (1, 1, 2, 2)]:
         built = build_D_rk(n, r, k, s)
         assert len(built.poset.covers_up[built.bottom]) == denominator_N_rk(n, r, k, s)
+
+
+def test_minimal_counts_are_the_written_out_formula():
+    # N^(r,k)(n) = (rn + k)! s^((r-1)n) / (k! r!^n n!), M^(r)(n) = N^(r,0)(n) at s = 1
+    f = math.factorial
+    for r in range(1, 6):
+        for n in range(7):
+            for k in range(5):
+                for s in range(1, 5):
+                    expected, rest = divmod(
+                        f(r * n + k) * s ** ((r - 1) * n), f(k) * f(r) ** n * f(n)
+                    )
+                    assert rest == 0
+                    assert denominator_N_rk(n, r, k, s) == expected, (n, r, k, s)
 
 
 def test_d_rk_is_upward_closed():

@@ -9,22 +9,25 @@ Elements are kept in canonical form:
   enters only through residues mod s, and the representative of the scalar
   equivalence class is fixed by giving the minimum of each block the label 0.
 
-Up to the bijection below, every family is Q_n^I, the partitions of [n]
-with block sizes in I, or R_n^{I,J}(s), the elements of L_n(s) with block
-sizes in I and a zero block of a size in J: Pi_m = Q_m^{[1,m]}, L_n(s) = R_n^{[1,n],[0,n]}(s) and
+Every family is R_n^{I,J}(s), the elements of L_n(s) with block sizes in I
+and a zero block of a size in J: L_n(s) = R_n^{[1,n],[0,n]}(s) and
 D_n^(r,k) = R_{rn+k}^{I,J}(s) with I = {r, 2r, ...}, J = {k, k + r, ...}.
-One constructor, `_restricted`, builds them, and one generator lists their
-elements: `_blocks` gives the partitions of a set into blocks with sizes in
-a given set, `_zero_and_blocks` adds a zero block with a size in another
-set, and `_dowling_elements` every labelling.  When the semigroup condition
-of Thm 4.1/4.2 holds on [0, n] (`semigroup_violation`), the family is an
-upper set of Pi_n or L_n(s) and grows by cover moves from its minimal
-elements.  Q^(r)_n is Q_{rn}^I with I = {r, 2r, ...}, and Pi_m^{r,j} is
-D^(r,k) at s = 1, k = (j or r) - 1, read through the bijection
-Pi_m^{r,k+1} <-> D^(r,k) (`ExtendedCode`).  The minimal elements of
-D^(r,k)(s) are the elements of one type (k; n blocks of size r), so their
-number N^(r,k)(n), and with it M^(r)(n) and the atom count of Pi_m^{r,j},
-is a type count (`count_of_type`, `denominator_N_rk`).
+A partition family is one at s = 1 read through the bijection
+Pi_m^{r,k+1} <-> D^(r,k), in which m joins the zero block (`PartitionCode`):
+the partitions of [m] whose block holding m has a size in K and whose other
+blocks have sizes in I are R_{m-1}^{I,K-1}(1) (`_marked`).  So Pi_m is
+L_{m-1}(1), Q_m^I (block sizes in I) is R_{m-1}^{I,I-1}(1), Q^(r)_n is
+Q_{rn}^I with I = {r, 2r, ...}, and Pi_m^{r,j} is D^(r,k) at s = 1 with
+k = (j or r) - 1.  One constructor, `_restricted`, builds them, and one
+generator lists their elements: `_blocks` gives the partitions of a set into
+blocks with sizes in a given set, `_zero_and_blocks` adds a zero block with a
+size in another set, and `_dowling_elements` every labelling.  When the
+semigroup condition of Thm 4.1/4.2 holds on [0, n] (`semigroup_violation`),
+the family is an upper set of L_n(s) and grows by cover moves from its
+minimal elements; for Q_m^I this is the condition on [0, m].  The minimal
+elements of D^(r,k)(s) are the elements of one type (k; n blocks of size r),
+so their number N^(r,k)(n), and with it M^(r)(n) and the atom count of
+Pi_m^{r,j}, is a type count (`count_of_type`, `denominator_N_rk`).
 
 Growth moves ints, not tuples (`BlockCode`).  Each ground element has a
 fixed-width field of the code that holds the least element of its block
@@ -34,7 +37,7 @@ its bits, and merging blocks i < j with shift alpha adds
 a_i * M_j + D_j[alpha], where M_j spreads a 1 over the fields of block j and
 D_j, memoized per block, relabels it.  Elements are placed in move order
 (the absorbs by block, then the merges i < j by shift), which depends on no
-hash.  A grown lattice keeps its codes, and decodes them into partitions or
+hash.  A built lattice keeps its codes, and decodes them into partitions or
 DowlingElements only when `elements` or `index` is first read, so the Mobius
 path never decodes an element.  The growth pass collects the up covers of
 each element, and its placement order is the linear extension kept beside
@@ -265,16 +268,15 @@ def _byte_tables(lead_bits: int) -> tuple:
 
 
 class BlockCode:
-    """The elements of a grown family as ints, and their cover moves as
-    integer additions.
+    """The elements of L_n(s) as ints, and their cover moves as integer
+    additions.
 
     Ground element e owns the field of `width` bits at bit offset
     width * (e - 1).  The field holds the leader of e's block (the block's
     least element; 0 for the zero block) in its low `lead_bits` bits and the
-    label of e mod s, relative to the leader, above them.  A set partition is
-    the code at s = 1 with no zero block (`zero` False) and decodes to a tuple
-    of blocks; with a zero block a code decodes to a DowlingElement.  A field
-    that fits in a byte is one byte wide, so that `int.to_bytes` and
+    label of e mod s, relative to the leader, above them.  A code decodes to
+    a DowlingElement (`PartitionCode` reads the codes at s = 1 as
+    partitions).  A field that fits in a byte is one byte wide, so that `int.to_bytes` and
     `bytes.translate` split a code into its blocks in C.
 
     A cover move adds a delta to the code.  Absorbing block j into the zero
@@ -290,8 +292,8 @@ class BlockCode:
     one shared tuple.
     """
 
-    def __init__(self, n: int, s: int, zero: bool):
-        self.n, self.s, self.zero = n, s, zero
+    def __init__(self, n: int, s: int):
+        self.n, self.s = n, s
         self.lead_bits = n.bit_length()
         bits = self.lead_bits + (s - 1).bit_length()
         self.width = 8 if bits <= 8 else bits
@@ -329,8 +331,7 @@ class BlockCode:
 
     def _block_of(self, key: bytes) -> tuple:
         """(part, leader, M, D, the decoded block) of the block whose bits
-        `key` holds.  The decoded block is its elements, paired with their
-        labels when there is a zero block."""
+        `key` holds.  The decoded block is its (elements, labels) pair."""
         s, lead_bits = self.s, self.lead_bits
         part = int.from_bytes(key, "little")
         spread, shifted, elems, labels = 0, [0] * s, [], []
@@ -342,14 +343,14 @@ class BlockCode:
                 spread |= 1 << shift
                 for alpha in range(s):
                     shifted[alpha] += (label + alpha) % s << shift + lead_bits
-        piece = (tuple(elems), tuple(labels)) if self.zero else tuple(elems)
+        piece = (tuple(elems), tuple(labels))
         return part, elems[0], spread, tuple(bits - part for bits in shifted), piece
 
     def covers(self, code: int) -> list:
         """The codes covering `code`, in move order: the absorbs by block,
         then the merges of blocks i < j with shifts 0, ..., s - 1."""
         blocks = self._blocks(code)
-        out = [code - block[0] for block in blocks] if self.zero else []
+        out = [code - block[0] for block in blocks]
         add = out.append
         for i, (_, leader, _, _, _) in enumerate(blocks):
             for _, _, spread, deltas, _ in blocks[i + 1 :]:
@@ -365,7 +366,7 @@ class BlockCode:
 
     def ups(self, code: int, zero_sizes: Iterable[int], block_sizes: Iterable[int]) -> Iterator[int]:
         """The codes of every y >= `code` whose blocks have sizes in
-        block_sizes and whose zero block (if any) has a size in zero_sizes,
+        block_sizes and whose zero block has a size in zero_sizes,
         `code` itself among them when it qualifies.  Such a y groups the
         blocks of `code`, absorbs some of them into the zero block, and
         shifts the labels of each block merged into a group by any alpha mod
@@ -386,33 +387,26 @@ class BlockCode:
         Blocks are numbered by increasing leader, so the first block of a
         group keeps its leader."""
         items = tuple(range(len(weights)))
-        if self.zero:
-            splits = _zero_and_blocks(items, zero_sizes, block_sizes, weights, self.n - sum(weights))
-        else:
-            splits = (((), groups) for groups in _blocks(items, block_sizes, weights))
+        splits = _zero_and_blocks(items, zero_sizes, block_sizes, weights, self.n - sum(weights))
         return tuple(
             (absorbed, tuple((group[0], j) for group in groups for j in group[1:]))
             for absorbed, groups in splits
         )
 
-    def encode(self, x) -> int:
-        """The code of a canonical partition, or of a canonical DowlingElement
-        when there is a zero block; the blocks may come in any order."""
-        return sum(starmap(self._encoded, x.blocks) if self.zero else map(self._encoded, x))
+    def encode(self, x: DowlingElement) -> int:
+        """The code of a canonical DowlingElement; the blocks may come in any
+        order."""
+        return sum(starmap(self._encoded, x.blocks))
 
-    def _encoded_of(self, elems: tuple, labels: tuple = ()) -> int:
-        """The bits of one block, its elements sorted, with their labels
-        (all 0 when none are given)."""
+    def _encoded_of(self, elems: tuple, labels: tuple) -> int:
+        """The bits of one block, its elements sorted, with their labels."""
         leader, shifts = elems[0], self._shifts
-        labels = labels or (0,) * len(elems)
         return sum((leader | label << self.lead_bits) << shifts[e - 1] for e, label in zip(elems, labels))
 
     def decode(self, code: int):
         """The element whose code is `code`."""
         blocks = self._blocks(code)
         pieces = tuple([block[4] for block in blocks])
-        if not self.zero:
-            return pieces
         covered = 0
         for block in blocks:
             covered |= block[2]
@@ -437,9 +431,10 @@ class BlockCode:
 
 @dataclass(frozen=True)
 class BuiltLattice:
-    """A poset and its elements.  The elements are stored as `codes`: the
-    elements themselves, or the ints of a grown family, which `decode` turns
-    into the tuple of elements when `elements` or `index` is first read."""
+    """A poset and its elements.  The elements are stored as `codes`: the ints
+    of a built family, which `decode` turns into the tuple of elements when
+    `elements` or `index` is first read, or (without `decode`) the elements
+    themselves."""
 
     poset: Poset
     codes: tuple
@@ -513,15 +508,17 @@ def _grow(seeds: Iterable[int], code: BlockCode, guard: int) -> BuiltLattice:
 
 
 def build_partition_lattice(m: int, guard: int = GUARD) -> BuiltLattice:
-    """The partition lattice Pi_m = Q_m^{[1,m]}, bottom = all singletons."""
+    """The partition lattice Pi_m = L_{m-1}(1) read through the bijection,
+    bottom = all singletons."""
     _check_params(m=m)
-    return _restricted(m, 1, frozenset(range(1, m + 1)), None, guard)
+    sizes = frozenset(range(1, m + 1))
+    return _marked(m, sizes, sizes, guard)
 
 
 def build_dowling_lattice(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
     """The Dowling lattice L_n(s) = R_n^{[1,n],[0,n]}(s) of rank n."""
     _check_params(n=n, s=s)
-    return _restricted(n, s, frozenset(range(1, n + 1)), frozenset(range(n + 1)), guard)
+    return _restricted(BlockCode(n, s), frozenset(range(1, n + 1)), frozenset(range(n + 1)), guard)
 
 
 # No build path calls ambient_dowling, induce_from_ambient or
@@ -663,13 +660,12 @@ def build_r_divisible(m: int, r: int, guard: int = GUARD) -> BuiltLattice:
 def build_extended(m: int, r: int, j: int, guard: int = GUARD) -> BuiltLattice:
     """Pi_m^{r,j}: the block containing m has size >= j, all other blocks have
     size divisible by r; 0-hat adjoined.  It is D^(r,k) at s = 1 with
-    k = (j or r) - 1 (`_D_rk`), its codes read as partitions of [m] by
-    `ExtendedCode`."""
+    k = (j or r) - 1, read through the bijection (`_marked`)."""
     _check_params(m=m, r=r, j=j)
     if (m - j) % r != 0 or m < j:
         raise ParameterError(f"need m = r*n + j: got m={m}, r={r}, j={j}")
-    built = _D_rk(m - 1, r, (j or r) - 1, 1, guard)
-    return adjoin_zero(replace(built, decode=ExtendedCode(m).decode_all))
+    I, K = frozenset(range(r, m + 1, r)), frozenset(range(j or r, m + 1, r))
+    return adjoin_zero(_marked(m, I, K, guard))
 
 
 def build_Q_r(n: int, r: int, guard: int = GUARD) -> BuiltLattice:
@@ -677,7 +673,8 @@ def build_Q_r(n: int, r: int, guard: int = GUARD) -> BuiltLattice:
     r-divisible partitions (no adjoined bottom)."""
     _check_params(r=r)
     _check_n_positive(n)
-    return _restricted(r * n, 1, frozenset(range(r, r * n + 1, r)), None, guard)
+    I = frozenset(range(r, r * n + 1, r))
+    return _marked(r * n, I, I, guard)
 
 
 def semigroup_violation(I: frozenset, J: frozenset, window: int) -> Optional[str]:
@@ -716,12 +713,11 @@ def _indecomposable(sizes: Iterable[int], I: frozenset) -> tuple:
     return tuple(sorted(b for b in sizes if not any(b - a in sizes for a in I if 0 < a <= b)))
 
 
-def _order_by_up_sets(elements: list, code: BlockCode, zero_sizes, block_sizes) -> BuiltLattice:
-    """The order of a family that is not grown: `elements` in a linear
-    extension, each x ordered below the elements `code.ups` lists for it.
+def _order_by_up_sets(codes: list, code: BlockCode, zero_sizes, block_sizes) -> BuiltLattice:
+    """The order of a family that is not grown: `codes` in a linear
+    extension, each x ordered below the codes `code.ups` lists for it.
     y covers x when no other element above x lies below y, so every relation
     is visited once and no pair is compared."""
-    codes = list(map(code.encode, elements))
     index = {c: i for i, c in enumerate(codes)}
     above = []  # above[i]: bitmask of the elements strictly above element i
     for i, c in enumerate(codes):
@@ -736,35 +732,37 @@ def _order_by_up_sets(elements: list, code: BlockCode, zero_sizes, block_sizes) 
             higher |= above[z]
         covers_up.append(tuple(_bits(row & ~higher)))
     poset = close_order(tuple(covers_up), range(len(codes)))
-    return BuiltLattice(poset=poset, codes=tuple(elements))
+    return BuiltLattice(poset=poset, codes=tuple(codes), decode=code.decode_all)
 
 
-def _restricted(n: int, s: int, I: frozenset, J: Optional[frozenset], guard: int) -> BuiltLattice:
-    """Q_n^I in partition code (J None), else R_n^{I,J}(s) in Dowling code;
-    no 0-hat.  Under the semigroup condition on [0, n] it is grown from its
-    minimal elements: blocks of sizes not a sum of two in I, and a zero block
-    of a size j with no j - i in J for i in I.  Otherwise it is listed,
-    sorted by rank and then by value, and ordered by its up sets."""
-    code = BlockCode(n, s, zero=J is not None)
-
-    def listed(zero_sizes, block_sizes) -> Iterator:
-        if J is None:
-            return _blocks(tuple(range(1, n + 1)), block_sizes)
-        return _dowling_elements(n, s, zero_sizes, block_sizes)
-
-    if semigroup_violation(I, J or frozenset(), n) is None:
-        zero_sizes = _indecomposable((j for j in J or () if j <= n), I)
-        seeds = listed(zero_sizes, _indecomposable((i for i in I if 0 < i <= n), I))
+def _restricted(code: BlockCode, I: frozenset, J: frozenset, guard: int) -> BuiltLattice:
+    """R_n^{I,J}(s) in the code of L_n(s) `code`; no 0-hat.  Under the
+    semigroup condition on [0, n] it is grown from its minimal elements:
+    blocks of sizes not a sum of two in I, and a zero block of a size j with
+    no j - i in J for i in I.  Otherwise it is listed, sorted by rank and
+    then by decoded element, and ordered by its up sets."""
+    n, s = code.n, code.s
+    if semigroup_violation(I, J, n) is None:
+        zero_sizes = _indecomposable((j for j in J if j <= n), I)
+        seeds = _dowling_elements(n, s, zero_sizes, _indecomposable((i for i in I if 0 < i <= n), I))
         return _grow(map(code.encode, seeds), code, guard)
-    elements = sorted(_listed(listed(J, I), guard), key=lambda x: (-len(x if J is None else x.blocks), x))
-    return _order_by_up_sets(elements, code, J, I)
+    listed = _listed(_dowling_elements(n, s, J, I), guard)
+    codes = sorted(map(code.encode, listed), key=lambda c: (-code.count_blocks(c), code.decode(c)))
+    return _order_by_up_sets(codes, code, J, I)
+
+
+def _marked(m: int, I: frozenset, K: frozenset, guard: int) -> BuiltLattice:
+    """The partitions of [m] whose block holding m has a size in K and whose
+    other blocks have sizes in I: R_{m-1}^{I,K-1}(1) read through the
+    bijection (`PartitionCode`); no 0-hat."""
+    return _restricted(PartitionCode(m), I, frozenset(k - 1 for k in K), guard)
 
 
 def build_restricted_partition(n: int, I: frozenset, guard: int = GUARD) -> BuiltLattice:
     """Q_n^I for Q = Pi: partitions whose block sizes all lie in I, with a
-    0-hat adjoined (see `_restricted`)."""
+    0-hat adjoined.  The block holding n is one of them (see `_marked`)."""
     _check_n_positive(n)
-    return adjoin_zero(_restricted(n, 1, I, None, guard))
+    return adjoin_zero(_marked(n, I, I, guard))
 
 
 def build_restricted_dowling(
@@ -773,7 +771,7 @@ def build_restricted_dowling(
     """R_n^{I,J} for R = Dowling(s): zero-block size in J, block sizes in I,
     with a 0-hat adjoined (see `_restricted`)."""
     _check_params(n=n, s=s)
-    return adjoin_zero(_restricted(n, s, I, J, guard))
+    return adjoin_zero(_restricted(BlockCode(n, s), I, J, guard))
 
 
 def build_D_rk(n: int, r: int, k: int, s: int, guard: int = GUARD) -> BuiltLattice:
@@ -781,13 +779,9 @@ def build_D_rk(n: int, r: int, k: int, s: int, guard: int = GUARD) -> BuiltLatti
     grown from a zero block of size k and n blocks of size r, in every
     labelling; 0-hat adjoined."""
     _check_params(n=n, r=r, k=k, s=s)
-    return adjoin_zero(_D_rk(r * n + k, r, k, s, guard))
-
-
-def _D_rk(size: int, r: int, k: int, s: int, guard: int) -> BuiltLattice:
-    """D^(r,k) on the ground set [size] = [rn + k], in Dowling code; no 0-hat."""
+    size = r * n + k
     I, J = frozenset(range(r, size + 1, r)), frozenset(range(k, size + 1, r))
-    return _restricted(size, s, I, J, guard)
+    return adjoin_zero(_restricted(BlockCode(size, s), I, J, guard))
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +797,7 @@ def denominator_N_rk(n: int, r: int, k: int, s: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the extended-lattice / Dowling bijection
+# the marked-block bijection: partitions of [m] <-> L_{m-1}(1) at s = 1
 
 
 def _with_marked(x: DowlingElement, marked: tuple) -> tuple:
@@ -816,20 +810,21 @@ def _with_marked(x: DowlingElement, marked: tuple) -> tuple:
 
 
 def dowling_to_extended(x: DowlingElement, m: int) -> tuple:
-    """The partition of Pi_m^{r,k+1} that x in D^(r,k) at s = 1 stands for,
-    m = rn + k + 1: m joins the zero block."""
+    """The partition of [m] that x in L_{m-1}(1) stands for: m joins the zero
+    block.  It takes D^(r,k) at s = 1 onto Pi_m^{r,k+1}, m = rn + k + 1."""
     return _with_marked(x, x.zero + (m,))
 
 
-class ExtendedCode(BlockCode):
-    """The codes of D^(r,k) at s = 1 read as the partitions of [m] that they
-    stand for, m = rn + k + 1 (`dowling_to_extended`).  The block holding m
-    is memoized by its zero block, and the other blocks are the decoded
-    element tuples, so the partitions share every block and no
-    DowlingElement is kept."""
+class PartitionCode(BlockCode):
+    """The codes of L_{m-1}(1) read as the partitions of [m] that they stand
+    for (`dowling_to_extended`); every partition family is built in it.  The
+    block holding m is memoized by its zero block, and the other blocks are
+    the decoded element tuples, so the partitions share every block and no
+    DowlingElement is kept.  Its `encode` takes a DowlingElement of
+    L_{m-1}(1)."""
 
     def __init__(self, m: int):
-        super().__init__(m - 1, 1, zero=True)
+        super().__init__(m - 1, 1)
         self._marked = cache(lambda zero: zero + (m,))
 
     def decode(self, code: int) -> tuple:
@@ -844,4 +839,4 @@ def bijection_extended_to_dowling(m: int, r: int, k: int, guard: int = GUARD) ->
     if (m - k - 1) % r != 0:
         raise ParameterError(f"need m = r*n + k + 1: got m={m}, r={r}, k={k}")
     built = build_extended(m, r, k + 1, guard=guard)
-    return list(zip(built.elements, BlockCode(m - 1, 1, zero=True).decode_all(built.codes)))
+    return list(zip(built.elements, BlockCode(m - 1, 1).decode_all(built.codes)))

@@ -17,7 +17,7 @@ callers, reading the eager rows.
 the former whole-element canonicalizations and the former partition-to-
 Dowling map of the bijection Pi_m^{r,k+1} <-> D^(r,k), kept verbatim: they
 sort every block and every element again, independently of the cover moves
-and of `structures.ExtendedCode`.
+and of `structures.PartitionCode`.
 """
 
 from types import SimpleNamespace

@@ -515,14 +515,16 @@ def test_builder_exception_is_internal(capsys, monkeypatch, command, error):
 # sha256 of the export.  Grown families (dowling, pi, d-rk, and q-I and r-IJ
 # when the semigroup condition holds) list their elements in the order the
 # cover moves first reach them (absorbs by block, then merges of blocks i < j
-# by shift, one block count at a time), which no hash affects; q-I and r-IJ
-# ordered by their up sets (q-I 7 {2,3} and r-IJ 4,2,{1,2},{0,2}) list theirs
-# sorted, then stably by rank.
+# by shift, one block count at a time), which no hash affects.  A partition
+# family moves in the code of L_{m-1}(1), where m lies in the zero block, so
+# an absorb joins a block to the block holding m.  q-I and r-IJ ordered by
+# their up sets (q-I 7 {2,3} and r-IJ 4,2,{1,2},{0,2}) list theirs sorted,
+# then stably by rank.
 GOLDEN_EXPORTS = [
     (["--family", "dowling", "--n", "3", "--s", "2"],
      "cea6ca5b413497da79d977822e31f28f1b4c9c6a1479bf9fde5247655ee68e10"),
     (["--family", "pi", "--m", "5"],
-     "32477733b2997a6f40829fe000c28659d97e757aae8c77b806263ad23767d75f"),
+     "8c4c7403b09dcaab57810eb96737f6a26cfcd673235c99e9ab1a28c8a999367b"),
     (["--family", "d-rk", "--n", "2", "--r", "2", "--k", "1", "--s", "2"],
      "274c6d0a4af0101d06795151ddd183f767ea114d0a9be0a52545f82112aaa96d"),
     (["--family", "q-I", "--n", "7", "--I", "2,3"],
@@ -530,7 +532,7 @@ GOLDEN_EXPORTS = [
     (["--family", "r-IJ", "--n", "4", "--s", "2", "--I", "1,2", "--J", "0,2"],
      "0b5102030265f0a91441cb178c1456af81db85c6d3ababf35aa3ca475f7f49d0"),
     (["--family", "q-I", "--n", "6", "--I", "2,4,6"],
-     "fc1ccd49822447ba569911b97fc51050b73c6f46e047c52bd7c1a54b3d5fcb31"),
+     "c518ac58e4d6a6c2a0ad838335638ed3d6e446d1be8b61242e0c00c49a4dcec0"),
     # the same family as d-rk 2,2,1,2, grown from the same seeds
     (["--family", "r-IJ", "--n", "5", "--s", "2", "--I", "2,4", "--J", "1,3,5"],
      "274c6d0a4af0101d06795151ddd183f767ea114d0a9be0a52545f82112aaa96d"),
@@ -596,19 +598,19 @@ def test_grown_export_is_the_pairwise_export_relabelled(capsys, argv, digest):
 # relabelled() digests were taken when these families grew from marked seeds
 # (the block containing m), before Pi_m, L_n(s), D^(r,k), Q^I and R^{I,J}
 # came to share one constructor; they pin the lattices.  The raw digests pin
-# the order: pi-r and q-r are Q^I grown from partitions into r-blocks, and
-# pi-rj is D^(r,k) at s = 1 grown in Dowling code and read through the
-# bijection.  pi-r 6,2 is Q_6^{2,4,6}, so both its digests equal those of the
-# q-I export above.
+# the order: all three are grown in the code of L_{m-1}(1) and read through
+# the bijection, pi-r and q-r as R_{m-1}^{I,I-1}(1) with I = {r, 2r, ...} and
+# pi-rj as D^(r,k) at s = 1.  pi-r 6,2 is Q_6^{2,4,6} and Pi_6^{2,2}, so both
+# its digests equal those of the q-I export above.
 MARKED_EXPORTS = [
     (["--family", "pi-r", "--m", "6", "--r", "2"],
-     "fc1ccd49822447ba569911b97fc51050b73c6f46e047c52bd7c1a54b3d5fcb31",
+     "c518ac58e4d6a6c2a0ad838335638ed3d6e446d1be8b61242e0c00c49a4dcec0",
      "807bf4950308ac4eac75a68e7c577efaadee062d58f5abba0ca33e10c546c067"),
     (["--family", "pi-rj", "--m", "7", "--r", "2", "--j", "3"],
      "ca1bcbf531e5f0bec30de838dadfb2344696a5b682e8c491389c6f1f1a6e9a88",
      "046e245c7ef49aaf9cc5849df25bc115d68ecb74c9b40d28e84122ce35777af1"),
     (["--family", "q-r", "--n", "3", "--r", "2"],
-     "4d9f849125adeb0750e4b2d59f919c5c422748bb0f6058bb8e86667795281da0",
+     "892ac1834533a247f6a54205076c52a0c00e67cdb9ff186100d6d7dee8a21e2f",
      "2d6c0b302288e3369e22f77f49cc7be2cf422d6fc09942fa9dd0e97bf71a7f36"),
 ]
 
@@ -623,10 +625,12 @@ def test_marked_seed_export_is_pinned(capsys, argv, digest, relabelled_digest):
 
 
 def test_r_divisible_export_is_the_restricted_export(capsys):
-    """Pi_m^r is Q_m^I with I = {r, 2r, ..., m}, built by the same call."""
+    """Pi_m^r is Q_m^I with I = {r, 2r, ..., m} and Pi_m^{r,r}, all three
+    built by the same call."""
     pi_r = run(capsys, "lattice", "--family", "pi-r", "--m", "6", "--r", "2")
     q_I = run(capsys, "lattice", *GOLDEN_EXPORTS[5][0])
-    assert pi_r == q_I
+    pi_rj = run(capsys, "lattice", "--family", "pi-rj", "--m", "6", "--r", "2", "--j", "2")
+    assert pi_r == q_I == pi_rj
     assert pi_r[0] == EXIT_OK
 
 
@@ -634,4 +638,20 @@ def test_lattice_cache_keyed_on_guard(tmp_path, capsys):
     args = ("lattice", "--family", "pi", "--m", "3", "--cache-dir", str(tmp_path))
     assert run(capsys, *args, "--guard", "9")[0] == EXIT_OK
     assert run(capsys, *args, "--guard", "10")[0] == EXIT_OK
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_lattice_cache_keyed_on_version(tmp_path, capsys, monkeypatch):
+    """An export cached by version 0.1.0, which placed the elements of Pi_m
+    in another order, is not served."""
+    fresh = run(capsys, "lattice", "--family", "pi", "--m", "3")
+    args = ("lattice", "--family", "pi", "--m", "3", "--cache-dir", str(tmp_path))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "__version__", "0.1.0")
+        assert run(capsys, *args) == fresh
+    (cached,) = tmp_path.iterdir()
+    stale = json.loads(cached.read_text())
+    stale["elements"].reverse()
+    cached.write_text(json.dumps(stale))
+    assert run(capsys, *args) == fresh
     assert len(list(tmp_path.iterdir())) == 2

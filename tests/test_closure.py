@@ -17,7 +17,7 @@ closed again from scratch by `from_covers`.
 from types import SimpleNamespace
 
 import pytest
-from oracles import assert_matches_eager
+from oracles import assert_matches_eager, extended_to_dowling
 
 from expdowling import structures
 from expdowling.cli import EXIT_INTERNAL, main
@@ -148,7 +148,9 @@ def test_move_back_through_cli_is_internal(capsys, monkeypatch, command):
     moves = structures.BlockCode.covers
 
     def back_to_bottom(self, code):
-        return moves(self, code) or [self.encode(tuple((e,) for e in range(1, self.n + 1)))]
+        m = self.n + 1
+        bottom = extended_to_dowling(tuple((e,) for e in range(1, m + 1)), m)
+        return moves(self, code) or [self.encode(bottom)]
 
     monkeypatch.setattr(structures.BlockCode, "covers", back_to_bottom)
     code = main([command, "--family", "pi", "--m", "3"])

@@ -23,8 +23,8 @@ from expdowling import cli, structures
 from expdowling.structures import (
     BlockCode,
     DowlingElement,
-    ExtendedCode,
     GuardError,
+    PartitionCode,
     _blocks,
     _dowling_elements,
     adjoin_zero,
@@ -258,36 +258,37 @@ def singletons(n):
 # moves) of every grown family on the grid: pi for m <= 7, dowling for n <= 4
 # and s <= 3, and pi-r, pi-rj, q-r and d-rk for r*n + k <= 6 (m <= 6) and
 # s <= 2; then three families whose code fields are wider than a byte.
-# pi-r and q-r are Q_m^{r, 2r, ...}, grown from partitions into r-blocks;
-# pi-rj is grown in the code of D^(r,(j or r)-1) at s = 1 and read through
-# the bijection, so its oracle grows the partitions from the seeds' images.
+# Every partition family is grown in the code of L_{m-1}(1) and read through
+# the bijection (`PartitionCode`): pi as L_{m-1}(1), pi-r and q-r as
+# R_{m-1}^{I,I-1}(1) with I = {r, 2r, ...}, and pi-rj as D^(r,(j or r)-1) at
+# s = 1.  Their oracles grow the partitions from the seeds' images.
 GROWN = (
-    [(f"pi{m}", lambda m=m: build_partition_lattice(m), lambda m=m: BlockCode(m, 1, False),
+    [(f"pi{m}", lambda m=m: build_partition_lattice(m), lambda m=m: PartitionCode(m),
       [singletons(m)], partition_covers) for m in range(1, 8)]
     + [(f"dowling{n},{s}", lambda n=n, s=s: build_dowling_lattice(n, s),
-        lambda n=n, s=s: BlockCode(n, s, True),
+        lambda n=n, s=s: BlockCode(n, s),
         [DowlingElement((), tuple((b, (0,)) for b in singletons(n)))],
         lambda x, s=s: dowling_covers(x, s))
        for n in range(0, 5) for s in (1, 2, 3)]
-    + [(f"pi-r{m},{r}", lambda m=m, r=r: build_r_divisible(m, r), lambda m=m: BlockCode(m, 1, False),
+    + [(f"pi-r{m},{r}", lambda m=m, r=r: build_r_divisible(m, r), lambda m=m: PartitionCode(m),
         r_blocks(m, r), partition_covers)
        for m in range(1, 7) for r in range(1, m + 1) if m % r == 0]
-    + [(f"pi-rj{m},{r},{j}", lambda m=m, r=r, j=j: build_extended(m, r, j), lambda m=m: ExtendedCode(m),
+    + [(f"pi-rj{m},{r},{j}", lambda m=m, r=r, j=j: build_extended(m, r, j), lambda m=m: PartitionCode(m),
         extended_seeds(m, r, j), partition_covers)
        for m in range(1, 7) for r in range(1, m + 1) for j in range(m % r, m + 1, r)]
-    + [(f"q-r{n},{r}", lambda n=n, r=r: build_Q_r(n, r), lambda n=n, r=r: BlockCode(r * n, 1, False),
+    + [(f"q-r{n},{r}", lambda n=n, r=r: build_Q_r(n, r), lambda n=n, r=r: PartitionCode(r * n),
         r_blocks(r * n, r), partition_covers)
        for r in range(1, 7) for n in range(1, 6 // r + 1)]
     + [(f"d-rk{n},{r},{k},{s}", lambda n=n, r=r, k=k, s=s: build_D_rk(n, r, k, s),
-        lambda n=n, r=r, k=k, s=s: BlockCode(r * n + k, s, True),
+        lambda n=n, r=r, k=k, s=s: BlockCode(r * n + k, s),
         list(_dowling_elements(r * n + k, s, (k,), (r,))),
         lambda x, s=s: dowling_covers(x, s))
        for n, r, k, s in D_RK]
-    + [("dowling2,300", lambda: build_dowling_lattice(2, 300), lambda: BlockCode(2, 300, True),
+    + [("dowling2,300", lambda: build_dowling_lattice(2, 300), lambda: BlockCode(2, 300),
         [DowlingElement((), (((1,), (0,)), ((2,), (0,))))], lambda x: dowling_covers(x, 300)),
-       ("d-rk1,2,1,100", lambda: build_D_rk(1, 2, 1, 100), lambda: BlockCode(3, 100, True),
+       ("d-rk1,2,1,100", lambda: build_D_rk(1, 2, 1, 100), lambda: BlockCode(3, 100),
         list(_dowling_elements(3, 100, (1,), (2,))), lambda x: dowling_covers(x, 100)),
-       ("q-r1,300", lambda: build_Q_r(1, 300), lambda: BlockCode(300, 1, False),
+       ("q-r1,300", lambda: build_Q_r(1, 300), lambda: PartitionCode(300),
         r_blocks(300, 300), partition_covers)]
 )
 
@@ -307,8 +308,8 @@ def test_integer_moves_match_tuple_moves(name, build):
 def test_decode_inverts_encode(name, make_code):
     code = make_code()
     for x in tuple_grown(name)[0]:
-        # ExtendedCode encodes the Dowling element that partition x stands for
-        coded = extended_to_dowling(x, code.n + 1) if isinstance(code, ExtendedCode) else x
+        # PartitionCode encodes the Dowling element that partition x stands for
+        coded = extended_to_dowling(x, code.n + 1) if isinstance(code, PartitionCode) else x
         assert code.decode(code.encode(coded)) == x
 
 
@@ -322,10 +323,10 @@ def test_extended_is_D_rk_read_through_the_bijection(m, r, j):
 
 
 def test_wide_fields_are_exercised():
-    assert BlockCode(2, 300, True).width == 11
-    assert BlockCode(3, 100, True).width == 9
-    assert BlockCode(300, 1, False).width == 9
-    assert BlockCode(7, 2, True).width == BlockCode(9, 1, False).width == 8
+    assert BlockCode(2, 300).width == 11
+    assert BlockCode(3, 100).width == 9
+    assert PartitionCode(300).width == 9
+    assert BlockCode(7, 2).width == PartitionCode(9).width == 8
 
 
 def test_decoded_blocks_are_shared():

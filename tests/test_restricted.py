@@ -23,6 +23,7 @@ from expdowling.structures import (
     build_restricted_dowling,
     build_restricted_partition,
     dowling_leq,
+    dowling_to_extended,
     enumerate_dowling,
     induced_subposet,
     lacks_unique_top,
@@ -178,6 +179,29 @@ def test_unique_top_decided_before_building(n):
 
 def subsets(items):
     return [frozenset(c) for size in range(len(items) + 1) for c in combinations(items, size)]
+
+
+def code_covers(built):
+    """The cover pairs, each element named by its code."""
+    names = built.codes + ("0-hat",)
+    P = built.poset
+    return {(names[x], names[y]) for x in range(P.n) for y in P.covers_up[x]}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_q_is_r_read_through_the_bijection(n):
+    # Q_n^I is R_{n-1}^{I,I-1}(1), n joining the zero block: built for every
+    # I of [1..n+1] up to n = 7, and the unique-top rule up to n = 10
+    for I in subsets(range(1, n + 2)):
+        J = frozenset(i - 1 for i in I)
+        assert lacks_unique_top(n, I) == lacks_unique_top(n - 1, I, J, 1), sorted(I)
+        if n > 7:
+            continue
+        q, r = build_restricted_partition(n, I), build_restricted_dowling(n - 1, 1, I, J)
+        assert set(q.codes) == set(r.codes), sorted(I)
+        assert code_covers(q) == code_covers(r), sorted(I)
+        read = {c: dowling_to_extended(x, n) for c, x in zip(r.codes, r.elements)}
+        assert dict(zip(q.codes, q.elements)) == read, sorted(I)
 
 
 @pytest.mark.parametrize("n", range(0, 5))

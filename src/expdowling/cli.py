@@ -373,16 +373,19 @@ def cmd_verify(ns) -> int:
 
 
 def _read_cache(path):
-    """The cached export at `path`, or None when it is missing or unreadable
-    (truncated, not JSON, not an export), so that it is rebuilt."""
+    """The text of the cached export at `path`, ending in a newline, or None
+    when it is missing or unreadable (truncated, not JSON, not an export), so
+    that it is rebuilt.  Older versions wrote the file without the final
+    newline of the export."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
     except (OSError, ValueError):
         return None
     if not isinstance(data, dict) or set(data) != {"poset", "elements", "bottom"}:
         return None
-    return data
+    return text if text.endswith("\n") else text + "\n"
 
 
 def cmd_lattice(ns) -> int:
@@ -400,20 +403,20 @@ def cmd_lattice(ns) -> int:
         cache_path = os.path.join(ns.cache_dir, f"lattice-{key}.json")
         cached = _read_cache(cache_path)
         if cached is not None:
-            _emit(_json(cached), ns.output)
+            _emit(cached, ns.output)
             return EXIT_OK
-    data = _built_json(build_family(ns))
+    text = _json(_built_json(build_family(ns)))
     if cache_path:
         # write beside the target and rename, so a reader never sees half a file
         partial = f"{cache_path}.{os.getpid()}.tmp"
         try:
             with open(partial, "w") as fh:
-                json.dump(data, fh, indent=2, sort_keys=True)
+                fh.write(text)
             os.replace(partial, cache_path)
         finally:
             if os.path.exists(partial):
                 os.remove(partial)
-    _emit(_json(data), ns.output)
+    _emit(text, ns.output)
     return EXIT_OK
 
 

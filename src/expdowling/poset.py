@@ -210,9 +210,11 @@ def mobius_table_to_top(P: Poset, y: int) -> dict:
 
 
 def mobius(P: Poset, x: int, y: int) -> int:
-    if not P.leq(x, y):
+    """mu(x, y), read from `mobius_table(P, x)`, which holds every y >= x."""
+    table = mobius_table(P, x)
+    if y not in table:
         raise PosetError(f"{x} is not <= {y}")
-    return mobius_table(P, x)[y]
+    return table[y]
 
 
 def verify_mobius_identity(P: Poset, x: int) -> bool:

@@ -1,19 +1,25 @@
-"""Edge labeling of the extended r-divisible partition lattice, EL-property
-verification, and falling-chain machinery.
+"""EL-property verification of the extended r-divisible partition lattice,
+in three pieces:
 
-Labels come in three kinds, ordered
+- the lattice: Pi_m^{r,j} from `structures.build_extended`;
+- Wachs' pair array: `wachs_pairs` labels every cover edge once, into a
+  tuple parallel to `covers_up`;
+- the checks: `rising_census_from` and `falling_walk` read nothing but the
+  covers, a pair array and the bottom and top indices, so they check any
+  labeling handed to them.
+
+Wachs' labels come in three kinds, ordered
     -m < ... < -1 < 0_1 < ... < 0_M < 1 < ... < m,
 encoded as (category, value) tuples so tuple comparison realizes the order.
 Edges are compared by the pair (label, -rank of the lower endpoint); along a
 saturated chain ranks strictly increase, so ties in the label alone always
 break downward.
 
-`el_verify` labels every cover edge once (`LabeledLattice.pairs`, parallel to
-`covers_up`) and then makes one forward pass per element x, a rank level at
-a time over the covers above x (`rising_census_from`).  For every z it
-reaches, the pass carries the number of rising chains of [x, z], keyed by
-their last pair, and the lex-least pair sequence of [x, z] with a flag
-saying whether it rises, by
+`el_verify` builds the lattice, labels it and then makes one forward pass
+per element x, a rank level at a time over the covers above x
+(`rising_census_from`).  For every z it reaches, the pass carries the
+number of rising chains of [x, z], keyed by their last pair, and the
+lex-least pair sequence of [x, z] with a flag saying whether it rises, by
 
     seq(x, y) = min over z <| y of seq(x, z) + (p(z, y),).
 
@@ -36,10 +42,9 @@ tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import descents
-from .poset import maximal_chains, mobius_table
+from .poset import Poset, maximal_chains, mobius_table
 from .structures import (
     GUARD,
     BuiltLattice,
@@ -70,71 +75,25 @@ def pos_label(i: int):
     return (2, i)
 
 
-@dataclass
-class LabeledLattice:
-    """An extended lattice together with its edge labeling."""
-
-    m: int
-    r: int
-    j: int
-    built: BuiltLattice
-    atom_rank_of: dict = field(default_factory=dict)  # atom poset index -> 1-based i
-    # pairs[x][i] = (label, -rank x) of the cover x <| covers_up[x][i]
-    pairs: tuple = ()
-
-    @classmethod
-    def build(cls, m: int, r: int, j: int, guard: int = GUARD) -> "LabeledLattice":
-        if j < 1:
-            raise ParameterError(f"the edge labeling needs j >= 1, got {j}")
-        built = build_extended(m, r, j, guard=guard)
-        atoms = built.poset.covers_up[built.bottom]
-        ordered = sorted(atoms, key=lambda a: a_tilde(built.elements[a]))
-        expected = denominator_N_rk((m - j) // r, r, j - 1, 1)
-        if len(ordered) != expected:
-            raise RuntimeError(
-                f"atom count {len(ordered)} differs from the type count {expected}"
-            )
-        L = cls(
-            m=m,
-            r=r,
-            j=j,
-            built=built,
-            atom_rank_of={a: i for i, a in enumerate(ordered, start=1)},
+def wachs_pairs(built: BuiltLattice, m: int, r: int, j: int) -> tuple:
+    """Wachs' labeling of the built Pi_m^{r,j}: the (label, -rank x) pair of
+    every cover x <| y, in a tuple parallel to `covers_up`; equal pairs are
+    one shared tuple.  The atom a gets 0_i, i its place among the atoms
+    ordered by `a_tilde`.  Any other cover merges two blocks b1, b2 of x,
+    max b1 < max b2, and gets -max b1 when max b1 > min b2, else +max b2."""
+    P, elements, bottom = built.poset, built.elements, built.bottom
+    ordered = sorted(P.covers_up[bottom], key=lambda a: a_tilde(elements[a]))
+    expected = denominator_N_rk((m - j) // r, r, j - 1, 1)
+    if len(ordered) != expected:
+        raise RuntimeError(
+            f"atom count {len(ordered)} differs from the type count {expected}"
         )
-        L.pairs = L._label_covers()
-        return L
+    atom_rank = {a: i for i, a in enumerate(ordered, start=1)}
 
-    def _label_covers(self) -> tuple:
-        """The (label, -rank) pair of every cover, parallel to `covers_up`;
-        equal pairs are one shared tuple."""
-        P = self.built.poset
-        shared = {}
-        return tuple(
-            tuple(
-                shared.setdefault(pair, pair)
-                for pair in ((self._edge_label(x, y), -P.rank[x]) for y in ups)
-            )
-            for x, ups in enumerate(P.covers_up)
-        )
-
-    def pair(self, x: int, y: int) -> tuple:
-        """(label, -rank x) of a cover edge x <| y."""
-        ups = self.built.poset.covers_up[x]
-        if y not in ups:
-            raise ValueError(f"{x} is not covered by {y}")
-        return self.pairs[x][ups.index(y)]
-
-    def label(self, x: int, y: int):
-        """Label of a cover edge x <| y."""
-        return self.pair(x, y)[0]
-
-    def _edge_label(self, x: int, y: int):
-        """Label of a cover edge x <| y, from the two partitions."""
-        if x == self.built.bottom:
-            return zero_label(self.atom_rank_of[y])
-        xp = set(self.built.elements[x])
-        yp = set(self.built.elements[y])
-        merged = sorted(xp - yp, key=max)
+    def label(x, y):
+        if x == bottom:
+            return zero_label(atom_rank[y])
+        merged = sorted(set(elements[x]) - set(elements[y]), key=max)
         if len(merged) != 2:
             raise RuntimeError(f"cover {x} <| {y} merges {len(merged)} blocks, not 2")
         b1, b2 = merged
@@ -142,37 +101,39 @@ class LabeledLattice:
             return neg_label(max(b1))
         return pos_label(max(b2))
 
-    def chain_pairs(self, chain) -> list:
-        """(label, -rank) pairs along a saturated chain."""
-        return [self.pair(a, b) for a, b in zip(chain, chain[1:])]
+    shared = {}
+    return tuple(
+        tuple(
+            shared.setdefault(pair, pair)
+            for pair in ((label(x, y), -P.rank[x]) for y in ups)
+        )
+        for x, ups in enumerate(P.covers_up)
+    )
 
 
-def rising_chain_census(L: LabeledLattice, x: int, y: int):
+def _along(P: Poset, pairs: tuple, chain) -> list:
+    """The pairs along a saturated chain."""
+    return [pairs[a][P.covers_up[a].index(b)] for a, b in zip(chain, chain[1:])]
+
+
+def rising_chain_census(P: Poset, pairs: tuple, x: int, y: int):
     """(number of rising maximal chains of [x, y], lex-first flag).
 
-    Rising means strictly increasing (label, -rank) pairs; the flag reports
-    whether the unique rising chain (when there is exactly one) is
-    lexicographically least among all maximal chains of the interval."""
-    chains = maximal_chains(L.built.poset, x, y)
-    labelled = [(L.chain_pairs(c), c) for c in chains]
-    rising = [
-        c for pairs, c in labelled
-        if all(p < q for p, q in zip(pairs, pairs[1:]))
-    ]
-    lex_first = False
-    if len(rising) == 1:
-        best = min(pairs for pairs, _ in labelled)
-        lex_first = L.chain_pairs(rising[0]) == best
+    Rising means strictly increasing pairs; the flag reports whether the
+    unique rising chain (when there is exactly one) is lexicographically
+    least among all maximal chains of the interval."""
+    labelled = [_along(P, pairs, c) for c in maximal_chains(P, x, y)]
+    rising = [seq for seq in labelled if all(p < q for p, q in zip(seq, seq[1:]))]
+    lex_first = len(rising) == 1 and rising[0] == min(labelled)
     return len(rising), lex_first
 
 
-def falling_chains(L: LabeledLattice) -> list:
+def falling_chains(P: Poset, pairs: tuple, bottom: int) -> list:
     """Maximal bottom-to-top chains whose pair sequence has no ascent."""
-    P = L.built.poset
     out = []
-    for c in maximal_chains(P, L.built.bottom, P.top):
-        pairs = L.chain_pairs(c)
-        if all(p > q for p, q in zip(pairs, pairs[1:])):
+    for c in maximal_chains(P, bottom, P.top):
+        seq = _along(P, pairs, c)
+        if all(p > q for p, q in zip(seq, seq[1:])):
             out.append(c)
     return out
 
@@ -189,7 +150,7 @@ def permutations_with_descents(m: int, r: int, j: int) -> list:
     return out
 
 
-def f_sigma(sigma: tuple, r: int, j: int, L: LabeledLattice) -> tuple:
+def f_sigma(sigma: tuple, r: int, j: int, built: BuiltLattice) -> tuple:
     """The explicit falling chain attached to a permutation with descent set
     {r, ..., nr} fixing m: split the word at the descent positions in
     decreasing order of their values."""
@@ -200,7 +161,7 @@ def f_sigma(sigma: tuple, r: int, j: int, L: LabeledLattice) -> tuple:
         raise ValueError(f"{sigma} does not qualify (r={r}, j={j})")
     # positions r*t sorted so their sigma-values decrease
     split_order = sorted(range(1, n + 1), key=lambda t: -sigma[r * t - 1])
-    chain = [L.built.bottom]
+    chain = [built.bottom]
     levels = []
     for blocks_wanted in range(n + 1, 0, -1):
         cuts = sorted(r * t for t in split_order[: blocks_wanted - 1])
@@ -210,16 +171,16 @@ def f_sigma(sigma: tuple, r: int, j: int, L: LabeledLattice) -> tuple:
         )
         levels.append(part)
     for part in levels:
-        chain.append(L.built.index[part])
+        chain.append(built.index[part])
     return tuple(chain)
 
 
-def rising_census_from(L: LabeledLattice, x: int) -> dict:
+def rising_census_from(P: Poset, pairs: tuple, x: int) -> dict:
     """y -> (number of rising maximal chains of [x, y], lex-first flag) for
     every y > x, as `rising_chain_census` reports them, from one forward pass
     over the covers above x, a rank level at a time (see the module
     docstring)."""
-    ups, pairs = L.built.poset.covers_up, L.pairs
+    ups = P.covers_up
     counts = {}  # z -> {last pair: rising chains of [x, z] ending with it}
     least = {}   # z -> (lex-least pair sequence of [x, z], whether it rises)
     level = []
@@ -253,13 +214,12 @@ def rising_census_from(L: LabeledLattice, x: int) -> dict:
     return out
 
 
-def falling_walk(L: LabeledLattice) -> list:
+def falling_walk(P: Poset, pairs: tuple, bottom: int) -> list:
     """The chains of `falling_chains`, in the same order, by a walk up from
     0-hat that leaves a branch at the first pair that fails to fall."""
-    P = L.built.poset
-    ups, pairs, top = P.covers_up, L.pairs, P.top
+    ups, top = P.covers_up, P.top
     out = []
-    stack = [L.built.bottom]
+    stack = [bottom]
 
     def walk(z, last):
         if z == top:
@@ -271,7 +231,7 @@ def falling_walk(L: LabeledLattice) -> list:
                 walk(w, p)
                 stack.pop()
 
-    walk(L.built.bottom, None)
+    walk(bottom, None)
     return out
 
 
@@ -316,18 +276,21 @@ def el_verify(m: int, r: int, j: int, guard: int = GUARD) -> dict:
     """Full EL suite for one lattice: every interval has exactly one rising
     chain and it is lex-first; the falling chains are exactly the explicit
     ones; counts line up with descents and with |mu|."""
-    L = LabeledLattice.build(m, r, j, guard=guard)
-    P = L.built.poset
+    if j < 1:
+        raise ParameterError(f"the edge labeling needs j >= 1, got {j}")
+    built = build_extended(m, r, j, guard=guard)
+    pairs = wachs_pairs(built, m, r, j)
+    P, bottom = built.poset, built.bottom
     intervals = 0
     violations = 0
     for x in range(P.n):
-        census = rising_census_from(L, x)
+        census = rising_census_from(P, pairs, x)
         intervals += len(census)
         violations += sum(1 for _, lex_first in census.values() if not lex_first)
-    falling = set(falling_walk(L))
-    explicit = {f_sigma(sigma, r, j, L) for sigma in qualifying_permutations(m, r, j)}
+    falling = set(falling_walk(P, pairs, bottom))
+    explicit = {f_sigma(sigma, r, j, built) for sigma in qualifying_permutations(m, r, j)}
     expected = descent_class_size(m, r, j)
-    mu = mobius_table(P, L.built.bottom)[P.top]
+    mu = mobius_table(P, bottom)[P.top]
     return {
         "m": m,
         "r": r,

@@ -145,9 +145,9 @@ def test_criterion_8_el_suite():
         assert result["falling_count"] == result["des_expected"], result
         assert abs(result["mu"]) == result["falling_count"], result
     # the worked falling chain
-    L = shelling.LabeledLattice.build(9, 2, 3)
-    chain = shelling.f_sigma((5, 6, 2, 4, 1, 8, 3, 7, 9), 2, 3, L)
-    assert [L.built.elements[i] for i in chain[1:]] == [
+    built = build_extended(9, 2, 3)
+    chain = shelling.f_sigma((5, 6, 2, 4, 1, 8, 3, 7, 9), 2, 3, built)
+    assert [built.elements[i] for i in chain[1:]] == [
         ((1, 8), (2, 4), (3, 7, 9), (5, 6)),
         ((1, 2, 4, 8), (3, 7, 9), (5, 6)),
         ((1, 2, 4, 5, 6, 8), (3, 7, 9)),

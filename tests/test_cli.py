@@ -217,17 +217,46 @@ def test_el_check(capsys):
     assert data["passed"] and data["falling_count"] == 2
 
 
+# sha256 of the stdout of `el-check`, by (m, r, j)
+EL_CHECK_DIGESTS = {
+    (9, 2, 1): "f4ed36e3ccf8e990cc112e0196e058f12d4f6ba60d56631fc9340c3984ca572d",
+    (9, 2, 3): "9eaa53ee089b3a45bf4b7fb870eb56beafdf0540c162d43d25ae56a363f60b5e",
+    (8, 3, 2): "08e97a859d7b5ac93deffe34159d769b751266da77c7771e61de457bfc50db71",
+}
+
+
+@pytest.mark.parametrize("m,r,j", sorted(EL_CHECK_DIGESTS))
+def test_el_check_output_is_pinned(capsys, m, r, j):
+    code, out = run(capsys, "el-check", "--m", str(m), "--r", str(r), "--j", str(j))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == EL_CHECK_DIGESTS[m, r, j]
+
+
 def test_lattice_export_and_cache(tmp_path, capsys):
     args = ("lattice", "--family", "pi", "--m", "3", "--cache-dir", str(tmp_path))
     code, cold = run(capsys, *args)
     assert code == EXIT_OK
     cached_files = list(tmp_path.iterdir())
     assert len(cached_files) == 1
+    assert cached_files[0].read_bytes() == cold.encode()
     code, warm = run(capsys, *args)
     assert code == EXIT_OK
     assert warm == cold
     data = json.loads(cold)
     assert data["poset"]["n"] == 5  # Bell(3)
+
+
+def test_lattice_cache_hit_serves_a_file_without_final_newline(tmp_path, capsys, monkeypatch):
+    """A hit is byte-identical to a fresh export, also when the file was
+    written, as by earlier versions, by json.dump with no final newline."""
+    fresh = run(capsys, "lattice", "--family", "pi", "--m", "3")
+    args = ("lattice", "--family", "pi", "--m", "3", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args) == fresh
+    (cached,) = tmp_path.iterdir()
+    cached.write_text(json.dumps(json.loads(cached.read_text()), indent=2, sort_keys=True))
+    assert not cached.read_text().endswith("\n")
+    monkeypatch.setattr(cli, "build_family", lambda ns: pytest.fail("a hit rebuilt the lattice"))
+    assert run(capsys, *args) == fresh
 
 
 @pytest.mark.parametrize("damage", ["truncate", "not-an-export"])

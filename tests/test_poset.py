@@ -66,6 +66,17 @@ def test_boolean_mobius_vs_inclusion_exclusion():
             assert table[idx[s]] == (-1) ** (len(s) - 1)
 
 
+def test_mobius_reads_one_table_and_no_closure():
+    P, _, idx = boolean_lattice(3)
+    assert mobius(P, idx[frozenset()], idx[frozenset(range(3))]) == -1
+    assert "down_rows" not in vars(P) and "up_rows" not in vars(P)
+    # {0} and {1} are incomparable, and y below x is not above it
+    with pytest.raises(PosetError, match="is not <="):
+        mobius(P, idx[frozenset({0})], idx[frozenset({1})])
+    with pytest.raises(PosetError, match="is not <="):
+        mobius(P, idx[frozenset({0, 1})], idx[frozenset({0})])
+
+
 def test_boolean_to_top_table():
     P, subsets, idx = boolean_lattice(3)
     table = mobius_table_to_top(P, idx[frozenset(range(3))])

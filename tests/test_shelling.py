@@ -17,10 +17,9 @@ import math
 
 import pytest
 
-from expdowling import shelling
 from expdowling.descents import des_count, euler_number
 from expdowling.shelling import (
-    LabeledLattice,
+    _along,
     a_tilde,
     descent_class_size,
     el_verify,
@@ -33,8 +32,16 @@ from expdowling.shelling import (
     qualifying_permutations,
     rising_census_from,
     rising_chain_census,
+    wachs_pairs,
     zero_label,
 )
+from expdowling.structures import build_extended
+
+
+def labelled(m, r, j):
+    """Pi_m^{r,j} and its Wachs pair array."""
+    built = build_extended(m, r, j)
+    return built, wachs_pairs(built, m, r, j)
 
 
 def test_label_order():
@@ -48,64 +55,63 @@ def test_a_tilde():
 def test_atom_count_closed_form_matches_enumeration():
     # the atoms of Pi_m^{r,j}, m = rn + j: (m - 1)! / (n! r!^n (j - 1)!)
     for m, r, j in [(4, 2, 2), (5, 2, 3), (6, 2, 2), (7, 3, 4)]:
-        L = LabeledLattice.build(m, r, j)
+        built, pairs = labelled(m, r, j)
         n = (m - j) // r
         expected = math.factorial(m - 1) // (
             math.factorial(n) * math.factorial(r) ** n * math.factorial(j - 1)
         )
-        assert len(L.atom_rank_of) == expected
+        assert len(pairs[built.bottom]) == expected
 
 
 def test_rising_unique_and_lex_first_small():
-    L = LabeledLattice.build(4, 2, 2)
-    P = L.built.poset
+    built, pairs = labelled(4, 2, 2)
+    P = built.poset
     for x in range(P.n):
         for y in range(P.n):
             if x != y and P.leq(x, y):
-                count, lex_first = rising_chain_census(L, x, y)
+                count, lex_first = rising_chain_census(P, pairs, x, y)
                 assert count == 1 and lex_first
 
 
 def test_falling_counts_are_euler_numbers():
     # j = 2, r = 2: tangent numbers
     for m, expected_index in [(4, 3), (6, 5)]:
-        L = LabeledLattice.build(m, 2, 2)
-        assert len(falling_chains(L)) == euler_number(expected_index)
+        built, pairs = labelled(m, 2, 2)
+        assert len(falling_chains(built.poset, pairs, built.bottom)) == euler_number(expected_index)
 
 
 def test_falling_equals_explicit_chains():
     for m, r, j in [(4, 2, 2), (5, 2, 3), (6, 2, 2)]:
-        L = LabeledLattice.build(m, r, j)
+        built, pairs = labelled(m, r, j)
         explicit = {
-            f_sigma(sigma, r, j, L)
+            f_sigma(sigma, r, j, built)
             for sigma in permutations_with_descents(m, r, j)
         }
-        assert {tuple(c) for c in falling_chains(L)} == explicit
+        assert {tuple(c) for c in falling_chains(built.poset, pairs, built.bottom)} == explicit
 
 
 def test_worked_falling_chain():
     # [PAPER] sigma = 562418379 in the m = 9, r = 2, j = 3 lattice
     m, r, j = 9, 2, 3
-    L = LabeledLattice.build(m, r, j)
+    built, pairs = labelled(m, r, j)
     sigma = (5, 6, 2, 4, 1, 8, 3, 7, 9)
-    chain = f_sigma(sigma, r, j, L)
+    chain = f_sigma(sigma, r, j, built)
     expected_parts = [
         ((1, 8), (2, 4), (3, 7, 9), (5, 6)),
         ((1, 2, 4, 8), (3, 7, 9), (5, 6)),
         ((1, 2, 4, 5, 6, 8), (3, 7, 9)),
         ((1, 2, 3, 4, 5, 6, 7, 8, 9),),
     ]
-    assert chain[0] == L.built.bottom
-    assert [L.built.elements[i] for i in chain[1:]] == expected_parts
+    assert chain[0] == built.bottom
+    assert [built.elements[i] for i in chain[1:]] == expected_parts
     # and it really falls
-    pairs = L.chain_pairs(chain)
-    assert all(p > q for p, q in zip(pairs, pairs[1:]))
+    seq = _along(built.poset, pairs, chain)
+    assert all(p > q for p, q in zip(seq, seq[1:]))
 
 
 def test_f_sigma_rejects_wrong_descents():
-    L = LabeledLattice.build(4, 2, 2)
     with pytest.raises(ValueError):
-        f_sigma((1, 2, 3, 4), 2, 2, L)
+        f_sigma((1, 2, 3, 4), 2, 2, build_extended(4, 2, 2))
 
 
 def test_el_verify_rejects_j_zero():
@@ -134,16 +140,6 @@ def test_el_verify_n_zero():
         assert result["mu"] == -1 and result["passed"], result
 
 
-def test_label_reads_the_cover_array():
-    L = LabeledLattice.build(5, 2, 3)
-    P = L.built.poset
-    for x in range(P.n):
-        assert [L.label(x, y) for y in P.covers_up[x]] == [p[0] for p in L.pairs[x]]
-        assert all(p[1] == -P.rank[x] for p in L.pairs[x])
-    with pytest.raises(ValueError, match="is not covered by"):
-        L.label(L.built.bottom, P.top)
-
-
 def lattice_params(mmax):
     """Every (m, r, j) with m <= mmax, r <= 3 and j >= 1 that has a lattice."""
     return [
@@ -163,25 +159,55 @@ CENSUS_CASES = [p for p in lattice_params(8) if p not in LISTING_TOO_LARGE]
 FALLING_CASES = CENSUS_CASES + [p for p in lattice_params(9) if p[0] == 9 and p[1] >= 2]
 
 
-def old_census(L):
-    """y -> rising_chain_census(L, x, y) for every x < y, by listing chains."""
-    P = L.built.poset
+def written_out_label(built, x, y):
+    """Wachs' label of the cover x <| y, read from the partitions: the atom
+    y gets 0_i for the i-th atom in a_tilde order; otherwise y joins two
+    blocks B < B' (by maxima) of x into one, labelled -max B when
+    max B > min B', else +max B'."""
+    P = built.poset
+    if x == built.bottom:
+        atoms = sorted(a_tilde(built.elements[a]) for a in P.covers_up[x])
+        return zero_label(atoms.index(a_tilde(built.elements[y])) + 1)
+    (joined,) = set(built.elements[y]) - set(built.elements[x])
+    low, high = sorted((b for b in built.elements[x] if set(b) <= set(joined)), key=max)
+    return neg_label(max(low)) if max(low) > min(high) else pos_label(max(high))
+
+
+@pytest.mark.parametrize("m,r,j", [p for p in CENSUS_CASES if p[0] <= 6])
+def test_wachs_pairs_match_written_out_labels(m, r, j):
+    built, pairs = labelled(m, r, j)
+    P = built.poset
+    assert len(pairs) == P.n
+    for x, ups in enumerate(P.covers_up):
+        assert pairs[x] == tuple((written_out_label(built, x, y), -P.rank[x]) for y in ups)
+
+
+def test_wachs_pairs_rejects_a_wrong_atom_count():
+    with pytest.raises(RuntimeError, match="atom count"):
+        wachs_pairs(build_extended(5, 2, 3), 5, 2, 1)
+
+
+def old_census(P, pairs):
+    """y -> rising_chain_census(P, pairs, x, y) for every x < y, by listing
+    chains."""
     return {
-        x: {y: rising_chain_census(L, x, y) for y in range(P.n) if y != x and P.leq(x, y)}
+        x: {y: rising_chain_census(P, pairs, x, y) for y in range(P.n) if y != x and P.leq(x, y)}
         for x in range(P.n)
     }
 
 
 @pytest.mark.parametrize("m,r,j", CENSUS_CASES)
 def test_census_matches_chain_listing(m, r, j):
-    L = LabeledLattice.build(m, r, j)
-    assert {x: rising_census_from(L, x) for x in range(L.built.poset.n)} == old_census(L)
+    built, pairs = labelled(m, r, j)
+    P = built.poset
+    assert {x: rising_census_from(P, pairs, x) for x in range(P.n)} == old_census(P, pairs)
 
 
 @pytest.mark.parametrize("m,r,j", FALLING_CASES)
 def test_falling_walk_matches_chain_listing(m, r, j):
-    L = LabeledLattice.build(m, r, j)
-    assert falling_walk(L) == falling_chains(L)
+    built, pairs = labelled(m, r, j)
+    P = built.poset
+    assert falling_walk(P, pairs, built.bottom) == falling_chains(P, pairs, built.bottom)
 
 
 @pytest.mark.parametrize("m,r,j", lattice_params(9))
@@ -191,27 +217,40 @@ def test_generated_permutations_match_scan(m, r, j):
     assert descent_class_size(m, r, j) == len(scanned)
 
 
+# the kind of label whose values a mutation negates, reversing its order
 MUTATIONS = {
     # 0-labels in the reverse order of the atoms
-    "zero_label": lambda i: (1, -i),
+    "zero_label": zero_label(1)[0],
     # negative labels ordered by value instead of against it
-    "neg_label": lambda i: (0, i),
+    "neg_label": neg_label(1)[0],
 }
 
 
+def mutated(pairs, kind):
+    """The pair array with the values of the labels of one kind negated."""
+    return tuple(
+        tuple(((k, -v) if k == kind else (k, v), rank) for (k, v), rank in row)
+        for row in pairs
+    )
+
+
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
-def test_mutated_labeling_agrees_with_chain_listing(monkeypatch, name):
-    monkeypatch.setattr(shelling, name, MUTATIONS[name])
+def test_mutated_labeling_agrees_with_chain_listing(name):
     broken = 0
     for m, r, j in [(4, 2, 2), (5, 2, 1), (5, 2, 3), (6, 2, 2), (7, 2, 3), (7, 3, 4), (8, 2, 2)]:
-        result = el_verify(m, r, j)
-        L = LabeledLattice.build(m, r, j)
+        built, pairs = labelled(m, r, j)
+        P, pairs = built.poset, mutated(pairs, MUTATIONS[name])
+        found = sum(
+            1 for x in range(P.n)
+            for count, lex_first in rising_census_from(P, pairs, x).values()
+            if count != 1 or not lex_first
+        )
         violations = sum(
-            1 for row in old_census(L).values()
+            1 for row in old_census(P, pairs).values()
             for count, lex_first in row.values() if count != 1 or not lex_first
         )
-        assert result["rising_violations"] == violations, (m, r, j)
-        assert result["falling_count"] == len(falling_chains(L)), (m, r, j)
+        assert found == violations, (m, r, j)
+        assert falling_walk(P, pairs, built.bottom) == falling_chains(P, pairs, built.bottom), (m, r, j)
         broken += violations > 0
     assert broken > 0, "the mutation never showed"
 

@@ -623,6 +623,25 @@ def test_grown_export_is_the_pairwise_export_relabelled(capsys, argv, digest):
     assert relabelled(out) == digest
 
 
+# relabelled() of three exports of q-I and r-IJ without the semigroup
+# condition, as they were when those families were listed and ordered by
+# their up sets: the order of the build permutes indices, not lattices
+LISTED_EXPORTS = [
+    (GOLDEN_EXPORTS[3][0], "39d10675968e89de99ca01a91c31d49792fe5453c96cff85f9dab8dbca0b0673"),
+    (GOLDEN_EXPORTS[4][0], "ca758170a5b268738715860af351b6b265d4431327f99d03cc9a3f49a56b3e0f"),
+    (["--family", "q-I", "--n", "8", "--I", "1,2,3"],
+     "be284a45158f3e736a077b8fc83a3eceb54142ba1d59e6adeaa7642435652522"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", LISTED_EXPORTS,
+                         ids=GOLDEN_IDS[3:5] + ["q-I8,{1,2,3}"])
+def test_export_is_the_listed_export_relabelled(capsys, argv, digest):
+    code, out = run(capsys, "lattice", *argv)
+    assert code == EXIT_OK
+    assert relabelled(out) == digest
+
+
 # sha256 and relabelled() of one export of pi-r, pi-rj and q-r.  The
 # relabelled() digests were taken when these families grew from marked seeds
 # (the block containing m), before Pi_m, L_n(s), D^(r,k), Q^I and R^{I,J}

@@ -22,4 +22,4 @@ __all__ = [
     "build_partition_lattice",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

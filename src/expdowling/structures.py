@@ -18,39 +18,31 @@ the partitions of [m] whose block holding m has a size in K and whose other
 blocks have sizes in I are R_{m-1}^{I,K-1}(1) (`_marked`).  So Pi_m is
 L_{m-1}(1), Q_m^I (block sizes in I) is R_{m-1}^{I,I-1}(1), Q^(r)_n is
 Q_{rn}^I with I = {r, 2r, ...}, and Pi_m^{r,j} is D^(r,k) at s = 1 with
-k = (j or r) - 1.  One constructor, `_restricted`, builds them, and one
-generator lists their elements: `_blocks` gives the partitions of a set into
-blocks with sizes in a given set, `_zero_and_blocks` adds a zero block with a
-size in another set, and `_dowling_elements` every labelling.  When the
-semigroup condition of Thm 4.1/4.2 holds on [0, n] (`semigroup_violation`),
-the family is an upper set of L_n(s) and grows by cover moves from its
-minimal elements; for Q_m^I this is the condition on [0, m].  The minimal
-elements of D^(r,k)(s) are the elements of one type (k; n blocks of size r),
-so their number N^(r,k)(n), and with it M^(r)(n) and the atom count of
+k = (j or r) - 1.  One constructor, `_restricted`, builds them all one way,
+growing the family by cover moves from its minimal elements, and one
+generator lists those: `_blocks` gives the partitions of a set into blocks
+with sizes in a given set, `_zero_and_blocks` adds a zero block with a size
+in another set, and `_dowling_elements` every labelling.  The minimal
+elements of D^(r,k)(s) are the elements of one type (k; n blocks of size
+r), so their number N^(r,k)(n), and with it M^(r)(n) and the atom count of
 Pi_m^{r,j}, is a type count (`count_of_type`, `denominator_N_rk`).
 
-Growth moves ints, not tuples (`BlockCode`).  Each ground element has a
-fixed-width field of the code that holds the least element of its block
-(its leader; 0 for the zero block) and its label relative to the leader.  A
-cover move is one addition: absorbing block j into the zero block subtracts
-its bits, and merging blocks i < j with shift alpha adds
-a_i * M_j + D_j[alpha], where M_j spreads a 1 over the fields of block j and
-D_j, memoized per block, relabels it.  Elements are placed in move order
-(the absorbs by block, then the merges i < j by shift), which depends on no
-hash.  A built lattice keeps its codes, and decodes them into partitions or
-DowlingElements only when `elements` or `index` is first read, so the Mobius
-path never decodes an element.  The growth pass collects the up covers of
-each element, and its placement order is the linear extension kept beside
-them; no part of the closure is built until it is read (see `poset`).
-Seeds may have different block counts, so growth runs one block count at a
-time, and every move removes one block.
-
-A family that fails the condition is listed from the generator, sorted, and
-ordered by its up sets: the up set of x groups the blocks of x (`_blocks`
-weighted by block size), absorbs some into the zero block and shifts labels,
-one addition per moved block (`BlockCode.ups`); the covers are the relations
-with nothing strictly between, so no pair of elements is compared.  The
-condition picks only the build path, never a verdict.  Every construction
+Growth moves ints, not tuples (`BlockCode`): each ground element has a
+fixed-width field of the code that holds the least element of its block (its
+leader; 0 for the zero block) and its label relative to the leader, and a
+cover move adds one delta per block it moves.  A cover merges a group of
+blocks, or absorbs one into the zero block, when no smaller part of the
+group can move on its own (`BlockCode._moves_of`).  Under the semigroup
+condition of Thm 4.1/4.2 on [0, n] (`semigroup_violation`) the family is an
+upper set of L_n(s), and a cover absorbs one block or merges two.  Growth
+runs one block count at a time and places elements in move order (the
+absorbs by block, then the merges i < j by shift; a move that drops several
+block counts when its count comes up), which depends on no hash.  A built
+lattice keeps its codes, and decodes them into partitions or DowlingElements
+only when `elements` or `index` is first read, so the Mobius path never
+decodes an element.  The growth pass collects the up covers of each element,
+and its placement order is the linear extension kept beside them; no part
+of the closure is built until it is read (see `poset`).  Every construction
 stops with GuardError as soon as it holds more than `guard` elements.
 """
 
@@ -61,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, islice, product, starmap
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .poset import Poset, PosetError, _bits, adjoin_bottom, close_order, from_covers
 
@@ -96,36 +88,22 @@ def _check_n_positive(n: int) -> None:
 # set partitions
 
 
-def _subsets(
-    items: tuple, sizes: Iterable[int], weight: Optional[Sequence[int]], base: int
-) -> Iterator[tuple]:
-    """The subsets of the sorted tuple items, as sorted tuples, whose size
-    plus `base` lies in `sizes`.  The size of a subset is its length, or with
-    `weight` (indexed by the items) the sum of the weights of its items."""
-    if weight is None:
-        return (c for size in sizes if size >= base for c in combinations(items, size - base))
-    return (
-        c
-        for k in range(len(items) + 1)
-        for c in combinations(items, k)
-        if base + sum(weight[e] for e in c) in sizes
-    )
+def _subsets(items: tuple, sizes: Iterable[int], base: int) -> Iterator[tuple]:
+    """The subsets of the sorted tuple items, as sorted tuples, whose length
+    plus `base` lies in `sizes`."""
+    return (c for size in sizes if size >= base for c in combinations(items, size - base))
 
 
-def _blocks(
-    elems: tuple, sizes: Iterable[int], weight: Optional[Sequence[int]] = None
-) -> Iterator[tuple]:
+def _blocks(elems: tuple, sizes: Iterable[int]) -> Iterator[tuple]:
     """Every partition of the sorted tuple elems into blocks whose sizes
-    (all >= 1) lie in `sizes`, each block sorted, blocks sorted by minimum.
-    With `weight`, the size of a block is the sum of the weights of its
-    elements (see `_subsets`)."""
+    (all >= 1) lie in `sizes`, each block sorted, blocks sorted by minimum."""
     if not elems:
         yield ()
         return
     first, rest = elems[0], elems[1:]
-    for mates in _subsets(rest, sizes, weight, 1 if weight is None else weight[first]):
+    for mates in _subsets(rest, sizes, 1):
         left = tuple(e for e in rest if e not in mates)
-        for blocks in _blocks(left, sizes, weight):
+        for blocks in _blocks(left, sizes):
             yield ((first,) + mates,) + blocks
 
 
@@ -206,19 +184,14 @@ def dowling_leq(x: DowlingElement, y: DowlingElement, s: int) -> bool:
 
 
 def _zero_and_blocks(
-    ground: tuple,
-    zero_sizes: Iterable[int],
-    block_sizes: Iterable[int],
-    weight: Optional[Sequence[int]] = None,
-    zero_base: int = 0,
+    ground: tuple, zero_sizes: Iterable[int], block_sizes: Iterable[int]
 ) -> Iterator[tuple]:
     """Every (zero block, partition of the rest) of the sorted tuple ground
     whose zero block has a size in zero_sizes and whose blocks all have sizes
-    in block_sizes.  With `weight`, sizes are weighted as in `_blocks`;
-    `zero_base` is added to the size of the zero block."""
-    for zero in _subsets(ground, zero_sizes, weight, zero_base):
+    in block_sizes."""
+    for zero in _subsets(ground, zero_sizes, 0):
         rest = tuple(e for e in ground if e not in zero)
-        for part in _blocks(rest, block_sizes, weight):
+        for part in _blocks(rest, block_sizes):
             yield zero, part
 
 
@@ -268,8 +241,8 @@ def _byte_tables(lead_bits: int) -> tuple:
 
 
 class BlockCode:
-    """The elements of L_n(s) as ints, and their cover moves as integer
-    additions.
+    """The elements of R_n^{I,J}(s) as ints, and their cover moves as integer
+    additions; I and J default to [1, n] and [0, n], which give L_n(s).
 
     Ground element e owns the field of `width` bits at bit offset
     width * (e - 1).  The field holds the leader of e's block (the block's
@@ -285,15 +258,18 @@ class BlockCode:
     block i, M_j has a 1 at the low end of each field of block j, and
     D_j[alpha], memoized by part_j (which fixes the leader, the elements and
     the labels of block j), takes away part_j and puts back the labels of
-    block j shifted by alpha mod s.  The merged block keeps the smaller
-    leader, whose label is 0, so every move lands on a canonical code, and
-    the moves of one element are all distinct.  Decoding splits a code into
-    the same parts; decoded blocks are memoized by part, so equal blocks are
-    one shared tuple.
+    block j shifted by alpha mod s.  A move of a group of blocks
+    (`_moves_of`) adds the delta of each block that moves.  The merged block
+    keeps the smallest leader, whose label is 0, so every move lands on a
+    canonical code, and the moves of one element are all distinct.  Decoding
+    splits a code into the same parts; decoded blocks are memoized by part,
+    so equal blocks are one shared tuple.
     """
 
-    def __init__(self, n: int, s: int):
+    def __init__(self, n: int, s: int, I: Optional[frozenset] = None, J: Optional[frozenset] = None):
         self.n, self.s = n, s
+        self.I = frozenset(range(1, n + 1)) if I is None else I
+        self.J = frozenset(range(n + 1)) if J is None else J
         self.lead_bits = n.bit_length()
         bits = self.lead_bits + (s - 1).bit_length()
         self.width = 8 if bits <= 8 else bits
@@ -303,7 +279,7 @@ class BlockCode:
         self._block = cache(self._block_of)
         self._encoded = cache(self._encoded_of)
         self._zero_block = cache(self._zero_block_of)
-        self._splits = cache(self._splits_of)
+        self._moves = cache(self._moves_of)
 
     def _fields(self, code: int):
         """The field values of `code`, for the ground elements 1..n in turn."""
@@ -330,8 +306,8 @@ class BlockCode:
         return [block(part.to_bytes(size, "little")) for part in parts.values()]
 
     def _block_of(self, key: bytes) -> tuple:
-        """(part, leader, M, D, the decoded block) of the block whose bits
-        `key` holds.  The decoded block is its (elements, labels) pair."""
+        """(part, leader, M, D, the decoded block, size) of the block whose
+        bits `key` holds.  The decoded block is its (elements, labels) pair."""
         s, lead_bits = self.s, self.lead_bits
         part = int.from_bytes(key, "little")
         spread, shifted, elems, labels = 0, [0] * s, [], []
@@ -344,54 +320,82 @@ class BlockCode:
                 for alpha in range(s):
                     shifted[alpha] += (label + alpha) % s << shift + lead_bits
         piece = (tuple(elems), tuple(labels))
-        return part, elems[0], spread, tuple(bits - part for bits in shifted), piece
+        return part, elems[0], spread, tuple(bits - part for bits in shifted), piece, len(elems)
 
-    def covers(self, code: int) -> list:
-        """The codes covering `code`, in move order: the absorbs by block,
-        then the merges of blocks i < j with shifts 0, ..., s - 1."""
+    def _moves_of(self, sizes: tuple) -> tuple:
+        """(absorbs, rows, deep): the groups of blocks that the covers of an
+        element change, its blocks having these sizes by increasing leader.
+        absorbs lists each block whose absorption is a cover, rows each
+        (i, (j, ...)) where merging blocks i < j is one, and deep the (level,
+        group, merged) of each cover of more blocks, level being the block
+        count it leaves.  A group of >= 2 blocks with its size in I merges
+        into a cover, and a group G with |Z u G| in J, Z the zero block, is
+        absorbed by one, unless a smaller part of G could move on its own and
+        give an element strictly between: a part of >= 2 blocks with its size
+        in I, or for an absorb a nonempty part G' with |Z u G'| in J, or G
+        itself of >= 2 blocks with its size in I.  Groups grow by one block in
+        index order; one with a part that merges is dropped, with all above."""
+        I, J, zero = self.I, self.J, self.n - sum(sizes)
+        absorbs, rows, deep = [], {}, []
+        free = {(): False}  # group with no part that merges -> whether a part is absorbable
+        for k in range(1, len(sizes) + 1):
+            larger = {}
+            for group in free:
+                for b in range(group[-1] + 1 if group else 0, len(sizes)):
+                    g = group + (b,)
+                    parts = [g[:i] + g[i + 1 :] for i in range(k)]
+                    if not all(part in free for part in parts):
+                        continue
+                    size = sum(sizes[i] for i in g)
+                    if k >= 2 and size in I:
+                        if k == 2:
+                            rows.setdefault(g[0], []).append(b)
+                        else:
+                            deep.append((len(sizes) - k + 1, g, True))
+                        continue
+                    below = any(free[part] for part in parts)
+                    if zero + size in J and not below:
+                        if k == 1:
+                            absorbs.append(b)
+                        else:
+                            deep.append((len(sizes) - k, g, False))
+                    larger[g] = below or zero + size in J
+            free = larger
+        return tuple(absorbs), tuple((i, tuple(row)) for i, row in rows.items()), tuple(deep)
+
+    def covers(self, code: int) -> tuple:
+        """The codes covering `code`: (near, far).  near lists those with
+        one block fewer, in move order: the absorbs by block, then the
+        merges of blocks i < j with shifts 0, ..., s - 1.  far lists
+        (level, code) for each cover that changes more blocks, in the order
+        of `_moves_of`, the shift of the last block of a merge varying
+        fastest."""
         blocks = self._blocks(code)
-        out = [code - block[0] for block in blocks]
-        add = out.append
-        for i, (_, leader, _, _, _) in enumerate(blocks):
-            for _, _, spread, deltas, _ in blocks[i + 1 :]:
+        absorbs, rows, deep = self._moves(tuple([block[5] for block in blocks]))
+        near = [code - blocks[j][0] for j in absorbs]
+        add = near.append
+        for i, row in rows:
+            leader = blocks[i][1]
+            for j in row:
+                _, _, spread, deltas, _, _ = blocks[j]
                 base = code + leader * spread
                 for delta in deltas:
                     add(base + delta)
-        return out
+        if not deep:
+            return near, ()
+        far = []
+        for level, group, merged in deep:
+            moved, leader = [code], blocks[group[0]][1]
+            for j in group[1:] if merged else group:
+                part, _, spread, deltas, _, _ = blocks[j]
+                steps = [leader * spread + delta for delta in deltas] if merged else [-part]
+                moved = [y + step for y in moved for step in steps]
+            far += [(level, y) for y in moved]
+        return near, far
 
     def count_blocks(self, code: int) -> int:
-        """The number of blocks of `code`, the zero block not counted: the
-        level that every cover move lowers by one."""
+        """The level of `code`: its number of blocks, the zero block not counted."""
         return len(self._blocks(code))
-
-    def ups(self, code: int, zero_sizes: Iterable[int], block_sizes: Iterable[int]) -> Iterator[int]:
-        """The codes of every y >= `code` whose blocks have sizes in
-        block_sizes and whose zero block has a size in zero_sizes,
-        `code` itself among them when it qualifies.  Such a y groups the
-        blocks of `code`, absorbs some of them into the zero block, and
-        shifts the labels of each block merged into a group by any alpha mod
-        s: the same additions as `covers`, one term per block that moves."""
-        blocks = self._blocks(code)
-        weights = tuple([spread.bit_count() for _, _, spread, _, _ in blocks])
-        for absorbed, merged in self._splits(weights, zero_sizes, block_sizes):
-            base = code - sum(blocks[j][0] for j in absorbed)
-            moves = [[blocks[i][1] * blocks[j][2] + delta for delta in blocks[j][3]] for i, j in merged]
-            for terms in product(*moves):
-                yield base + sum(terms)
-
-    def _splits_of(self, weights: tuple, zero_sizes, block_sizes) -> tuple:
-        """(absorbed, merged) for every way to group blocks of these sizes
-        (`_blocks` weighted by block size) and absorb some of them into the
-        zero block (`_zero_and_blocks`): the absorbed blocks, and a pair
-        (first block of its group, block) for each other block of a group.
-        Blocks are numbered by increasing leader, so the first block of a
-        group keeps its leader."""
-        items = tuple(range(len(weights)))
-        splits = _zero_and_blocks(items, zero_sizes, block_sizes, weights, self.n - sum(weights))
-        return tuple(
-            (absorbed, tuple((group[0], j) for group in groups for j in group[1:]))
-            for absorbed, groups in splits
-        )
 
     def encode(self, x: DowlingElement) -> int:
         """The code of a canonical DowlingElement; the blocks may come in any
@@ -460,16 +464,17 @@ class BuiltLattice:
 
 def _grow(seeds: Iterable[int], code: BlockCode, guard: int) -> BuiltLattice:
     """The upper set generated by the minimal elements `seeds` (codes) under
-    the cover moves `code.covers`, grown one level at a time in a pass over
-    the element list as it grows, so elements are placed in move order.
-    Every cover move lowers the level `code.count_blocks` by one, and the
-    seeds of a level join it just before it is processed, after the elements
-    that moves from the level above placed there.  The pass collects the
-    up covers, and the placement order is the poset's linear extension as
-    long as every cover move lands on an element placed after the one it
-    leaves; a move back to a seed or an earlier element raises
-    PosetError.  Raises GuardError as soon as more than `guard` elements
-    exist.  The codes decode through `code.decode_all` (see BuiltLattice)."""
+    the cover moves `code.covers`, grown one level `code.count_blocks` at a
+    time in a pass over the element list as it grows, so elements are placed
+    in move order.  A move to the next level places its element when first
+    found; the seeds of a level, and then the moves that drop several levels
+    to it, join it just before it is processed, after the elements that
+    moves from the level above placed there.  The pass collects the up
+    covers, and the placement order is the poset's linear extension as long
+    as every cover move lands on an element placed after the one it leaves;
+    a move back to a seed or an earlier element raises PosetError.  Raises
+    GuardError as soon as more than `guard` elements exist.  The codes decode
+    through `code.decode_all` (see BuiltLattice)."""
     codes, index, covers_up = [], {}, []
 
     def place(x) -> int:
@@ -479,21 +484,25 @@ def _grow(seeds: Iterable[int], code: BlockCode, guard: int) -> BuiltLattice:
         codes.append(x)
         return i
 
-    pending = {}
+    pending = {}  # level -> [(index of the element moving there or None for a seed, code)]
     for x in _listed(seeds, guard):
-        pending.setdefault(code.count_blocks(x), []).append(x)
+        pending.setdefault(code.count_blocks(x), []).append((None, x))
     at, done = max(pending, default=0), 0
     while pending or done < len(codes):
-        if done == len(codes):  # no element at this level: go to the next seeds
+        if done == len(codes):  # no element at this level: go to the next pending
             at = max(pending)
-        for x in pending.pop(at, ()):
-            if x not in index:
-                place(x)
+        for source, x in pending.pop(at, ()):
+            xi = index.get(x)
+            if xi is None:
+                xi = place(x)
+            if source is not None:
+                covers_up[source] = tuple(sorted((*covers_up[source], xi)))
         # codes[done:end] is level `at`; processing it places level at - 1
         end = len(codes)
         for xi in range(done, end):
+            near, far = code.covers(codes[xi])
             ups = []
-            for y in code.covers(codes[xi]):
+            for y in near:
                 yi = index.get(y)
                 if yi is None:
                     yi = place(y)
@@ -502,6 +511,8 @@ def _grow(seeds: Iterable[int], code: BlockCode, guard: int) -> BuiltLattice:
             if ups and ups[0] <= xi:
                 raise PosetError(f"a cover move from element {xi} goes back to element {ups[0]}")
             covers_up.append(tuple(ups))
+            for level, y in far:
+                pending.setdefault(level, []).append((xi, y))
         done, at = end, at - 1
     poset = close_order(tuple(covers_up), range(len(codes)))
     return BuiltLattice(poset=poset, codes=tuple(codes), decode=code.decode_all)
@@ -518,7 +529,7 @@ def build_partition_lattice(m: int, guard: int = GUARD) -> BuiltLattice:
 def build_dowling_lattice(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
     """The Dowling lattice L_n(s) = R_n^{[1,n],[0,n]}(s) of rank n."""
     _check_params(n=n, s=s)
-    return _restricted(BlockCode(n, s), frozenset(range(1, n + 1)), frozenset(range(n + 1)), guard)
+    return _restricted(BlockCode(n, s), guard)
 
 
 # No build path calls ambient_dowling, induce_from_ambient or
@@ -706,56 +717,32 @@ def lacks_unique_top(n: int, I: frozenset, J: Optional[frozenset] = None, s: int
     return zero_sizes != {0} or not (n in I and s == 1 or not any(2 <= i <= n for i in I))
 
 
-def _indecomposable(sizes: Iterable[int], I: frozenset) -> tuple:
-    """The sizes in `sizes` that are not a + b with a in I and b in `sizes`,
-    sorted."""
-    sizes = frozenset(sizes)
-    return tuple(sorted(b for b in sizes if not any(b - a in sizes for a in I if 0 < a <= b)))
+def _indecomposable(sizes: Iterable[int], I: frozenset, n: int) -> tuple:
+    """The sizes up to n in `sizes` that are not t + b with t a sum of one
+    or more sizes in I and b in `sizes`, sorted."""
+    sizes = frozenset(b for b in sizes if b <= n)
+    sums = set()  # the sums of one or more sizes in I, up to n
+    for t in range(1, n + 1):
+        if any(i == t or t - i in sums for i in I if 0 < i <= t):
+            sums.add(t)
+    return tuple(sorted(b for b in sizes if not any(b - t in sizes for t in sums if t <= b)))
 
 
-def _order_by_up_sets(codes: list, code: BlockCode, zero_sizes, block_sizes) -> BuiltLattice:
-    """The order of a family that is not grown: `codes` in a linear
-    extension, each x ordered below the codes `code.ups` lists for it.
-    y covers x when no other element above x lies below y, so every relation
-    is visited once and no pair is compared."""
-    index = {c: i for i, c in enumerate(codes)}
-    above = []  # above[i]: bitmask of the elements strictly above element i
-    for i, c in enumerate(codes):
-        row = 0
-        for y in code.ups(c, zero_sizes, block_sizes):
-            row |= 1 << index[y]
-        above.append(row & ~(1 << i))
-    covers_up = []
-    for row in above:
-        higher = 0
-        for z in _bits(row):
-            higher |= above[z]
-        covers_up.append(tuple(_bits(row & ~higher)))
-    poset = close_order(tuple(covers_up), range(len(codes)))
-    return BuiltLattice(poset=poset, codes=tuple(codes), decode=code.decode_all)
-
-
-def _restricted(code: BlockCode, I: frozenset, J: frozenset, guard: int) -> BuiltLattice:
-    """R_n^{I,J}(s) in the code of L_n(s) `code`; no 0-hat.  Under the
-    semigroup condition on [0, n] it is grown from its minimal elements:
-    blocks of sizes not a sum of two in I, and a zero block of a size j with
-    no j - i in J for i in I.  Otherwise it is listed, sorted by rank and
-    then by decoded element, and ordered by its up sets."""
-    n, s = code.n, code.s
-    if semigroup_violation(I, J, n) is None:
-        zero_sizes = _indecomposable((j for j in J if j <= n), I)
-        seeds = _dowling_elements(n, s, zero_sizes, _indecomposable((i for i in I if 0 < i <= n), I))
-        return _grow(map(code.encode, seeds), code, guard)
-    listed = _listed(_dowling_elements(n, s, J, I), guard)
-    codes = sorted(map(code.encode, listed), key=lambda c: (-code.count_blocks(c), code.decode(c)))
-    return _order_by_up_sets(codes, code, J, I)
+def _restricted(code: BlockCode, guard: int) -> BuiltLattice:
+    """R_n^{I,J}(s), the family of `code`; no 0-hat.  It is grown from its
+    minimal elements by the cover moves of `code`: every labelling of blocks
+    whose size is not a sum of two or more sizes in I, and of a zero block
+    whose size j has no j - t in J for t a sum of sizes in I."""
+    n, I = code.n, code.I
+    seeds = _dowling_elements(n, code.s, _indecomposable(code.J, I, n), _indecomposable(I, I, n))
+    return _grow(map(code.encode, seeds), code, guard)
 
 
 def _marked(m: int, I: frozenset, K: frozenset, guard: int) -> BuiltLattice:
     """The partitions of [m] whose block holding m has a size in K and whose
     other blocks have sizes in I: R_{m-1}^{I,K-1}(1) read through the
     bijection (`PartitionCode`); no 0-hat."""
-    return _restricted(PartitionCode(m), I, frozenset(k - 1 for k in K), guard)
+    return _restricted(PartitionCode(m, I, K), guard)
 
 
 def build_restricted_partition(n: int, I: frozenset, guard: int = GUARD) -> BuiltLattice:
@@ -771,7 +758,7 @@ def build_restricted_dowling(
     """R_n^{I,J} for R = Dowling(s): zero-block size in J, block sizes in I,
     with a 0-hat adjoined (see `_restricted`)."""
     _check_params(n=n, s=s)
-    return adjoin_zero(_restricted(BlockCode(n, s), I, J, guard))
+    return adjoin_zero(_restricted(BlockCode(n, s, I, J), guard))
 
 
 def build_D_rk(n: int, r: int, k: int, s: int, guard: int = GUARD) -> BuiltLattice:
@@ -781,7 +768,7 @@ def build_D_rk(n: int, r: int, k: int, s: int, guard: int = GUARD) -> BuiltLatti
     _check_params(n=n, r=r, k=k, s=s)
     size = r * n + k
     I, J = frozenset(range(r, size + 1, r)), frozenset(range(k, size + 1, r))
-    return adjoin_zero(_restricted(BlockCode(size, s), I, J, guard))
+    return adjoin_zero(_restricted(BlockCode(size, s, I, J), guard))
 
 
 # ---------------------------------------------------------------------------
@@ -817,14 +804,15 @@ def dowling_to_extended(x: DowlingElement, m: int) -> tuple:
 
 class PartitionCode(BlockCode):
     """The codes of L_{m-1}(1) read as the partitions of [m] that they stand
-    for (`dowling_to_extended`); every partition family is built in it.  The
+    for (`dowling_to_extended`); every partition family is built in it, as
+    R_{m-1}^{I,K-1}(1) (`_marked`; I and K default to [1, m], Pi_m).  The
     block holding m is memoized by its zero block, and the other blocks are
     the decoded element tuples, so the partitions share every block and no
     DowlingElement is kept.  Its `encode` takes a DowlingElement of
     L_{m-1}(1)."""
 
-    def __init__(self, m: int):
-        super().__init__(m - 1, 1)
+    def __init__(self, m: int, I: Optional[frozenset] = None, K: Optional[frozenset] = None):
+        super().__init__(m - 1, 1, I, None if K is None else frozenset(k - 1 for k in K))
         self._marked = cache(lambda zero: zero + (m,))
 
     def decode(self, code: int) -> tuple:

@@ -120,9 +120,11 @@ def chain(x):
 
 
 def toy_code(covers):
-    """What `_grow` reads of a BlockCode: the moves `covers`, every seed on
-    one level, and codes that are their own elements."""
-    return SimpleNamespace(covers=covers, count_blocks=lambda x: 0, decode_all=tuple)
+    """What `_grow` reads of a BlockCode: the moves `covers`, each to the
+    next level, every seed on one level, and codes that are their own
+    elements."""
+    return SimpleNamespace(covers=lambda x: (covers(x), ()), count_blocks=lambda x: 0,
+                           decode_all=tuple)
 
 
 @pytest.mark.parametrize("covers_fn", [
@@ -150,7 +152,8 @@ def test_move_back_through_cli_is_internal(capsys, monkeypatch, command):
     def back_to_bottom(self, code):
         m = self.n + 1
         bottom = extended_to_dowling(tuple((e,) for e in range(1, m + 1)), m)
-        return moves(self, code) or [self.encode(bottom)]
+        near, far = moves(self, code)
+        return near or [self.encode(bottom)], far
 
     monkeypatch.setattr(structures.BlockCode, "covers", back_to_bottom)
     code = main([command, "--family", "pi", "--m", "3"])

@@ -1,11 +1,11 @@
 """Block-size enumeration against the enumerators it replaced.
 
-Every family is listed by one generator over block sizes.  The oracles here
-are the former listing paths, kept only in this file: all set partitions,
-re-sorted at every step and filtered by block size, and every element of
-L_n(s) filtered by two predicates.  The restricted families must list the
-same elements; those that are not grown must keep the same order, so their
-indices and exports do not change.
+The listings and the minimal elements of every family come from one
+generator over block sizes.  The oracles here are the former listing paths,
+kept only in this file: all set partitions, re-sorted at every step and
+filtered by block size, and every element of L_n(s) filtered by two
+predicates.  The restricted families must list the same elements, in an
+order in which every cover points to a higher index.
 """
 
 from functools import lru_cache
@@ -20,7 +20,6 @@ from expdowling.structures import (
     build_restricted_dowling,
     build_restricted_partition,
     enumerate_dowling,
-    semigroup_violation,
     set_partitions,
 )
 
@@ -62,21 +61,15 @@ def old_enumerate_dowling(n, s, zero_ok=None, block_ok=None):
 def listed(build, *args):
     """The elements of `build(*args)` in the order of the former listing:
     sorted partitions, or Dowling elements by (block count, zero block,
-    blocks).  A family that is not grown (the semigroup condition fails)
-    must keep exactly that listing, stably re-sorted by rank, as its index
-    order, so that its indices and exports do not change."""
-    elements = list(build(*args).elements)
+    blocks).  Every family is grown, with or without the semigroup
+    condition, so its index order must be a linear extension: every cover
+    points to a higher index."""
+    built = build(*args)
+    covers_up = built.poset.covers_up
+    assert all(x < y for x in built.natural_indices() for y in covers_up[x])
     if build is build_restricted_partition:
-        n, I = args
-        J, blocks = frozenset(), len
-        old_order = sorted(elements)
-    else:
-        n, _, I, J = args
-        blocks = lambda x: len(x.blocks)
-        old_order = sorted(elements, key=lambda x: (blocks(x), x.zero, x.blocks))
-    if semigroup_violation(I, J, n) is not None:
-        assert elements == sorted(old_order, key=lambda x: -blocks(x))
-    return old_order
+        return sorted(built.elements)
+    return sorted(built.elements, key=lambda x: (len(x.blocks), x.zero, x.blocks))
 
 
 def subsets(items):

@@ -1,10 +1,13 @@
 """Q_n^I and R_n^{I,J}(s) against the pairwise order they replaced.
 
-When the semigroup condition holds on [0, n] the family is an upper set and
-is grown from its minimal elements; otherwise its elements are listed and
-ordered by their up sets.  Both paths must give the lattice that the pairwise
-order gives: the same elements, covers and ranks (None when not graded), and
-the same guard outcome.
+Every family is grown from its minimal elements by one local cover rule: a
+cover merges one group of blocks, or absorbs one into the zero block, when
+no smaller part of the group can be merged or absorbed on its own.  When the
+semigroup condition holds on [0, n] the family is an upper set and the rule
+gives the moves of L_n(s), one block absorbed or two merged; otherwise a
+cover may change several blocks at once.  Either way the build must give
+the lattice that the pairwise order gives: the same elements, covers and
+ranks (None when not graded), and the same guard outcome.
 
 [ORACLE] `structures.induced_subposet` compares every pair of the listed
 elements with `partition_leq` / `dowling_leq` and recovers the covers by
@@ -12,12 +15,14 @@ transitive reduction.  No build path calls it; the elements it orders are
 all set partitions, or all of L_n(s), filtered by block size.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 from expdowling import cli, structures
 from expdowling.structures import (
+    DowlingElement,
     GuardError,
     adjoin_zero,
     build_restricted_dowling,
@@ -107,7 +112,14 @@ def test_q_semigroup_seeds_at_two_levels():
     ("build_restricted_partition", (9, frozenset({3, 5, 6, 8, 9}))),
     ("build_restricted_dowling", (5, 2, frozenset({2, 3, 4, 5}), frozenset({1, 2, 3, 4, 5}))),
     ("build_restricted_dowling", (6, 3, frozenset({3, 6}), frozenset({0, 3, 6}))),
-], ids=["q8", "q9", "r5", "r6"])
+    # the semigroup condition fails: seeds whose blocks are no sum of two or
+    # more sizes in I, and whose zero block has no size j - t in J
+    ("build_restricted_partition", (8, frozenset({2, 3}))),
+    ("build_restricted_partition", (9, frozenset({2, 5, 7}))),
+    ("build_restricted_dowling", (4, 2, frozenset({2, 3}), frozenset({1, 3}))),
+    ("build_restricted_dowling", (5, 3, frozenset({2, 3}), frozenset({0, 1, 4}))),
+    ("build_restricted_dowling", (6, 2, frozenset({2, 3, 4}), frozenset({1, 2, 5}))),
+], ids=["q8", "q9", "r5", "r6", "q8-{2,3}", "q9-{2,5,7}", "r4-s2", "r5-s3", "r6-s2"])
 def test_semigroup_seeds_are_the_minimal_elements(monkeypatch, builder, args):
     # growth skips a seed that a move already reached, so only this shows
     # that no element above a minimal one is listed as a seed
@@ -122,6 +134,75 @@ def test_semigroup_seeds_are_the_minimal_elements(monkeypatch, builder, args):
     built = getattr(structures, builder)(*args)
     minimal = built.poset.covers_up[built.bottom]
     assert sorted(seen[0]) == sorted(built.codes[i] for i in minimal)
+
+
+def assert_linear(built):
+    """Every cover of a real element points to a higher index."""
+    covers_up = built.poset.covers_up
+    assert all(x < y for x in built.natural_indices() for y in covers_up[x])
+
+
+def test_merging_three_blocks_is_a_cover():
+    # Q_4^{1,3}: 2 is not in I, so the singletons are covered by the four
+    # partitions with a block of three, each merging three blocks at once
+    built = build_restricted_partition(4, frozenset({1, 3}))
+    assert_linear(built)
+    bottom = built.index[((1,), (2,), (3,), (4,))]
+    covers = {built.elements[y] for y in built.poset.covers_up[bottom]}
+    assert covers == {p for p in built.elements if len(p) == 2}
+    assert len(covers) == 4
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_absorbing_two_blocks_is_a_cover(s):
+    # R_2^{{1},{0,2}}(s): 1 is not in J, so the zero block takes both
+    # singletons at once
+    built = build_restricted_dowling(2, s, frozenset({1}), frozenset({0, 2}))
+    assert_linear(built)
+    assert built.elements == (DowlingElement((), (((1,), (0,)), ((2,), (0,)))),
+                              DowlingElement((1, 2), ()))
+    assert built.poset.covers_up[:2] == ((1,), ())
+
+
+@lru_cache(maxsize=None)
+def pairwise(n, s=None):
+    """Every element of Pi_n (s None) or L_n(s), and a leq that serves each
+    comparison of `partition_leq` / `dowling_leq` from one table, each pair
+    compared once for every family filtered from them."""
+    if s is None:
+        elements, leq = set_partitions(n), partition_leq
+    else:
+        elements, leq = enumerate_dowling(n, s), lambda x, y: dowling_leq(x, y, s)
+    below = {(x, y) for x in elements for y in elements if leq(x, y)}
+    return elements, lambda x, y: (x, y) in below
+
+
+def test_q7_every_I_is_the_pairwise_order():
+    # the 127 nonempty I of [1..7], with or without the semigroup condition
+    elements, leq = pairwise(7)
+    for I in subsets(range(1, 8)):
+        kept = [p for p in elements if all(len(b) in I for b in p)]
+        oracle = adjoin_zero(induced_subposet(kept, leq, lambda p: 7 - len(p)))
+        built = build_restricted_partition(7, I)
+        assert shape(built) == shape(oracle), sorted(I)
+        assert_linear(built)
+
+
+# (n, s) of the sweep over every nonempty I and J: 1,290 families
+SWEEP = [(n, 1) for n in range(1, 5)] + [(n, 2) for n in range(2, 5)] + [(3, 3)]
+
+
+@pytest.mark.parametrize("n,s", SWEEP)
+def test_r_every_I_J_is_the_pairwise_order(n, s):
+    elements, leq = pairwise(n, s)
+    for I in subsets(range(1, n + 1)):
+        for J in subsets(range(n + 1)):
+            kept = [x for x in elements
+                    if len(x.zero) in J and all(len(b) in I for b, _ in x.blocks)]
+            oracle = adjoin_zero(induced_subposet(kept, leq, lambda x: n - len(x.blocks)))
+            built = build_restricted_dowling(n, s, I, J)
+            assert shape(built) == shape(oracle), (sorted(I), sorted(J))
+            assert_linear(built)
 
 
 R_I = [frozenset(I) for I in [(1,), (2,), (1, 2), (2, 3), (2, 4), (1, 2, 3), (3, 4, 5),
@@ -140,6 +221,7 @@ def test_r_grid(n, s):
 
 
 def test_r_grid_takes_both_paths():
+    # the grid holds families with and without the semigroup condition
     paths = {semigroup_violation(I, J, n) is None for n, _ in R_GRID for I in R_I for J in R_J}
     assert paths == {True, False}
     with_zero = {0 in J for I in R_I for J in R_J if semigroup_violation(I, J, 5) is None}

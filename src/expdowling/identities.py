@@ -491,9 +491,16 @@ def hyperbolic_series_check(k: int, s: int, T: int) -> IdentityReport:
 
 
 @lru_cache(maxsize=None)
+def extended_lattice(m: int, r: int, j: int) -> BuiltLattice:
+    """Pi_m^{r,j}, built once for the Mobius, descent and EL checks that
+    read it; `cli` drops these builds before each `verify` run."""
+    return build_extended(m, r, j)
+
+
+@lru_cache(maxsize=None)
 def extended_mu(m: int, r: int, j: int) -> int:
-    """mu(0-hat, 1-hat) of Pi_m^{r,j}, built once per process."""
-    return brute_mu(build_extended(m, r, j))
+    """mu(0-hat, 1-hat) of Pi_m^{r,j}, computed once per process."""
+    return brute_mu(extended_lattice(m, r, j))
 
 
 def mu_descent_check(r: int, k: int, n: int) -> IdentityReport:
@@ -513,7 +520,7 @@ def theorem_j1_check(r: int, n: int) -> IdentityReport:
     top."""
     m = r * n + 1
     report = IdentityReport("mu-j1-zero", {"r": r, "n": n, "m": m})
-    built = build_extended(m, r, 1)
+    built = extended_lattice(m, r, 1)
     P = built.poset
     report.add(f"m={m}", brute_mu(built), 0)
     atoms = P.covers_up[bottom_of(built)]

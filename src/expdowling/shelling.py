@@ -42,6 +42,7 @@ tests.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 from . import descents
 from .poset import Poset, maximal_chains, mobius_table
@@ -272,13 +273,15 @@ def descent_class_size(m: int, r: int, j: int) -> int:
     return 1 if n == 0 else 0
 
 
-def el_verify(m: int, r: int, j: int, guard: int = GUARD) -> dict:
+def el_verify(m: int, r: int, j: int, guard: int = GUARD, built: Optional[BuiltLattice] = None) -> dict:
     """Full EL suite for one lattice: every interval has exactly one rising
     chain and it is lex-first; the falling chains are exactly the explicit
-    ones; counts line up with descents and with |mu|."""
+    ones; counts line up with descents and with |mu|.  The lattice is
+    `built`, Pi_m^{r,j} as a caller built it, or else built here."""
     if j < 1:
         raise ParameterError(f"the edge labeling needs j >= 1, got {j}")
-    built = build_extended(m, r, j, guard=guard)
+    if built is None:
+        built = build_extended(m, r, j, guard=guard)
     pairs = wachs_pairs(built, m, r, j)
     P, bottom = built.poset, built.bottom
     intervals = 0

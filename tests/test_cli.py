@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from expdowling import cli, identities, structures
+from expdowling import cli, identities, shelling, structures
 from expdowling.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from expdowling.poset import PosetError
 
@@ -511,6 +511,27 @@ def test_descent_suites_build_each_extended_lattice_once(capsys, monkeypatch):
     capsys.readouterr()
     assert sorted(built) == sorted(set(built))
     assert {(4, 2, 2), (6, 2, 2)} <= set(built)
+
+
+def test_verify_all_builds_each_extended_lattice_once(capsys, monkeypatch):
+    # the EL suite checks Pi_3^{2,1}, Pi_4^{2,2}, Pi_5^{2,3} and Pi_6^{2,2},
+    # which thm5.4 and thm5.5 have built in the same run
+    built = []
+
+    def counted(m, r, j, *args, **kwargs):
+        built.append((m, r, j))
+        return structures.build_extended(m, r, j, *args, **kwargs)
+
+    identities.extended_mu.cache_clear()
+    monkeypatch.setattr(identities, "build_extended", counted)
+    monkeypatch.setattr(shelling, "build_extended", counted)
+    try:
+        assert main(["verify", "all"]) == EXIT_OK
+    finally:
+        identities.extended_mu.cache_clear()
+    capsys.readouterr()
+    assert sorted(built) == sorted(set(built))
+    assert {(3, 2, 1), (4, 2, 2), (5, 2, 3), (6, 2, 2), (7, 3, 4)} <= set(built)
 
 
 def test_q_r_bounds_decided_before_building():

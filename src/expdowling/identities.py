@@ -492,8 +492,7 @@ def hyperbolic_series_check(k: int, s: int, T: int) -> IdentityReport:
 
 @lru_cache(maxsize=None)
 def extended_lattice(m: int, r: int, j: int) -> BuiltLattice:
-    """Pi_m^{r,j}, built once for the Mobius, descent and EL checks that
-    read it; `cli` drops these builds before each `verify` run."""
+    """Pi_m^{r,j}, one build for the checks of a `verify` run that read it."""
     return build_extended(m, r, j)
 
 

@@ -42,7 +42,6 @@ tests.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from . import descents
 from .poset import Poset, maximal_chains, mobius_table
@@ -273,7 +272,7 @@ def descent_class_size(m: int, r: int, j: int) -> int:
     return 1 if n == 0 else 0
 
 
-def el_verify(m: int, r: int, j: int, guard: int = GUARD, built: Optional[BuiltLattice] = None) -> dict:
+def el_verify(m: int, r: int, j: int, guard: int = GUARD, built: BuiltLattice | None = None) -> dict:
     """Full EL suite for one lattice: every interval has exactly one rising
     chain and it is lex-first; the falling chains are exactly the explicit
     ones; counts line up with descents and with |mu|.  The lattice is

@@ -32,7 +32,7 @@ fixed-width field of the code that holds the least element of its block (its
 leader; 0 for the zero block) and its label relative to the leader, and a
 cover move adds one delta per block it moves.  A cover merges a group of
 blocks, or absorbs one into the zero block, when no smaller part of the
-group can move on its own (`BlockCode._moves_of`).  Under the semigroup
+group can move on its own (`_cover_moves`).  Under the semigroup
 condition of Thm 4.1/4.2 on [0, n] (`semigroup_violation`) the family is an
 upper set of L_n(s), and a cover absorbs one block or merges two.  Growth
 runs one block count at a time and places elements in move order (the
@@ -240,6 +240,47 @@ def _byte_tables(lead_bits: int) -> tuple:
     return bytes(range(step)) * (256 // step), tuple(keep)
 
 
+def _cover_moves(I: frozenset, J: frozenset, zero: int, sizes: tuple) -> tuple:
+    """(absorbs, rows, deep): the groups of blocks that the covers change of
+    an element of R_n^{I,J}(s) whose blocks have these sizes by increasing
+    leader, and whose zero block Z the size `zero`.  absorbs lists each
+    block whose absorption is a cover, rows each (i, (j, ...)) where merging
+    blocks i < j is one, and deep the (level, group, merged) of each cover
+    of more blocks, level being the block count it leaves.  A group of >= 2
+    blocks with its size in I merges into a cover, and a group G with
+    |Z u G| in J is absorbed by one, unless a smaller part of G could move
+    on its own, giving an element between: a part of >= 2 blocks with its
+    size in I, or for an absorb a nonempty part G' with |Z u G'| in J, or G
+    itself of >= 2 blocks with its size in I.  Groups grow by one block in
+    index order, and one with a part that merges is dropped."""
+    absorbs, rows, deep = [], {}, []
+    free = {(): (0, False)}  # group with no part that merges -> (size, a part is absorbable)
+    for k in range(1, len(sizes) + 1):
+        larger = {}
+        for group, (base, _) in free.items():
+            for b in range(group[-1] + 1 if group else 0, len(sizes)):
+                g = group + (b,)
+                parts = [free.get(g[:i] + g[i + 1 :]) for i in range(k)]
+                if None in parts:
+                    continue
+                size = base + sizes[b]
+                if k >= 2 and size in I:
+                    if k == 2:
+                        rows.setdefault(g[0], []).append(b)
+                    else:
+                        deep.append((len(sizes) - k + 1, g, True))
+                    continue
+                below = any([absorbable for _, absorbable in parts])
+                if zero + size in J and not below:
+                    if k == 1:
+                        absorbs.append(b)
+                    else:
+                        deep.append((len(sizes) - k, g, False))
+                larger[g] = size, below or zero + size in J
+        free = larger
+    return tuple(absorbs), tuple((i, tuple(row)) for i, row in rows.items()), tuple(deep)
+
+
 class BlockCode:
     """The elements of R_n^{I,J}(s) as ints, and their cover moves as integer
     additions; I and J default to [1, n] and [0, n], which give L_n(s).
@@ -259,11 +300,12 @@ class BlockCode:
     D_j[alpha], memoized by part_j (which fixes the leader, the elements and
     the labels of block j), takes away part_j and puts back the labels of
     block j shifted by alpha mod s.  A move of a group of blocks
-    (`_moves_of`) adds the delta of each block that moves.  The merged block
-    keeps the smallest leader, whose label is 0, so every move lands on a
-    canonical code, and the moves of one element are all distinct.  Decoding
-    splits a code into the same parts; decoded blocks are memoized by part,
-    so equal blocks are one shared tuple.
+    (`_cover_moves`, memoized by the block sizes) adds the delta of each
+    block that moves.  The merged block keeps the smallest leader, whose
+    label is 0, so every move lands on a canonical code, and the moves of
+    one element are all distinct.  Decoding splits a code into the same
+    parts; decoded blocks are memoized by part, so equal blocks are one
+    shared tuple.
     """
 
     def __init__(self, n: int, s: int, I: Optional[frozenset] = None, J: Optional[frozenset] = None):
@@ -279,7 +321,7 @@ class BlockCode:
         self._block = cache(self._block_of)
         self._encoded = cache(self._encoded_of)
         self._zero_block = cache(self._zero_block_of)
-        self._moves = cache(self._moves_of)
+        self._moves = cache(lambda sizes: _cover_moves(self.I, self.J, n - sum(sizes), sizes))
 
     def _fields(self, code: int):
         """The field values of `code`, for the ground elements 1..n in turn."""
@@ -322,53 +364,12 @@ class BlockCode:
         piece = (tuple(elems), tuple(labels))
         return part, elems[0], spread, tuple(bits - part for bits in shifted), piece, len(elems)
 
-    def _moves_of(self, sizes: tuple) -> tuple:
-        """(absorbs, rows, deep): the groups of blocks that the covers of an
-        element change, its blocks having these sizes by increasing leader.
-        absorbs lists each block whose absorption is a cover, rows each
-        (i, (j, ...)) where merging blocks i < j is one, and deep the (level,
-        group, merged) of each cover of more blocks, level being the block
-        count it leaves.  A group of >= 2 blocks with its size in I merges
-        into a cover, and a group G with |Z u G| in J, Z the zero block, is
-        absorbed by one, unless a smaller part of G could move on its own and
-        give an element strictly between: a part of >= 2 blocks with its size
-        in I, or for an absorb a nonempty part G' with |Z u G'| in J, or G
-        itself of >= 2 blocks with its size in I.  Groups grow by one block in
-        index order; one with a part that merges is dropped, with all above."""
-        I, J, zero = self.I, self.J, self.n - sum(sizes)
-        absorbs, rows, deep = [], {}, []
-        free = {(): False}  # group with no part that merges -> whether a part is absorbable
-        for k in range(1, len(sizes) + 1):
-            larger = {}
-            for group in free:
-                for b in range(group[-1] + 1 if group else 0, len(sizes)):
-                    g = group + (b,)
-                    parts = [g[:i] + g[i + 1 :] for i in range(k)]
-                    if not all(part in free for part in parts):
-                        continue
-                    size = sum(sizes[i] for i in g)
-                    if k >= 2 and size in I:
-                        if k == 2:
-                            rows.setdefault(g[0], []).append(b)
-                        else:
-                            deep.append((len(sizes) - k + 1, g, True))
-                        continue
-                    below = any(free[part] for part in parts)
-                    if zero + size in J and not below:
-                        if k == 1:
-                            absorbs.append(b)
-                        else:
-                            deep.append((len(sizes) - k, g, False))
-                    larger[g] = below or zero + size in J
-            free = larger
-        return tuple(absorbs), tuple((i, tuple(row)) for i, row in rows.items()), tuple(deep)
-
     def covers(self, code: int) -> tuple:
         """The codes covering `code`: (near, far).  near lists those with
         one block fewer, in move order: the absorbs by block, then the
         merges of blocks i < j with shifts 0, ..., s - 1.  far lists
         (level, code) for each cover that changes more blocks, in the order
-        of `_moves_of`, the shift of the last block of a merge varying
+        of `_cover_moves`, the shift of the last block of a merge varying
         fastest."""
         blocks = self._blocks(code)
         absorbs, rows, deep = self._moves(tuple([block[5] for block in blocks]))

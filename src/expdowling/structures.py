@@ -241,18 +241,18 @@ def _byte_tables(lead_bits: int) -> tuple:
 
 
 def _cover_moves(I: frozenset, J: frozenset, zero: int, sizes: tuple) -> tuple:
-    """(absorbs, rows, deep): the groups of blocks that the covers change of
-    an element of R_n^{I,J}(s) whose blocks have these sizes by increasing
-    leader, and whose zero block Z the size `zero`.  absorbs lists each
-    block whose absorption is a cover, rows each (i, (j, ...)) where merging
-    blocks i < j is one, and deep the (level, group, merged) of each cover
-    of more blocks, level being the block count it leaves.  A group of >= 2
-    blocks with its size in I merges into a cover, and a group G with
-    |Z u G| in J is absorbed by one, unless a smaller part of G could move
-    on its own, giving an element between: a part of >= 2 blocks with its
-    size in I, or for an absorb a nonempty part G' with |Z u G'| in J, or G
-    itself of >= 2 blocks with its size in I.  Groups grow by one block in
-    index order, and one with a part that merges is dropped."""
+    """(absorbs, rows, deep): the groups of blocks that the covers of an
+    element of R_n^{I,J}(s) change, given the sizes of its blocks by
+    increasing leader and the size `zero` of its zero block Z.  absorbs
+    lists each block whose absorption is a cover, rows each (i, (j, ...))
+    where merging blocks i < j is one, and deep the (level, group, merged)
+    of each cover of more blocks, level being the block count it leaves.  A
+    group of >= 2 blocks with its size in I merges into a cover, and a group
+    G with |Z u G| in J is absorbed by one, unless a smaller part of G could
+    move on its own, giving an element between: a part of >= 2 blocks with
+    its size in I, or for an absorb a nonempty part G' with |Z u G'| in J,
+    or G itself of >= 2 blocks with its size in I.  Groups grow by one block
+    in index order, and one with a part that merges is dropped."""
     absorbs, rows, deep = [], {}, []
     free = {(): (0, False)}  # group with no part that merges -> (size, a part is absorbable)
     for k in range(1, len(sizes) + 1):

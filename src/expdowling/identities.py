@@ -52,6 +52,7 @@ from .series import (
 )
 from .structures import (
     BuiltLattice,
+    ParameterError,
     StructureType,
     adjoin_zero,
     all_types,
@@ -155,7 +156,7 @@ def brute_mu(built: BuiltLattice) -> int:
 
 def exponential_form(a, T: int) -> TruncatedSeries:
     """-log sum a(n) x^n/n!, the Mobius series of an exponential structure
-    (Stanley); `a` is a table or a function of n with a(0) = 1."""
+    (Stanley); `a` is a function of n with a(0) = 1."""
     return -log(series_from_table(a, T))
 
 
@@ -297,7 +298,7 @@ def corank_census(built: BuiltLattice) -> dict:
     P = built.poset
     top_rank = P.rank[P.top]
     hist = {}
-    for x in built.natural_indices():
+    for x in range(len(built.codes)):
         c = top_rank - P.rank[x]
         hist[c] = hist.get(c, 0) + 1
     return hist
@@ -396,16 +397,15 @@ def restricted_mu_check(
     return report
 
 
-def semigroup_check(
-    I: frozenset, J: frozenset, s: int, n_max: int, window: int
-) -> IdentityReport:
-    """The semigroup specialization (Cor 4.3): closure hypotheses are verified
-    on the finite window first, then both closed forms are checked
-    coefficientwise, over the indicator tables of {0} + I and of J."""
+def semigroup_check(I: frozenset, J: frozenset, s: int, n_max: int) -> IdentityReport:
+    """The semigroup specialization (Cor 4.3): the closure hypotheses are
+    verified on [0, n_max] first (ParameterError if they fail), then both
+    closed forms are checked coefficientwise through x^n_max, over the
+    indicator tables of {0} + I and of J."""
     I, J = frozenset(I), frozenset(J)
-    problem = semigroup_violation(I, J, window)
+    problem = semigroup_violation(I, J, n_max)
     if problem:
-        raise ValueError(problem)
+        raise ParameterError(problem)
 
     report = IdentityReport(
         "semigroup-mu", {"I": sorted(I), "J": sorted(J), "s": s, "n_max": n_max}
@@ -496,19 +496,13 @@ def extended_lattice(m: int, r: int, j: int) -> BuiltLattice:
     return build_extended(m, r, j)
 
 
-@lru_cache(maxsize=None)
-def extended_mu(m: int, r: int, j: int) -> int:
-    """mu(0-hat, 1-hat) of Pi_m^{r,j}, computed once per process."""
-    return brute_mu(extended_lattice(m, r, j))
-
-
 def mu_descent_check(r: int, k: int, n: int) -> IdentityReport:
     """Brute mu of the extended r-divisible lattice against the signed descent
     count (m = r*n + k + 1)."""
     m = r * n + k + 1
     report = IdentityReport("mu-descent", {"r": r, "k": k, "n": n, "m": m})
     closed = (-1) ** n * shelling.descent_class_size(m, r, k + 1)
-    report.add(f"m={m}", extended_mu(m, r, k + 1), closed)
+    report.add(f"m={m}", brute_mu(extended_lattice(m, r, k + 1)), closed)
     if report.epsilon == -1:
         report.notes.append("brute sign is (-1)^(n+1), opposite to the printed (-1)^n")
     return report

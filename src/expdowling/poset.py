@@ -8,7 +8,9 @@ y >= x), the rank and the minimal and maximal elements are each built by
 one pass along `topo` when first read.  The Mobius numbers read none of
 them: `_mobius_stream` walks `topo` and holds only the rows of its frontier.
 Growth in `structures` hands `close_order` its covers and a linear
-extension; `from_covers` checks and sorts arbitrary cover pairs first.
+extension; `from_covers` checks and sorts arbitrary cover pairs first.  No
+command tests the lattice property or the Mobius identity: those checks are
+test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -118,10 +120,6 @@ class Poset:
             "ranks": list(self.rank) if self.rank is not None else None,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Poset":
-        return from_covers(data["n"], [tuple(c) for c in data["covers"]])
-
 
 def from_covers(n: int, covers: Iterable[tuple]) -> Poset:
     """Build a poset from arbitrary cover pairs: check them, drop duplicates
@@ -217,12 +215,6 @@ def mobius(P: Poset, x: int, y: int) -> int:
     return table[y]
 
 
-def verify_mobius_identity(P: Poset, x: int) -> bool:
-    """Defining identity: sum of mu(x, z) over x <= z <= y vanishes for y > x."""
-    table = mobius_table(P, x)
-    return all(sum(table.get(z, 0) for z in _bits(P.down_rows[y])) == 0 for y in table if y != x)
-
-
 def maximal_chains(P: Poset, x: int, y: int) -> list:
     """All saturated chains x = z_0 <| ... <| z_k = y, in deterministic order."""
     if not P.leq(x, y):
@@ -244,40 +236,3 @@ def maximal_chains(P: Poset, x: int, y: int) -> list:
     walk(x)
     return out
 
-
-def _heights(P: Poset) -> list:
-    """Longest-chain height of every element above a minimal one; it equals
-    the rank when P is graded and is strictly monotone in any poset."""
-    height = [0] * P.n
-    for x in P.topo:
-        for y in P.covers_up[x]:
-            height[y] = max(height[y], height[x] + 1)
-    return height
-
-
-def is_lattice(P: Poset) -> tuple[bool, str]:
-    """Whether every pair of elements has a join and a meet.
-
-    A finite poset with a bottom in which every pair has a join is a lattice
-    (Stanley, EC1 3.3.1), so only joins are tested.  The join of x and y, if
-    any, is the unique element of least height in their common upper set, so
-    each pair tests that one candidate, found by walking the height levels.
-    """
-    if len(P.minimals) != 1 or len(P.maximals) != 1:
-        return False, "missing unique bottom or top"
-    height = P.rank if P.rank is not None else _heights(P)
-    levels = [0] * (max(height) + 1)
-    for z, h in enumerate(height):
-        levels[h] |= 1 << z
-    up = P.up_rows
-    for x in range(P.n):
-        for y in range(x + 1, P.n):
-            uppers = up[x] & up[y]  # never empty: the top lies above everything
-            h = max(height[x], height[y])
-            while not uppers & levels[h]:
-                h += 1
-            least = uppers & levels[h]
-            candidate = (least & -least).bit_length() - 1
-            if uppers & ~up[candidate]:
-                return False, f"no join for {x}, {y}"
-    return True, "ok"

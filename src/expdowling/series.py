@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 
 class SeriesError(ValueError):
@@ -164,57 +164,44 @@ def compose(g: TruncatedSeries, f: TruncatedSeries) -> TruncatedSeries:
 
 
 def log(f: TruncatedSeries) -> TruncatedSeries:
-    """log of a series with constant term 1."""
+    """log of a series with constant term 1, by the recurrence of f g' = f':
+    g_n = f_n - (1/n) sum_{0<k<n} k g_k f_{n-k}."""
     if f.coeffs[0] != 1:
         raise SeriesError("log requires constant term 1")
-    t = f.order
-    u = f - TruncatedSeries.one(t)
-    acc = TruncatedSeries.zero(t)
-    power = TruncatedSeries.one(t)
-    for k in range(1, t + 1):
-        power = power * u
-        acc = acc + power * Fraction((-1) ** (k + 1), k)
-    return acc
+    c, g = f.coeffs, [Fraction(0)]
+    for n in range(1, len(c)):
+        g.append(c[n] - sum((k * g[k] * c[n - k] for k in range(1, n)), Fraction(0)) / n)
+    return TruncatedSeries(g)
 
 
 def exp(f: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with constant term 0."""
+    """exp of a series with constant term 0, by the recurrence of g' = f' g:
+    g_n = (1/n) sum_{0<k<=n} k f_k g_{n-k}."""
     if f.coeffs[0] != 0:
         raise SeriesError("exp requires constant term 0")
-    t = f.order
-    acc = TruncatedSeries.one(t)
-    power = TruncatedSeries.one(t)
-    for k in range(1, t + 1):
-        power = power * f
-        acc = acc + power * Fraction(1, math.factorial(k))
-    return acc
+    c, g = f.coeffs, [Fraction(1)]
+    for n in range(1, len(c)):
+        g.append(sum((k * c[k] * g[n - k] for k in range(1, n + 1)), Fraction(0)) / n)
+    return TruncatedSeries(g)
 
 
 def pow_rational(f: TruncatedSeries, q) -> TruncatedSeries:
-    """f**q for rational q, requiring constant term 1.  Computed as exp(q*log f)."""
+    """f**q for rational q, requiring constant term 1, by the recurrence of
+    f g' = q f' g: g_n = (1/n) sum_{0<k<=n} ((q+1)k - n) f_k g_{n-k}."""
     if f.coeffs[0] != 1:
         raise SeriesError("rational power requires constant term 1")
-    return exp(log(f) * Fraction(q))
+    c, g, q1 = f.coeffs, [Fraction(1)], Fraction(q) + 1
+    for n in range(1, len(c)):
+        g.append(sum(((q1 * k - n) * c[k] * g[n - k] for k in range(1, n + 1)), Fraction(0)) / n)
+    return TruncatedSeries(g)
 
 
-def series_from_table(
-    h: Mapping[int, Fraction] | Callable[[int], Fraction], T: int
-) -> TruncatedSeries:
+def series_from_table(h: Callable[[int], Fraction], T: int) -> TruncatedSeries:
     """Build the exponential generating function sum of h(n) * x^n / n! for
-    0 <= n <= T.
-
-    A missing table entry is a caller bug and raises, it is never treated as zero.
-    """
+    0 <= n <= T."""
     if T < 0:
         raise SeriesError("truncation order must be >= 0")
-    if callable(h):
-        values = [h(n) for n in range(T + 1)]
-    else:
-        try:
-            values = [h[n] for n in range(T + 1)]
-        except KeyError as exc:
-            raise SeriesError(f"table is missing h({exc.args[0]})") from exc
-    return TruncatedSeries(Fraction(v) / math.factorial(n) for n, v in enumerate(values))
+    return TruncatedSeries(Fraction(h(n)) / math.factorial(n) for n in range(T + 1))
 
 
 def coeff_den(f: TruncatedSeries, n: int) -> Fraction:

@@ -120,19 +120,6 @@ def set_partitions(m: int, guard: int = GUARD) -> list:
     return sorted(_listed(_blocks(tuple(range(1, m + 1)), range(1, m + 1)), guard))
 
 
-def partition_leq(p: tuple, q: tuple) -> bool:
-    """Refinement order: every block of p lies inside a block of q."""
-    where = {}
-    for i, block in enumerate(q):
-        for e in block:
-            where[e] = i
-    for block in p:
-        i = where[block[0]]
-        if any(where[e] != i for e in block[1:]):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Dowling elements
 
@@ -151,36 +138,6 @@ class DowlingElement(NamedTuple):
             "zero_block": list(self.zero),
             "blocks": [{"elems": list(b), "labels": list(l)} for b, l in self.blocks],
         }
-
-
-def dowling_rank(x: DowlingElement, n: int) -> int:
-    return n - len(x.blocks)
-
-
-def dowling_leq(x: DowlingElement, y: DowlingElement, s: int) -> bool:
-    """Order relation of the Dowling lattice, checked directly."""
-    where = {}
-    label = {}
-    for e in y.zero:
-        where[e] = -1
-    for i, (elems, labels) in enumerate(y.blocks):
-        for e, l in zip(elems, labels):
-            where[e] = i
-            label[e] = l
-    for e in x.zero:
-        if where[e] != -1:
-            return False
-    for elems, labels in x.blocks:
-        target = where[elems[0]]
-        if target == -1:
-            if any(where[e] != -1 for e in elems[1:]):
-                return False
-            continue
-        base = label[elems[0]]
-        for e, l in zip(elems, labels):
-            if where[e] != target or (label[e] - base) % s != l:
-                return False
-    return True
 
 
 def _zero_and_blocks(
@@ -454,14 +411,6 @@ class BuiltLattice:
     def index(self) -> dict:
         return {e: i for i, e in enumerate(self.elements)}
 
-    @property
-    def top(self) -> int:
-        return self.poset.top
-
-    def natural_indices(self) -> range:
-        """Indices of real (non-synthetic) elements."""
-        return range(len(self.codes))
-
 
 def _grow(seeds: Iterable[int], code: BlockCode, guard: int) -> BuiltLattice:
     """The upper set generated by the minimal elements `seeds` (codes) under
@@ -534,9 +483,9 @@ def build_dowling_lattice(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
 
 
 # No build path calls ambient_dowling, induce_from_ambient or
-# induced_subposet (nor partition_leq and dowling_leq, the orders it is
-# given): they are the tests' oracles for build_D_rk and for the restricted
-# families.
+# induced_subposet: they are the tests' oracles for build_D_rk and for the
+# restricted families, which order elements by the relations in
+# tests/oracles.py.
 @lru_cache(maxsize=8)
 def ambient_dowling(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
     return build_dowling_lattice(n, s, guard=guard)
@@ -703,16 +652,23 @@ def semigroup_violation(I: frozenset, J: frozenset, window: int) -> Optional[str
     return None
 
 
+def _sums(I: frozenset, n: int) -> set:
+    """The sums of one or more sizes in I, up to n."""
+    sums = set()
+    for t in range(1, n + 1):
+        if any(i == t or t - i in sums for i in I if 0 < i <= t):
+            sums.add(t)
+    return sums
+
+
 def lacks_unique_top(n: int, I: frozenset, J: Optional[frozenset] = None, s: int = 1) -> bool:
     """Whether Q_n^I = R_n^{I,{0}}(1) (J None) or R_n^{I,J}(s) has several
     maximal elements, without building it.  A unique one is fixed by every
     permutation and relabelling, so it is the zero block [n] (the top of
     L_n(s)), the one block [n] (fixed only at s = 1, and above only the
     elements with no zero block) or all singletons (the bottom of L_n(s))."""
-    sums = [True]  # sums[t]: t is a sum of sizes in I
-    for t in range(1, n + 1):
-        sums.append(any(sums[t - i] for i in I if 0 < i <= t))
-    zero_sizes = {j for j in (J if J is not None else (0,)) if j <= n and sums[n - j]}
+    sums = _sums(I, n) | {0}  # the sums of zero or more sizes in I
+    zero_sizes = {j for j in (J if J is not None else (0,)) if j <= n and n - j in sums}
     if not zero_sizes or n in zero_sizes:  # empty (the 0-hat is the top), or [n] on top
         return False
     return zero_sizes != {0} or not (n in I and s == 1 or not any(2 <= i <= n for i in I))
@@ -722,10 +678,7 @@ def _indecomposable(sizes: Iterable[int], I: frozenset, n: int) -> tuple:
     """The sizes up to n in `sizes` that are not t + b with t a sum of one
     or more sizes in I and b in `sizes`, sorted."""
     sizes = frozenset(b for b in sizes if b <= n)
-    sums = set()  # the sums of one or more sizes in I, up to n
-    for t in range(1, n + 1):
-        if any(i == t or t - i in sums for i in I if 0 < i <= t):
-            sums.add(t)
+    sums = _sums(I, n)
     return tuple(sorted(b for b in sizes if not any(b - t in sizes for t in sums if t <= b)))
 
 
@@ -797,15 +750,9 @@ def _with_marked(x: DowlingElement, marked: tuple) -> tuple:
     return tuple(blocks)
 
 
-def dowling_to_extended(x: DowlingElement, m: int) -> tuple:
-    """The partition of [m] that x in L_{m-1}(1) stands for: m joins the zero
-    block.  It takes D^(r,k) at s = 1 onto Pi_m^{r,k+1}, m = rn + k + 1."""
-    return _with_marked(x, x.zero + (m,))
-
-
 class PartitionCode(BlockCode):
     """The codes of L_{m-1}(1) read as the partitions of [m] that they stand
-    for (`dowling_to_extended`); every partition family is built in it, as
+    for, m joining the zero block (`_with_marked`); every partition family is built in it, as
     R_{m-1}^{I,K-1}(1) (`_marked`; I and K default to [1, m], Pi_m).  The
     block holding m is memoized by its zero block, and the other blocks are
     the decoded element tuples, so the partitions share every block and no

@@ -18,11 +18,29 @@ the former whole-element canonicalizations and the former partition-to-
 Dowling map of the bijection Pi_m^{r,k+1} <-> D^(r,k), kept verbatim: they
 sort every block and every element again, independently of the cover moves
 and of `structures.PartitionCode`.
+[ORACLE] `partition_leq` and `dowling_leq` are the refinement order of set
+partitions and the order of L_n(s), checked directly on two elements, moved
+verbatim from `structures`; `structures.induced_subposet` orders listed
+elements by them.
+[ORACLE] `dowling_to_extended` is the partition of [m] that an element of
+L_{m-1}(1) stands for, m joining its zero block.  It sorts the blocks again
+by `canonical_partition`, so it shares nothing with `PartitionCode`'s reading
+(`structures._with_marked`).
+[ORACLE] `verify_mobius_identity`, `is_lattice` and `_heights` are moved
+verbatim from `poset`: the defining identity of the Mobius function, and the
+one-candidate join test of the lattice property, which no command runs.
 """
 
 from types import SimpleNamespace
 
-from expdowling.poset import PosetError, _bits, _masked_sum, mobius_table, mobius_table_to_top
+from expdowling.poset import (
+    Poset,
+    PosetError,
+    _bits,
+    _masked_sum,
+    mobius_table,
+    mobius_table_to_top,
+)
 from expdowling.structures import DowlingElement
 
 
@@ -146,3 +164,92 @@ def extended_to_dowling(p, m, s=1):
     if zero is None:
         raise ValueError(f"{m} lies in no block of {p}")
     return make_dowling(zero, blocks, s)
+
+
+def dowling_to_extended(x, m):
+    """The partition of [m] that x in L_{m-1}(1) stands for: m joins the zero
+    block.  It takes D^(r,k) at s = 1 onto Pi_m^{r,k+1}, m = rn + k + 1."""
+    return canonical_partition([elems for elems, _ in x.blocks] + [x.zero + (m,)])
+
+
+def partition_leq(p: tuple, q: tuple) -> bool:
+    """Refinement order: every block of p lies inside a block of q."""
+    where = {}
+    for i, block in enumerate(q):
+        for e in block:
+            where[e] = i
+    for block in p:
+        i = where[block[0]]
+        if any(where[e] != i for e in block[1:]):
+            return False
+    return True
+
+
+def dowling_leq(x: DowlingElement, y: DowlingElement, s: int) -> bool:
+    """Order relation of the Dowling lattice, checked directly."""
+    where = {}
+    label = {}
+    for e in y.zero:
+        where[e] = -1
+    for i, (elems, labels) in enumerate(y.blocks):
+        for e, l in zip(elems, labels):
+            where[e] = i
+            label[e] = l
+    for e in x.zero:
+        if where[e] != -1:
+            return False
+    for elems, labels in x.blocks:
+        target = where[elems[0]]
+        if target == -1:
+            if any(where[e] != -1 for e in elems[1:]):
+                return False
+            continue
+        base = label[elems[0]]
+        for e, l in zip(elems, labels):
+            if where[e] != target or (label[e] - base) % s != l:
+                return False
+    return True
+
+
+def verify_mobius_identity(P: Poset, x: int) -> bool:
+    """Defining identity: sum of mu(x, z) over x <= z <= y vanishes for y > x."""
+    table = mobius_table(P, x)
+    return all(sum(table.get(z, 0) for z in _bits(P.down_rows[y])) == 0 for y in table if y != x)
+
+
+def _heights(P: Poset) -> list:
+    """Longest-chain height of every element above a minimal one; it equals
+    the rank when P is graded and is strictly monotone in any poset."""
+    height = [0] * P.n
+    for x in P.topo:
+        for y in P.covers_up[x]:
+            height[y] = max(height[y], height[x] + 1)
+    return height
+
+
+def is_lattice(P: Poset) -> tuple[bool, str]:
+    """Whether every pair of elements has a join and a meet.
+
+    A finite poset with a bottom in which every pair has a join is a lattice
+    (Stanley, EC1 3.3.1), so only joins are tested.  The join of x and y, if
+    any, is the unique element of least height in their common upper set, so
+    each pair tests that one candidate, found by walking the height levels.
+    """
+    if len(P.minimals) != 1 or len(P.maximals) != 1:
+        return False, "missing unique bottom or top"
+    height = P.rank if P.rank is not None else _heights(P)
+    levels = [0] * (max(height) + 1)
+    for z, h in enumerate(height):
+        levels[h] |= 1 << z
+    up = P.up_rows
+    for x in range(P.n):
+        for y in range(x + 1, P.n):
+            uppers = up[x] & up[y]  # never empty: the top lies above everything
+            h = max(height[x], height[y])
+            while not uppers & levels[h]:
+                h += 1
+            least = uppers & levels[h]
+            candidate = (least & -least).bit_length() - 1
+            if uppers & ~up[candidate]:
+                return False, f"no join for {x}, {y}"
+    return True, "ok"

@@ -66,7 +66,7 @@ def listed(build, *args):
     points to a higher index."""
     built = build(*args)
     covers_up = built.poset.covers_up
-    assert all(x < y for x in built.natural_indices() for y in covers_up[x])
+    assert all(x < y for x in range(len(built.codes)) for y in covers_up[x])
     if build is build_restricted_partition:
         return sorted(built.elements)
     return sorted(built.elements, key=lambda x: (len(x.blocks), x.zero, x.blocks))

@@ -17,7 +17,13 @@ are checked against moves that canonicalize the whole element.
 from functools import lru_cache
 
 import pytest
-from oracles import canonical_partition, extended_to_dowling, make_dowling
+from oracles import (
+    canonical_partition,
+    dowling_to_extended,
+    extended_to_dowling,
+    make_dowling,
+    partition_leq,
+)
 
 from expdowling import cli, structures
 from expdowling.structures import (
@@ -35,10 +41,8 @@ from expdowling.structures import (
     build_partition_lattice,
     build_Q_r,
     build_r_divisible,
-    dowling_to_extended,
     induce_from_ambient,
     induced_subposet,
-    partition_leq,
     set_partitions,
 )
 
@@ -234,8 +238,9 @@ def grown_shape(built):
     """{element: rank} and cover pairs of a grown family, its 0-hat left out."""
     E, P = built.elements, built.poset
     shift = built.bottom is not None
-    rank = {E[i]: P.rank[i] - shift for i in built.natural_indices()}
-    covers = {(E[x], E[y]) for x in built.natural_indices() for y in P.covers_up[x]}
+    real = range(len(built.codes))
+    rank = {E[i]: P.rank[i] - shift for i in real}
+    covers = {(E[x], E[y]) for x in real for y in P.covers_up[x]}
     assert len(rank) == len(E) == len(built.codes)
     return rank, covers
 

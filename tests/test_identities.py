@@ -153,13 +153,13 @@ def test_restricted_dowling_identity():
 
 def test_semigroup_identity():
     assert_exact(
-        semigroup_check(frozenset({2, 4, 6}), frozenset({1, 3, 5}), 1, 6, 6)
+        semigroup_check(frozenset({2, 4, 6}), frozenset({1, 3, 5}), 1, 6)
     )
 
 
 def test_semigroup_violation_raises():
     with pytest.raises(ValueError):
-        semigroup_check(frozenset({2, 3}), frozenset({1}), 1, 5, 5)
+        semigroup_check(frozenset({2, 3}), frozenset({1}), 1, 5)
 
 
 @pytest.mark.parametrize("r,k,s", [(1, 1, 1), (1, 2, 2), (2, 0, 1), (2, 1, 2), (2, 2, 1)])

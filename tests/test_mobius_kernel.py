@@ -20,7 +20,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
-from oracles import assert_matches_eager
+from oracles import assert_matches_eager, is_lattice, verify_mobius_identity
 from hypothesis import strategies as st
 
 from expdowling import identities, shelling, structures
@@ -29,10 +29,8 @@ from expdowling.poset import (
     PosetError,
     _bits,
     from_covers,
-    is_lattice,
     mobius_table,
     mobius_table_to_top,
-    verify_mobius_identity,
 )
 from expdowling.structures import (
     build_D_rk,

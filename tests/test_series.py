@@ -123,12 +123,6 @@ def test_exp_requires_zero_constant():
         exp(TruncatedSeries.one(4))
 
 
-def test_missing_table_entry_raises():
-    table = {n: Fraction(1) for n in range(6) if n != 3}
-    with pytest.raises(SeriesError):
-        series_from_table(table, 5)
-
-
 @given(small_series(), small_series(), small_series())
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(f, g, h):

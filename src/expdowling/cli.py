@@ -330,7 +330,9 @@ def cmd_verify(ns) -> int:
             given_nmax=ns.nmax,
         )
         runs[fn] = (name, local)
-    identities.extended_lattice.cache_clear()  # a run shares its builds with no other run
+    # a run shares its builds with no other run
+    identities.extended_lattice.cache_clear()
+    identities.d_rk_mu.cache_clear()
     results = []
     for fn, (name, local) in runs.items():
         try:

@@ -438,6 +438,13 @@ def d_rk_rhs_series(r: int, k: int, s: int, T: int) -> TruncatedSeries:
     )
 
 
+@lru_cache(maxsize=None)
+def d_rk_mu(n: int, r: int, k: int, s: int) -> int:
+    """mu(D_n^{(r,k)}(s) + 0-hat), one build for the checks of a `verify` run
+    that read it; only the number is kept."""
+    return brute_mu(build_D_rk(n, r, k, s))
+
+
 def d_rk_series_check(r: int, k: int, s: int, max_rnk: int) -> IdentityReport:
     """Brute mu(D_n^{(r,k)} + 0-hat) against the printed closed form; the
     expected verdict is a global sign of -1 (see notes)."""
@@ -447,7 +454,7 @@ def d_rk_series_check(r: int, k: int, s: int, max_rnk: int) -> IdentityReport:
     closed = d_rk_rhs_series(r, k, s, max_rnk)
     n = 0
     while r * n + k <= max_rnk:
-        report.add(n, brute_mu(build_D_rk(n, r, k, s)), coeff_den(closed, r * n + k))
+        report.add(n, d_rk_mu(n, r, k, s), coeff_den(closed, r * n + k))
         n += 1
     if report.epsilon == -1:
         report.notes.append(
@@ -461,7 +468,7 @@ def binomial_mu_check(k: int, s_values: list, n_max: int) -> IdentityReport:
     report = IdentityReport("d-1k-binomial", {"k": k, "s_values": s_values, "n_max": n_max})
     for n in range(0, n_max + 1):
         expected = math.comb(n + k - 1, k - 1)
-        values = {s: brute_mu(build_D_rk(n, 1, k, s)) for s in s_values}
+        values = {s: d_rk_mu(n, 1, k, s) for s in s_values}
         if len(set(values.values())) != 1:
             report.notes.append(f"n={n}: mu depends on s: {values}")
             report.add(f"n={n}", 0, 1)  # force a mismatch row

@@ -6,7 +6,9 @@ stores only its up covers and a linear extension, `topo`.  The down covers,
 the closure as one bitmask row per element (down rows x <= y, up rows
 y >= x), the rank and the minimal and maximal elements are each built by
 one pass along `topo` when first read.  The Mobius numbers read none of
-them: `_mobius_stream` walks `topo` and holds only the rows of its frontier.
+them: `_mobius_stream` walks `topo` and holds, for each element of its
+frontier, the lower covers it has visited and a row one cover level behind
+them: the elements strictly between the start and those covers.
 Growth in `structures` hands `close_order` its covers and a linear
 extension; `from_covers` checks and sorts arbitrary cover pairs first.  No
 command tests the lattice property or the Mobius identity: those checks are
@@ -161,39 +163,61 @@ def adjoin_bottom(P: Poset) -> Poset:
     return close_order(P.covers_up + (P.minimals,), (P.n,) + P.topo)
 
 
-def _masked_sum(masks: dict, segment: int) -> int:
-    """Sum of the values over the elements of `segment`, where `masks` maps
-    each value to the bitmask of the elements holding it."""
-    return sum(v * (segment & mask).bit_count() for v, mask in masks.items())
-
-
 def _mobius_stream(start: int, order: Iterable[int], covers: tuple) -> dict:
     """The Mobius recursion mu(start, z) = -sum of mu(start, w) over the
     half-open segment [start, z), for every z that `covers` (up or down
     covers) reach from `start`, walking `order`, a linear extension in the
     same direction.
 
-    Each element reached but not yet visited holds a row: the union of the
-    closed segments of its covers visited so far.  They all come before it
-    in `order`, so its row is complete when the walk gets there; it takes
-    its value, passes row | {z} on to its covers and drops the row.  The sum
-    is a popcount per value class: one bitmask per distinct nonzero value
-    (Stanley, EC1 3.6-3.7).
+    Each element z reached but not yet visited holds the lower covers c (in
+    the walk's direction) visited so far and a row one cover level behind
+    them: the union of the open segments (start, c).  All of them come
+    before z in `order`, so both are complete when the walk gets there, and
+    [start, z) is start, the lower covers and the row.  A lower cover
+    already in the row (a cover pair that other covers imply) is counted
+    once.  z takes its value, passes row | its lower covers on to its covers
+    and drops both.  Start is in no row, so an adjoined 0-hat, the highest
+    index, does not make every row that long.  The row sum is a popcount
+    per value class: one bitmask per distinct nonzero value, with its least
+    element, so a class wholly above the row's top bit is skipped (Stanley,
+    EC1 3.6-3.7).
     """
-    rows = {start: 0}
-    table = {}
-    masks = {}
+    table = {start: 1}
+    held = {w: [0] for w in covers[start]}  # z -> [row, its visited lower covers...]
+    classes = {}  # value -> [least element, bitmask of the elements]
     for z in order:
-        row = rows.pop(z, None)
-        if row is None:
+        entry = held.pop(z, None)
+        if entry is None:
             continue
-        value = 1 if z == start else -_masked_sum(masks, row)
-        table[z] = value
+        row = entry[0]
+        lower = 0
+        total = 1  # mu(start, start)
+        for c in entry[1:]:
+            lower |= 1 << c
+            total += table[c]
+        twice = row & lower
+        if twice:
+            total -= sum(table[c] for c in _bits(twice))
+        top = row.bit_length()
+        for v, cls in classes.items():
+            if cls[0] < top:
+                total += v * (row & cls[1]).bit_count()
+        table[z] = value = -total
         if value:
-            masks[value] = masks.get(value, 0) | 1 << z
-        row |= 1 << z
+            cls = classes.get(value)
+            if cls is None:
+                classes[value] = [z, 1 << z]
+            else:
+                cls[0] = min(cls[0], z)
+                cls[1] |= 1 << z
+        row |= lower
         for w in covers[z]:
-            rows[w] = rows.get(w, 0) | row
+            entry = held.get(w)
+            if entry is None:
+                held[w] = [row, z]
+            else:
+                entry[0] |= row
+                entry.append(z)
     return table
 
 

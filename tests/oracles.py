@@ -9,10 +9,11 @@ cover directions from the cover pairs through sets, finds its own linear
 extension by Kahn's sort, stores the down row of every element, the
 longest-path rank from the minimal elements and the graded test of every
 cover, and derives the up rows by transposing the down rows.
-[ORACLE] `eager_sweep` is the former `_mobius_sweep`, kept verbatim: it
-visits the elements of a segment by increasing popcount of their closure
-rows, and `eager_mobius_table` / `eager_mobius_table_to_top` are the former
-callers, reading the eager rows.
+[ORACLE] `eager_sweep` is the former `_mobius_sweep`, kept verbatim with
+the former `poset._masked_sum`, its sum over the value classes: it visits
+the elements of a segment by increasing popcount of their closure rows, and
+`eager_mobius_table` / `eager_mobius_table_to_top` are the former callers,
+reading the eager rows.
 [ORACLE] `canonical_partition`, `make_dowling` and `extended_to_dowling` are
 the former whole-element canonicalizations and the former partition-to-
 Dowling map of the bijection Pi_m^{r,k+1} <-> D^(r,k), kept verbatim: they
@@ -37,7 +38,6 @@ from expdowling.poset import (
     Poset,
     PosetError,
     _bits,
-    _masked_sum,
     mobius_table,
     mobius_table_to_top,
 )
@@ -93,6 +93,12 @@ def eager_poset(n, covers):
         minimals=tuple(x for x in range(n) if not covers_down[x]),
         maximals=tuple(x for x in range(n) if not covers_up[x]),
     )
+
+
+def _masked_sum(masks, segment):
+    """Sum of the values over the elements of `segment`, where `masks` maps
+    each value to the bitmask of the elements holding it."""
+    return sum(v * (segment & mask).bit_count() for v, mask in masks.items())
 
 
 def eager_sweep(start, members, segment_rows):

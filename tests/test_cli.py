@@ -541,6 +541,26 @@ def test_verify_all_builds_each_extended_lattice_once(capsys, monkeypatch):
     assert {(3, 2, 1), (4, 2, 2), (5, 2, 3), (6, 2, 2), (7, 3, 4)} <= set(built)
 
 
+def test_verify_all_builds_each_d_1k_lattice_once(capsys, monkeypatch):
+    # prop4.5 and cor4.7 both read mu of D_n^(1,1)(s) and D_n^(1,2)(s) for
+    # n <= 4 and s = 1, 2; a run builds each of them once and keeps only mu
+    built = []
+
+    def counted(n, r, k, s, *args, **kwargs):
+        built.append((n, r, k, s))
+        return structures.build_D_rk(n, r, k, s, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "build_D_rk", counted)
+    try:
+        assert main(["verify", "all"]) == EXIT_OK
+    finally:
+        identities.d_rk_mu.cache_clear()
+    capsys.readouterr()
+    d_1k = [key for key in built if key[1:3] in ((1, 1), (1, 2))]
+    assert sorted(d_1k) == sorted(set(d_1k))
+    assert {(n, 1, k, s) for n in range(5) for k in (1, 2) for s in (1, 2)} <= set(d_1k)
+
+
 def test_q_r_bounds_decided_before_building():
     # Q^(r)_n has the one block [rn] on top, and a unique minimal element
     # only when r = 1 or n = 1

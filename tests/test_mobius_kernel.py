@@ -1,9 +1,12 @@
 """Differential tests of the streamed Mobius kernel, the structures a poset
 derives on first read and the one-candidate lattice check against the
 sum-over-bits recursion, an eager closure, the popcount-ordered sweep
-(`oracles`) and the full upper-set scan they replaced; a check that the
-mu(0-hat, 1-hat) path never builds the closure; and a check that the
-stream drops each row once its element is visited.
+(`oracles`) and the full upper-set scan they replaced; the two shapes that
+break a lagged row (a transitive cover pair, and a value class whose least
+element drops in a walk that is not ascending); a check that the
+mu(0-hat, 1-hat) path never builds the closure; a check that the stream
+drops each row once its element is visited; and a bound on the memory the
+stream takes on L_7(2).
 
 Oracle notes.
 [ORACLE] `oracle_mobius_table`, `oracle_mobius_table_to_top` and
@@ -28,6 +31,7 @@ from expdowling.cli import EXIT_OK, main
 from expdowling.poset import (
     PosetError,
     _bits,
+    close_order,
     from_covers,
     mobius_table,
     mobius_table_to_top,
@@ -115,6 +119,12 @@ def check_closure(P):
                 P.interval(x, (incomparable & -incomparable).bit_length() - 1)
 
 
+def check_both_tables(P):
+    for x in range(P.n):
+        assert mobius_table(P, x) == oracle_mobius_table(P, x)
+        assert mobius_table_to_top(P, x) == oracle_mobius_table_to_top(P, x)
+
+
 def extended_parameters(m_max):
     # r = 1 stops one size short: Pi_m^{1,j} for small j is Pi_m with a 0-hat
     # adjoined, already covered, and the oracles take seconds on it at m = 7
@@ -161,10 +171,31 @@ def test_kernel_matches_oracle(build):
     P = build()
     check_closure(P)
     assert_matches_eager(P)
-    for x in range(P.n):
-        assert mobius_table(P, x) == oracle_mobius_table(P, x)
-        assert mobius_table_to_top(P, x) == oracle_mobius_table_to_top(P, x)
+    check_both_tables(P)
     assert is_lattice(P)[0] == oracle_is_lattice(P)
+
+
+@pytest.mark.parametrize("n,covers", [
+    (3, [(0, 1), (0, 2), (1, 2)]),
+    (4, [(0, 1), (1, 2), (1, 3), (2, 3)]),
+], ids=["from-start", "above-start"])
+def test_transitive_cover_pair(n, covers):
+    # a chain with (n - 3, n - 1) given as a cover too: n - 3 is a lower
+    # cover of n - 1 and also lies in the row that n - 2 passes on, and must
+    # be counted once, in the row or as the start
+    P = from_covers(n, covers)
+    assert mobius_table(P, 0) == {0: 1, 1: -1, **dict.fromkeys(range(2, n), 0)}
+    assert mobius_table_to_top(P, n - 1) == {n - 1: 1, n - 2: -1, **dict.fromkeys(range(n - 2), 0)}
+    check_both_tables(P)
+
+
+def test_class_least_element_drops_in_walk_order():
+    # the walk visits 2 before 1, so the class of -1 first holds {2} and then
+    # gains 1; the row of 4 is {1}, whose top bit lies below 2, and a class
+    # still keyed by 2 would be skipped there
+    P = close_order(((1, 2, 3, 4), (3, 4), (4,), (4,), ()), (0, 2, 1, 3, 4))
+    assert mobius_table(P, 0) == {0: 1, 2: -1, 1: -1, 3: 0, 4: 1}
+    check_both_tables(P)
 
 
 def test_bowtie_and_q_r_are_not_lattices():
@@ -252,3 +283,18 @@ def test_stream_drops_each_row():
         tracemalloc.stop()
     assert table == {0: 1, 1: -1, **dict.fromkeys(range(2, n), 0)}
     assert peak < n * n // 32
+
+
+def test_stream_memory_on_dowling_7_2():
+    # L_7(2), 28,640 elements: a row one cover level behind keeps the traced
+    # peak of the walk, its table of 28,640 values included, near 10 MiB,
+    # where rows holding the whole segment [0-hat, z) took 21 MiB
+    P = build_dowling_lattice(7, 2).poset
+    tracemalloc.start()
+    try:
+        table = mobius_table(P, P.bottom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table[P.top] == -135135
+    assert peak < 12 * 2**20

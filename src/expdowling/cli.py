@@ -6,15 +6,20 @@ exact, or exact up to the constant sign documented for that identity; 1 a
 check mismatched or showed an unexpected sign; 2 bad usage (an unknown suite,
 an option the subcommand does not read, a suite option such as --nmax or --s
 for a suite that does not read it, invalid parameters, a Mobius number
-mu(0-hat, 1-hat) of a poset without a unique 0-hat or 1-hat) or an exceeded
-guard; 3 an internal error, including any other exception.
+mu(0-hat, 1-hat) of a poset without a unique 0-hat or 1-hat, an --output or
+--cache-dir path that cannot be written) or an exceeded guard; 3 an internal
+error, including any other exception.
+
+Every command runs in a fresh process, so start-up imports only what every
+command needs: a module that only one command reads (hashlib for the
+--cache-dir key, csv for --format csv, traceback for an internal error) is
+imported inside that command.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
+import contextlib
 import io
 import json
 import os
@@ -58,9 +63,19 @@ def _element_json(e):
     return [list(block) for block in e]
 
 
+@contextlib.contextmanager
+def _writing(option: str, path: str):
+    """Report an OSError raised inside the block as bad usage, a
+    ParameterError naming `option` and its `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot write {option} {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, output) -> None:
     if output:
-        with open(output, "w") as fh:
+        with _writing("--output", output), open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -306,7 +321,7 @@ def resolved_config(ns) -> dict:
 def _internal_error(where: str) -> int:
     """Report the exception being handled, with its traceback, as a fault of
     the program rather than of its arguments."""
-    import traceback  # imported here so that start-up imports stay as they are
+    import traceback  # only this path reads it (see the module docstring)
 
     print(f"internal error{where}:", file=sys.stderr)
     traceback.print_exc()
@@ -346,6 +361,8 @@ def cmd_verify(ns) -> int:
         except Exception:
             return _internal_error(f" in {name}")
     if ns.format == "csv":
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["identity", "n", "brute", "closed_form", "ratio"])
@@ -380,7 +397,8 @@ def _read_cache(path):
 def cmd_lattice(ns) -> int:
     cache_path = None
     if ns.cache_dir:
-        os.makedirs(ns.cache_dir, exist_ok=True)
+        with _writing("--cache-dir", ns.cache_dir):
+            os.makedirs(ns.cache_dir, exist_ok=True)
         key_src = json.dumps(
             {k: sorted(v) if isinstance(v, frozenset) else v
              for k, v in vars(ns).items()
@@ -388,6 +406,8 @@ def cmd_lattice(ns) -> int:
             | {"version": __version__},
             sort_keys=True,
         )
+        import hashlib
+
         key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
         cache_path = os.path.join(ns.cache_dir, f"lattice-{key}.json")
         cached = _read_cache(cache_path)
@@ -399,9 +419,10 @@ def cmd_lattice(ns) -> int:
         # write beside the target and rename, so a reader never sees half a file
         partial = f"{cache_path}.{os.getpid()}.tmp"
         try:
-            with open(partial, "w") as fh:
-                fh.write(text)
-            os.replace(partial, cache_path)
+            with _writing("--cache-dir", ns.cache_dir):
+                with open(partial, "w") as fh:
+                    fh.write(text)
+                os.replace(partial, cache_path)
         finally:
             if os.path.exists(partial):
                 os.remove(partial)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
@@ -77,12 +76,12 @@ from .structures import (
 EXPECTED_EPSILON = {"d-rk-series": -1, "mu-descent": -1}
 
 
-@dataclass
 class IdentityReport:
-    name: str
-    params: dict
-    rows: list = field(default_factory=list)  # (label, brute, closed)
-    notes: list = field(default_factory=list)
+    def __init__(self, name: str, params: dict):
+        self.name = name
+        self.params = params
+        self.rows = []  # (label, brute, closed)
+        self.notes = []
 
     def add(self, label, brute, closed):
         self.rows.append((label, Fraction(brute), Fraction(closed)))

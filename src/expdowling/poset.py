@@ -18,7 +18,6 @@ test oracles (`tests/oracles.py`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -34,14 +33,24 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class Poset:
     """Stores n, the up covers and a linear extension; every other structure
-    is a cached property, built by one pass along `topo` on first read."""
+    is a cached property, built by one pass along `topo` on first read.  Two
+    posets are equal when their n and up covers are: `topo` is one of many
+    linear extensions."""
 
-    n: int
-    covers_up: tuple            # covers_up[x] = sorted tuple of y with x <| y
-    topo: tuple = field(compare=False, repr=False)  # a linear extension
+    def __init__(self, n: int, covers_up: tuple, topo: tuple):
+        self.n = n
+        self.covers_up = covers_up  # covers_up[x] = sorted tuple of y with x <| y
+        self.topo = topo            # a linear extension
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.covers_up) == (other.n, other.covers_up)
+
+    def __hash__(self):
+        return hash((self.n, self.covers_up))
 
     @cached_property
     def covers_down(self) -> tuple:

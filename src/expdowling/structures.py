@@ -49,7 +49,6 @@ stops with GuardError as soon as it holds more than `guard` elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, islice, product, starmap
@@ -66,8 +65,8 @@ class GuardError(ValueError):
 
 
 class ParameterError(ValueError):
-    """The arguments of a construction or a suite are invalid: bad usage,
-    as opposed to a fault of the program."""
+    """The arguments of a command, a construction or a suite are invalid:
+    bad usage, as opposed to a fault of the program."""
 
 
 def _check_params(**values: int) -> None:
@@ -391,17 +390,18 @@ class BlockCode:
 # built lattices
 
 
-@dataclass(frozen=True)
 class BuiltLattice:
     """A poset and its elements.  The elements are stored as `codes`: the ints
     of a built family, which `decode` turns into the tuple of elements when
     `elements` or `index` is first read, or (without `decode`) the elements
     themselves."""
 
-    poset: Poset
-    codes: tuple
-    decode: Optional[Callable] = field(default=None, compare=False, repr=False)
-    bottom: Optional[int] = None  # index of the synthetic adjoined 0-hat, if any
+    def __init__(self, poset: Poset, codes: tuple, decode: Optional[Callable] = None,
+                 bottom: Optional[int] = None):
+        self.poset = poset
+        self.codes = codes
+        self.decode = decode
+        self.bottom = bottom  # index of the synthetic adjoined 0-hat, if any
 
     @cached_property
     def elements(self) -> tuple:
@@ -548,15 +548,14 @@ def adjoin_zero(built: BuiltLattice) -> BuiltLattice:
 
     The synthetic element is a new index (it never collides with the natural
     bottom of a lattice that already has one)."""
-    return replace(built, poset=adjoin_bottom(built.poset), bottom=built.poset.n)
+    return BuiltLattice(adjoin_bottom(built.poset), built.codes, built.decode, bottom=built.poset.n)
 
 
 # ---------------------------------------------------------------------------
 # types and counting
 
 
-@dataclass(frozen=True)
-class StructureType:
+class StructureType(NamedTuple):
     b: int
     a: tuple  # a[i-1] = number of blocks of size i
 

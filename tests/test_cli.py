@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import expdowling
 from expdowling import cli, identities, shelling, structures
 from expdowling.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from expdowling.poset import PosetError
@@ -295,6 +299,71 @@ def test_verify_output_file(tmp_path, capsys):
     assert out_file.read_text().startswith("identity,n,brute,closed_form,ratio")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm5.5"],
+    ["lattice", "--family", "pi", "--m", "3"],
+    ["el-check", "--m", "4", "--r", "2", "--j", "2"],
+])
+def test_unwritable_output_exits_usage(tmp_path, capsys, argv):
+    missing = tmp_path / "missing" / "out.json"
+    code = main([*argv, "--output", str(missing)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"invalid parameters: cannot write --output {missing}: No such file or directory"
+    ]
+
+
+def test_cache_dir_on_a_file_exits_usage(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code = main(["lattice", "--family", "pi", "--m", "3", "--cache-dir", str(not_a_dir)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"invalid parameters: cannot write --cache-dir {not_a_dir}: File exists"
+    ]
+
+
+def test_unwritable_cache_file_exits_usage(tmp_path, capsys):
+    # a directory where the cached export belongs: it reads as a miss, so
+    # the lattice is built, and the rename of the written file onto it fails
+    args = ("lattice", "--family", "pi", "--m", "3", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args)[0] == EXIT_OK
+    (cached,) = tmp_path.iterdir()
+    cached.unlink()
+    cached.mkdir()
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith(f"invalid parameters: cannot write --cache-dir {tmp_path}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [cached]  # the partial file is removed
+
+
+# modules that no benchmarked command reads, each loaded only by the
+# command that needs it
+NOT_AT_START_UP = {"hashlib", "_hashlib", "dataclasses", "inspect", "csv"}
+
+
+def test_start_up_imports_only_what_every_command_needs():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(expdowling.__file__)))
+
+    def loaded(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        return set(proc.stdout.split())
+
+    # what `site` loads in a bare interpreter does not count
+    extra = loaded("import expdowling.cli as cli; cli.make_parser()") - loaded("pass")
+    assert "expdowling.cli" in extra
+    assert not extra & NOT_AT_START_UP, sorted(extra & NOT_AT_START_UP)
+
+
 def test_guard_exit_code(capsys):
     code, _ = run(capsys, "lattice", "--family", "pi", "--m", "12")
     assert code == EXIT_USAGE
@@ -572,11 +641,12 @@ def test_q_r_bounds_decided_before_building():
             assert (cli._undefined_mu(ns) is None) is defined, (n, r)
 
 
-@pytest.mark.parametrize("error", [ValueError, PosetError])
+@pytest.mark.parametrize("error", [ValueError, PosetError, OSError])
 @pytest.mark.parametrize("command", ["lattice", "mobius"])
 def test_builder_exception_is_internal(capsys, monkeypatch, command, error):
-    # only ParameterError and GuardError are bad usage; a ValueError raised
-    # inside a build is a fault of the program
+    # only ParameterError (an unwritable --output or --cache-dir too) and
+    # GuardError are bad usage; a ValueError or OSError raised inside a
+    # build is a fault of the program
     def broken(*args, **kwargs):
         raise error("raised inside the builder")
 

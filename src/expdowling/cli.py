@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -85,27 +86,32 @@ def _json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-# family -> (builder in `structures`, the options it takes, in order).  The
-# builder is looked up by name at each call, so that a wrapper rebound on the
-# module (perfbench/traced.py) sees the build.
+# family -> (its builder and its `Family` function in `structures`, the
+# options both take, in order).  They are looked up by name at each call, so
+# that a wrapper rebound on the module (perfbench/traced.py) sees the build.
 FAMILIES = {
-    "pi": ("build_partition_lattice", ("m",)),
-    "dowling": ("build_dowling_lattice", ("n", "s")),
-    "pi-r": ("build_r_divisible", ("m", "r")),
-    "pi-rj": ("build_extended", ("m", "r", "j")),
-    "q-r": ("build_Q_r", ("n", "r")),
-    "d-rk": ("build_D_rk", ("n", "r", "k", "s")),
-    "q-I": ("build_restricted_partition", ("n", "I")),
-    "r-IJ": ("build_restricted_dowling", ("n", "s", "I", "J")),
+    "pi": ("build_partition_lattice", "partition_family", ("m",)),
+    "dowling": ("build_dowling_lattice", "dowling_family", ("n", "s")),
+    "pi-r": ("build_r_divisible", "r_divisible_family", ("m", "r")),
+    "pi-rj": ("build_extended", "extended_family", ("m", "r", "j")),
+    "q-r": ("build_Q_r", "Q_r_family", ("n", "r")),
+    "d-rk": ("build_D_rk", "D_rk_family", ("n", "r", "k", "s")),
+    "q-I": ("build_restricted_partition", "restricted_partition_family", ("n", "I")),
+    "r-IJ": ("build_restricted_dowling", "restricted_dowling_family", ("n", "s", "I", "J")),
 }
 
 
-def build_family(ns):
-    builder, keys = FAMILIES[ns.family]
+def _family_args(ns) -> list:
+    """The options that the family of `ns` takes, in order."""
+    keys = FAMILIES[ns.family][2]
     missing = [f"--{key}" for key in keys if getattr(ns, key) is None]
     if missing:
         raise ParameterError(f"family {ns.family} needs {', '.join(missing)}")
-    return getattr(structures, builder)(*(getattr(ns, key) for key in keys), guard=ns.guard)
+    return [getattr(ns, key) for key in keys]
+
+
+def build_family(ns):
+    return getattr(structures, FAMILIES[ns.family][0])(*_family_args(ns), guard=ns.guard)
 
 
 def _built_json(built):
@@ -414,6 +420,12 @@ def cmd_lattice(ns) -> int:
         if cached is not None:
             _emit(cached, ns.output)
             return EXIT_OK
+        # a miss: learn that the export cannot be stored before building it
+        with _writing("--cache-dir", ns.cache_dir):
+            if os.path.isdir(cache_path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if not os.access(ns.cache_dir, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
     text = _json(_built_json(build_family(ns)))
     if cache_path:
         # write beside the target and rename, so a reader never sees half a file
@@ -449,7 +461,8 @@ def cmd_mobius(ns) -> int:
     reason = _undefined_mu(ns)
     if reason:
         raise ParameterError(f"mu(0-hat, 1-hat) is undefined: {reason}")
-    print(identities.brute_mu(build_family(ns)))
+    family = getattr(structures, FAMILIES[ns.family][1])(*_family_args(ns))
+    print(identities.grown_mu(family, ns.guard))
     return EXIT_OK
 
 

@@ -1,8 +1,11 @@
 """Generating-function identities and their brute-force counterparts.
 
 Every check here computes two sides independently: a "brute" value obtained by
-building the poset and running the Mobius recursion, and a "closed" value read
-off a truncated series.  The verdict records whether they agree exactly or up
+growing the poset and running the Mobius recursion, and a "closed" value read
+off a truncated series.  A check that reads only Mobius numbers streams the
+growth into the walk (`grown_mu`, `_restricted_mu`); one that reads covers,
+ranks or elements builds the lattice, and `brute_mu` walks a built one.  The
+verdict records whether they agree exactly or up
 to one global sign (the constant epsilon), since a couple of the printed
 closed forms carry the opposite sign convention from the recursion; an
 n-dependent sign flip is always a hard mismatch.  A report passes only when
@@ -36,7 +39,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import shelling
-from .poset import mobius_table
+from .poset import mobius_table, top_mu
 from .series import (
     TruncatedSeries,
     coeff_den,
@@ -50,20 +53,24 @@ from .series import (
     sinh_series,
 )
 from .structures import (
+    GUARD,
     BuiltLattice,
+    Family,
     ParameterError,
     StructureType,
-    adjoin_zero,
+    D_rk_family,
     all_types,
     build_D_rk,
     build_dowling_lattice,
     build_extended,
     build_partition_lattice,
-    build_Q_r,
-    build_restricted_dowling,
-    build_restricted_partition,
+    build_r_divisible,
     count_of_type,
     denominator_N_rk,
+    grown_mobius,
+    r_divisible_family,
+    restricted_dowling_family,
+    restricted_partition_family,
     semigroup_violation,
     type_of,
 )
@@ -149,6 +156,12 @@ def brute_mu(built: BuiltLattice) -> int:
     return mobius_table(built.poset, bottom_of(built))[built.poset.top]
 
 
+def grown_mu(family: Family, guard: int = GUARD) -> int:
+    """mu(0-hat, 1-hat) of a family, its growth streamed into the Mobius
+    walk (`grown_mobius`), so nothing is built."""
+    return top_mu(grown_mobius(family, guard))
+
+
 # ---------------------------------------------------------------------------
 # the two closed forms
 
@@ -172,31 +185,34 @@ def dowling_form(b, a, s: int, T: int) -> TruncatedSeries:
 
 def _derived_family(r: int, k: Optional[int], s: int) -> tuple:
     """(its family in the mu-series report, its family in the minimal-count
-    report, n -> its n-th lattice with a 0-hat adjoined, its first n, M, N)
-    for Q^(r) (k None) or D^(r,k)(s).  N counts the minimal elements; it is
-    M = N^(r,0) at s = 1 for Q^(r).  Pi_n is Q^(1)_n and L_n(s) is
-    D^(1,0)(s), where M = N = 1."""
+    report, n -> the `Family` of its n-th lattice with a 0-hat adjoined,
+    n -> that lattice built, its first n, M, N) for Q^(r) (k None) or
+    D^(r,k)(s); Q^(r)_n with a 0-hat is Pi_{rn}^r.  N counts the minimal
+    elements; it is M = N^(r,0) at s = 1 for Q^(r).  Pi_n is Q^(1)_n and
+    L_n(s) is D^(1,0)(s), where M = N = 1."""
 
     def M(n):
         return denominator_N_rk(n, r, 0, 1)
 
     if k is None:
         label = "partition" if r == 1 else f"partition^({r})"
-        return label, f"Q^({r})", lambda n: adjoin_zero(build_Q_r(n, r)), 1, M, M
+        return (label, f"Q^({r})", lambda n: r_divisible_family(r * n, r),
+                lambda n: build_r_divisible(r * n, r), 1, M, M)
 
     def N(n):
         return denominator_N_rk(n, r, k, s)
 
     label = f"D^({r},{k})(s={s})"
     series_label = f"dowling(s={s})" if (r, k) == (1, 0) else label
-    return series_label, label, lambda n: build_D_rk(n, r, k, s), 0, M, N
+    return (series_label, label, lambda n: D_rk_family(n, r, k, s),
+            lambda n: build_D_rk(n, r, k, s), 0, M, N)
 
 
 def check_mu_series(r: int, k: Optional[int], s: int, n_max: int) -> IdentityReport:
     """Cor 3.4: mu(0-hat, 1-hat) of each lattice of Q^(r) (k None) or
     D^(r,k)(s) against N(n) n! [x^n] of `exponential_form` of 1/M or
     `dowling_form` of 1/N and 1/M."""
-    label, _, build, first, M, N = _derived_family(r, k, s)
+    label, _, family, _, first, M, N = _derived_family(r, k, s)
     if k is None:
         name = "mu-series-exponential"
         closed = exponential_form(lambda n: Fraction(1, M(n)), n_max)
@@ -207,14 +223,14 @@ def check_mu_series(r: int, k: Optional[int], s: int, n_max: int) -> IdentityRep
         )
     report = IdentityReport(name, {"family": label, "n_max": n_max})
     for n in range(first, n_max + 1):
-        report.add(n, brute_mu(build(n)), coeff_den(closed, n) * N(n))
+        report.add(n, grown_mu(family(n)), coeff_den(closed, n) * N(n))
     return report
 
 
 def minimal_count_check(r: int, k: Optional[int], s: int, n_max: int) -> IdentityReport:
     """Minimal-element counts of Q^(r) (k None) or D^(r,k)(s) against the
     type counts N."""
-    _, label, build, first, _, N = _derived_family(r, k, s)
+    _, label, _, build, first, _, N = _derived_family(r, k, s)
     report = IdentityReport("minimal-count", {"family": label, "n_max": n_max})
     for n in range(first, n_max + 1):
         built = build(n)
@@ -347,15 +363,19 @@ def rank_polynomial_check(
 
 @lru_cache(maxsize=None)
 def _restricted_mu(n: int, s: int, I: frozenset, J: Optional[frozenset]):
-    """(mu(0-hat, 1-hat) if n is in J, or in I with J None, else 0; m_n) of
-    Q_n^I (J None) or R_n^{I,J}(s), computed from the built poset."""
+    """(mu(0-hat, 1-hat) if n is in J, or in I with J None, else 0; m_n, the
+    sum of mu(0-hat, z) over every z) of Q_n^I (J None) or R_n^{I,J}(s), in
+    one walk of its growth stream."""
     if J is None:
-        built = build_restricted_partition(n, I)
+        family = restricted_partition_family(n, I)
     else:
-        built = build_restricted_dowling(n, s, I, J)
-    table = mobius_table(built.poset, bottom_of(built))
-    mu_value = table[built.poset.top] if n in (I if J is None else J) else 0
-    return mu_value, sum(table.values())
+        family = restricted_dowling_family(n, s, I, J)
+    total, tops = 0, []
+    for key, value, maximal in grown_mobius(family):
+        total += value
+        if maximal:
+            tops.append((key, value, maximal))
+    return (top_mu(tops) if n in (I if J is None else J) else 0), total
 
 
 def _restricted_rows(report, I, J, s, closed: TruncatedSeries, side: str = "") -> None:
@@ -439,9 +459,9 @@ def d_rk_rhs_series(r: int, k: int, s: int, T: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def d_rk_mu(n: int, r: int, k: int, s: int) -> int:
-    """mu(D_n^{(r,k)}(s) + 0-hat), one build for the checks of a `verify` run
-    that read it; only the number is kept."""
-    return brute_mu(build_D_rk(n, r, k, s))
+    """mu(D_n^{(r,k)}(s) + 0-hat), one growth for the checks of a `verify`
+    run that read it; only the number is kept."""
+    return grown_mu(D_rk_family(n, r, k, s))
 
 
 def d_rk_series_check(r: int, k: int, s: int, max_rnk: int) -> IdentityReport:

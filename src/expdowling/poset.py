@@ -1,18 +1,29 @@
-"""Finite posets from cover relations.
+"""Finite posets from cover relations, and the one Mobius kernel.
 
 Elements are dense integer indices 0..n-1; the semantic objects (partitions,
 enriched partitions) live in `structures` and map to indices there.  A poset
 stores only its up covers and a linear extension, `topo`.  The down covers,
 the closure as one bitmask row per element (down rows x <= y, up rows
 y >= x), the rank and the minimal and maximal elements are each built by
-one pass along `topo` when first read.  The Mobius numbers read none of
-them: `_mobius_stream` walks `topo` and holds, for each element of its
-frontier, the lower covers it has visited and a row one cover level behind
-them: the elements strictly between the start and those covers.
-Growth in `structures` hands `close_order` its covers and a linear
-extension; `from_covers` checks and sorts arbitrary cover pairs first.  No
-command tests the lattice property or the Mobius identity: those checks are
-test oracles (`tests/oracles.py`).
+one pass along `topo` when first read.  Growth in `structures` hands
+`close_order` its covers and a linear extension; `from_covers` checks and
+sorts arbitrary cover pairs first.
+
+The Mobius numbers read none of that closure.  One kernel, `mobius_walk`,
+runs the recursion over a stream of steps (z, the up covers of z) in a
+linear extension, whatever the keys are: the indices and covers of a built
+poset (`mobius_table`, and `mobius_table_to_top` over the down covers), or
+the growth stream itself (`structures.grown_mobius`), in which a key names
+an element before it is placed.  The start may be virtual: an adjoined
+0-hat is a start whose up covers are the minimal elements.  The walk labels
+each element it visits by its visit number.  For each element of its
+frontier it holds the labels of the lower covers visited so far and a row
+one cover level behind them, the labels strictly between the start and
+those covers; a value lives in a list indexed by label.  It yields each
+element's value at once, with whether the element has no up cover, so
+`top_mu` reads mu(start, 1-hat) without a table.  No command tests the
+lattice property or the Mobius identity: those checks are test oracles
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -172,29 +183,37 @@ def adjoin_bottom(P: Poset) -> Poset:
     return close_order(P.covers_up + (P.minimals,), (P.n,) + P.topo)
 
 
-def _mobius_stream(start: int, order: Iterable[int], covers: tuple) -> dict:
+def mobius_walk(start, start_ups: Iterable, steps: Iterable[tuple]) -> Iterator[tuple]:
     """The Mobius recursion mu(start, z) = -sum of mu(start, w) over the
-    half-open segment [start, z), for every z that `covers` (up or down
-    covers) reach from `start`, walking `order`, a linear extension in the
-    same direction.
+    half-open segment [start, z), for every z that up covers reach from
+    `start`, over a stream of steps (z, the up covers of z) in a linear
+    extension.  A key is anything hashable (a poset index, or the number
+    growth gives an element when it first finds it), and `start` need not
+    be in the stream: an adjoined 0-hat is a virtual start whose up covers
+    `start_ups` are the minimal elements.
+    Yields (z, mu(start, z), whether z has no up cover), the start first
+    (with mu 1), then each reached z at its step; a step that the start does
+    not reach is skipped.
 
-    Each element z reached but not yet visited holds the lower covers c (in
-    the walk's direction) visited so far and a row one cover level behind
-    them: the union of the open segments (start, c).  All of them come
-    before z in `order`, so both are complete when the walk gets there, and
-    [start, z) is start, the lower covers and the row.  A lower cover
-    already in the row (a cover pair that other covers imply) is counted
-    once.  z takes its value, passes row | its lower covers on to its covers
-    and drops both.  Start is in no row, so an adjoined 0-hat, the highest
-    index, does not make every row that long.  The row sum is a popcount
-    per value class: one bitmask per distinct nonzero value, with its least
-    element, so a class wholly above the row's top bit is skipped (Stanley,
+    Each z reached but not yet visited holds the labels of the lower covers
+    visited so far and a row one cover level behind them: the union of the
+    open segments (start, c) over those covers, as a bitmask of labels.  A
+    label is a visit number, and a value is kept in a list indexed by label,
+    so the walk keeps no table keyed by element.  All lower covers of z come
+    before z in the stream, so both are complete at its step, and [start, z)
+    is start, the lower covers and the row.  A lower cover already in the
+    row (a cover pair that other covers imply) is counted once.  z takes its
+    value, passes row | its lower covers on to its up covers and drops both.
+    The start has no label and is in no row.  The row sum is a popcount per
+    value class: one bitmask per distinct nonzero value, with its least
+    label, so a class wholly above the row's top bit is skipped (Stanley,
     EC1 3.6-3.7).
     """
-    table = {start: 1}
-    held = {w: [0] for w in covers[start]}  # z -> [row, its visited lower covers...]
-    classes = {}  # value -> [least element, bitmask of the elements]
-    for z in order:
+    yield start, 1, not start_ups
+    held = {w: [0] for w in start_ups}  # z -> [row, labels of its visited lower covers...]
+    values = []  # values[label] = mu(start, the element visited label-th)
+    classes = {}  # value -> [least label, bitmask of the labels]
+    for z, ups in steps:
         entry = held.pop(z, None)
         if entry is None:
             continue
@@ -203,41 +222,59 @@ def _mobius_stream(start: int, order: Iterable[int], covers: tuple) -> dict:
         total = 1  # mu(start, start)
         for c in entry[1:]:
             lower |= 1 << c
-            total += table[c]
+            total += values[c]
         twice = row & lower
         if twice:
-            total -= sum(table[c] for c in _bits(twice))
+            total -= sum(values[c] for c in _bits(twice))
         top = row.bit_length()
         for v, cls in classes.items():
             if cls[0] < top:
                 total += v * (row & cls[1]).bit_count()
-        table[z] = value = -total
+        label, value = len(values), -total
+        values.append(value)
         if value:
             cls = classes.get(value)
             if cls is None:
-                classes[value] = [z, 1 << z]
+                classes[value] = [label, 1 << label]
             else:
-                cls[0] = min(cls[0], z)
-                cls[1] |= 1 << z
+                cls[1] |= 1 << label
         row |= lower
-        for w in covers[z]:
+        for w in ups:
             entry = held.get(w)
             if entry is None:
-                held[w] = [row, z]
+                held[w] = [row, label]
             else:
                 entry[0] |= row
-                entry.append(z)
-    return table
+                entry.append(label)
+        yield z, value, not ups
+
+
+def top_mu(walk: Iterable[tuple]) -> int:
+    """mu(start, 1-hat) from the (z, mu, has no up cover) triples of a
+    `mobius_walk` that reaches every element, or of its maximal elements
+    alone.  Raises the PosetError of `Poset.top` unless exactly one element
+    has no up cover."""
+    tops = [value for _, value, maximal in walk if maximal]
+    if len(tops) != 1:
+        raise PosetError("poset has no unique maximal element")
+    return tops[0]
+
+
+def _table(start: int, order: Sequence[int], covers: tuple) -> dict:
+    """mu(start, z) for every z that `covers` (up or down covers) reach from
+    start, walking `order`, a linear extension in the same direction."""
+    steps = zip(order, map(covers.__getitem__, order))
+    return {z: value for z, value, _ in mobius_walk(start, covers[start], steps)}
 
 
 def mobius_table(P: Poset, x: int) -> dict:
     """mu(x, y) for every y >= x, by the bottom-up recursion."""
-    return _mobius_stream(x, P.topo, P.covers_up)
+    return _table(x, P.topo, P.covers_up)
 
 
 def mobius_table_to_top(P: Poset, y: int) -> dict:
     """mu(x, y) for every x <= y, by the top-down recursion."""
-    return _mobius_stream(y, reversed(P.topo), P.covers_down)
+    return _table(y, P.topo[::-1], P.covers_down)
 
 
 def mobius(P: Poset, x: int, y: int) -> int:

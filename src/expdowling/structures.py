@@ -15,14 +15,17 @@ D_n^(r,k) = R_{rn+k}^{I,J}(s) with I = {r, 2r, ...}, J = {k, k + r, ...}.
 A partition family is one at s = 1 read through the bijection
 Pi_m^{r,k+1} <-> D^(r,k), in which m joins the zero block (`PartitionCode`):
 the partitions of [m] whose block holding m has a size in K and whose other
-blocks have sizes in I are R_{m-1}^{I,K-1}(1) (`_marked`).  So Pi_m is
-L_{m-1}(1), Q_m^I (block sizes in I) is R_{m-1}^{I,I-1}(1), Q^(r)_n is
-Q_{rn}^I with I = {r, 2r, ...}, and Pi_m^{r,j} is D^(r,k) at s = 1 with
-k = (j or r) - 1.  One constructor, `_restricted`, builds them all one way,
-growing the family by cover moves from its minimal elements, and one
-generator lists those: `_blocks` gives the partitions of a set into blocks
-with sizes in a given set, `_zero_and_blocks` adds a zero block with a size
-in another set, and `_dowling_elements` every labelling.  The minimal
+blocks have sizes in I are R_{m-1}^{I,K-1}(1).  So Pi_m is L_{m-1}(1),
+Q_m^I (block sizes in I) is R_{m-1}^{I,I-1}(1), Q^(r)_n is Q_{rn}^I with
+I = {r, 2r, ...}, and Pi_m^{r,j} is D^(r,k) at s = 1 with k = (j or r) - 1.
+Each family has one function (`partition_family`, ..., `D_rk_family`) that
+checks its parameters and returns its `Family`: the code of the
+R_n^{I,J}(s) it is, and whether a 0-hat is adjoined.  Its `build_*` and
+`grown_mobius` both start from there, and grow the family one way, by cover
+moves from its minimal elements.  One generator lists those (`_seeds`):
+`_blocks` gives the partitions of a set into blocks with sizes in a given
+set, `_zero_and_blocks` adds a zero block with a size in another set, and
+`_dowling_elements` every labelling.  The minimal
 elements of D^(r,k)(s) are the elements of one type (k; n blocks of size
 r), so their number N^(r,k)(n), and with it M^(r)(n) and the atom count of
 Pi_m^{r,j}, is a type count (`count_of_type`, `denominator_N_rk`).
@@ -37,13 +40,21 @@ condition of Thm 4.1/4.2 on [0, n] (`semigroup_violation`) the family is an
 upper set of L_n(s), and a cover absorbs one block or merges two.  Growth
 runs one block count at a time and places elements in move order (the
 absorbs by block, then the merges i < j by shift; a move that drops several
-block counts when its count comes up), which depends on no hash.  A built
-lattice keeps its codes, and decodes them into partitions or DowlingElements
-only when `elements` or `index` is first read, so the Mobius path never
-decodes an element.  The growth pass collects the up covers of each element,
-and its placement order is the linear extension kept beside them; no part
-of the closure is built until it is read (see `poset`).  Every construction
-stops with GuardError as soon as it holds more than `guard` elements.
+block counts when its count comes up), which depends on no hash.
+
+Growth is a stream of steps (`_growth`): a virtual 0-hat whose up covers
+are the seeds, then each element in placement order with the keys of its
+up covers, near and far.  A key numbers an element when it is first found,
+so a far cover is named before its element is placed.  `_grow` collects the
+steps into the up covers of a built lattice, whose placement order is the
+linear extension kept beside them; no part of the closure is built until it
+is read (see `poset`).  A built lattice keeps its codes, and decodes them
+into partitions or DowlingElements only when `elements` or `index` is first
+read.  `grown_mobius` feeds the same steps straight into the Mobius walk
+instead, so a caller that needs only Mobius numbers holds no lattice and no
+table, and of the codes only those of the next level and those waiting for
+theirs.  Every construction stops with GuardError as soon as it has found
+more than `guard` elements.
 """
 
 from __future__ import annotations
@@ -51,10 +62,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import combinations, islice, product, starmap
+from itertools import chain, combinations, islice, product, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .poset import Poset, PosetError, _bits, adjoin_bottom, close_order, from_covers
+from .poset import Poset, PosetError, _bits, adjoin_bottom, close_order, from_covers, mobius_walk
 
 
 GUARD = 50_000  # default limit on the elements of one construction
@@ -321,12 +332,12 @@ class BlockCode:
         return part, elems[0], spread, tuple(bits - part for bits in shifted), piece, len(elems)
 
     def covers(self, code: int) -> tuple:
-        """The codes covering `code`: (near, far).  near lists those with
-        one block fewer, in move order: the absorbs by block, then the
-        merges of blocks i < j with shifts 0, ..., s - 1.  far lists
-        (level, code) for each cover that changes more blocks, in the order
-        of `_cover_moves`, the shift of the last block of a merge varying
-        fastest."""
+        """The level of `code` (`count_blocks`) and the codes covering it:
+        (level, near, far).  near lists those with one block fewer, in move
+        order: the absorbs by block, then the merges of blocks i < j with
+        shifts 0, ..., s - 1.  far lists (level, code) for each cover that
+        changes more blocks, in the order of `_cover_moves`, the shift of
+        the last block of a merge varying fastest."""
         blocks = self._blocks(code)
         absorbs, rows, deep = self._moves(tuple([block[5] for block in blocks]))
         near = [code - blocks[j][0] for j in absorbs]
@@ -339,7 +350,7 @@ class BlockCode:
                 for delta in deltas:
                     add(base + delta)
         if not deep:
-            return near, ()
+            return len(blocks), near, ()
         far = []
         for level, group, merged in deep:
             moved, leader = [code], blocks[group[0]][1]
@@ -348,7 +359,7 @@ class BlockCode:
                 steps = [leader * spread + delta for delta in deltas] if merged else [-part]
                 moved = [y + step for y in moved for step in steps]
             far += [(level, y) for y in moved]
-        return near, far
+        return len(blocks), near, far
 
     def count_blocks(self, code: int) -> int:
         """The level of `code`: its number of blocks, the zero block not counted."""
@@ -412,74 +423,186 @@ class BuiltLattice:
         return {e: i for i, e in enumerate(self.elements)}
 
 
-def _grow(seeds: Iterable[int], code: BlockCode, guard: int) -> BuiltLattice:
+# `_growth` hands its steps over in lists of this many, so that the growth
+# and the Mobius walk fed by it each run a few hundred elements at a time:
+# handing over one step at a time made a fresh `mobius` process of L_7(2)
+# about 12% slower (median of 40 alternating runs, Python 3.11, 2 cores).
+_BATCH = 256
+
+
+def _growth(
+    seeds: Iterable[int], code: BlockCode, guard: int, codes: Optional[list] = None
+) -> Iterator[tuple]:
     """The upper set generated by the minimal elements `seeds` (codes) under
-    the cover moves `code.covers`, grown one level `code.count_blocks` at a
-    time in a pass over the element list as it grows, so elements are placed
-    in move order.  A move to the next level places its element when first
-    found; the seeds of a level, and then the moves that drop several levels
-    to it, join it just before it is processed, after the elements that
-    moves from the level above placed there.  The pass collects the up
-    covers, and the placement order is the poset's linear extension as long
-    as every cover move lands on an element placed after the one it leaves;
-    a move back to a seed or an earlier element raises PosetError.  Raises
-    GuardError as soon as more than `guard` elements exist.  The codes decode
-    through `code.decode_all` (see BuiltLattice)."""
-    codes, index, covers_up = [], {}, []
+    the cover moves `code.covers`, as a stream of steps (key, the keys of
+    the up covers), yielded in lists of up to `_BATCH` steps (flatten them
+    with `chain.from_iterable`).  It opens with the step of a virtual 0-hat,
+    key None, whose up covers are the seeds; then comes one step per
+    element, in placement order, which is a linear extension.  With `codes`,
+    the code of each element is appended to it at its step.  A key numbers
+    an element in the order it is first found, the seeds first, so the keys
+    of L_n(s), Pi_m and every family under the semigroup condition are their
+    placement indices.
 
-    def place(x) -> int:
-        if len(codes) >= guard:
+    Growth runs one level `code.count_blocks` at a time: the near moves of a
+    level (one block fewer) place the next one, each element when first
+    found, and the seeds of a level and the far moves that drop several
+    levels to it join it just before it is processed, after the elements
+    that near moves placed there.  Only the keys of the next level and of
+    the elements waiting for their level are kept, no record of the elements
+    already stepped: each element's level is checked when it is processed
+    (`covers` returns it).  So a move back to an element of its own level or
+    an earlier one, which places it again one level down, raises PosetError
+    there.  More than `guard` elements raise GuardError as soon as they are
+    found."""
+    found = 0  # the elements found so far
+    stepped = 0  # the placement index of the next element stepped
+
+    def key() -> int:
+        """The key of the next element found for the first time."""
+        nonlocal found
+        if found >= guard:
             raise GuardError(f"construction exceeds guard {guard} elements")
-        i = index[x] = len(codes)
-        codes.append(x)
-        return i
+        found += 1
+        return found - 1
 
-    pending = {}  # level -> [(index of the element moving there or None for a seed, code)]
+    waiting = {}  # code -> key of the seeds and far targets found, not yet placed
+    pending = {}  # level -> the codes that seeds and far moves place there
     for x in _listed(seeds, guard):
-        pending.setdefault(code.count_blocks(x), []).append((None, x))
-    at, done = max(pending, default=0), 0
-    while pending or done < len(codes):
-        if done == len(codes):  # no element at this level: go to the next pending
+        if x not in waiting:
+            waiting[x] = key()
+            pending.setdefault(code.count_blocks(x), []).append(x)
+    batch = [(None, list(waiting.values()))]
+    below = {}  # the next level, as near moves place it: code -> key
+    at = max(pending, default=0)
+    while below or pending:
+        if not below:  # no element at this level: go to the next pending
             at = max(pending)
-        for source, x in pending.pop(at, ()):
-            xi = index.get(x)
-            if xi is None:
-                xi = place(x)
-            if source is not None:
-                covers_up[source] = tuple(sorted((*covers_up[source], xi)))
-        # codes[done:end] is level `at`; processing it places level at - 1
-        end = len(codes)
-        for xi in range(done, end):
-            near, far = code.covers(codes[xi])
+        level, below = below, {}
+        for x in pending.pop(at, ()):
+            if x not in level:
+                level[x] = waiting.pop(x)
+        for x, k in level.items():
+            count, near, far = code.covers(x)
+            if count != at:
+                raise PosetError(f"a cover move goes back: element {stepped}, "
+                                 f"placed on level {at}, is on level {count}")
             ups = []
             for y in near:
-                yi = index.get(y)
-                if yi is None:
-                    yi = place(y)
-                ups.append(yi)
-            ups.sort()
-            if ups and ups[0] <= xi:
-                raise PosetError(f"a cover move from element {xi} goes back to element {ups[0]}")
-            covers_up.append(tuple(ups))
-            for level, y in far:
-                pending.setdefault(level, []).append((xi, y))
-        done, at = end, at - 1
+                up = below.get(y)
+                if up is None:
+                    up = waiting.pop(y, None)
+                    below[y] = up = key() if up is None else up
+                ups.append(up)
+            for depth, y in far:
+                up = waiting.get(y)
+                if up is None:
+                    waiting[y] = up = key()
+                    pending.setdefault(depth, []).append(y)
+                ups.append(up)
+            if codes is not None:
+                codes.append(x)
+            batch.append((k, ups))
+            stepped += 1
+            if len(batch) == _BATCH:
+                yield batch
+                batch = []
+        at -= 1
+    yield batch
+
+
+def _grow(seeds: Iterable[int], code: BlockCode, guard: int) -> BuiltLattice:
+    """The lattice of the steps of `_growth`: an element's index is its place
+    in the stream, and its up covers are the indices of the keys its step
+    lists, sorted.  The keys are the indices unless a far move or a seed of
+    a lower level named an element before its place.  The codes decode
+    through `code.decode_all` (see BuiltLattice)."""
+    codes, keys, covers_up = [], [], []
+    steps = chain.from_iterable(_growth(seeds, code, guard, codes))
+    next(steps)  # the virtual 0-hat
+    for key, ups in steps:
+        keys.append(key)
+        ups.sort()
+        covers_up.append(tuple(ups))
+    if keys != list(range(len(keys))):
+        index = [0] * len(keys)
+        for i, key in enumerate(keys):
+            index[key] = i
+        covers_up = [tuple(sorted([index[k] for k in ups])) for ups in covers_up]
     poset = close_order(tuple(covers_up), range(len(codes)))
     return BuiltLattice(poset=poset, codes=tuple(codes), decode=code.decode_all)
 
 
-def build_partition_lattice(m: int, guard: int = GUARD) -> BuiltLattice:
+class Family:
+    """What the build of a family and its growth stream both start from: the
+    code of its elements, R_n^{I,J}(s) (`BlockCode`), whose minimal elements
+    `_seeds` lists, and whether a 0-hat is adjoined below them.  Each family
+    function checks its parameters and returns one; each `build_*` builds
+    its family, and `grown_mobius` streams it.  A plain class: a NamedTuple
+    costs every process its class creation at start-up."""
+
+    __slots__ = ("code", "zero")
+
+    def __init__(self, code: BlockCode, zero: bool):
+        self.code, self.zero = code, zero
+
+
+def _seeds(code: BlockCode) -> Iterator[int]:
+    """The codes of the minimal elements of R_n^{I,J}(s), the family of
+    `code`: every labelling of blocks whose size is not a sum of two or more
+    sizes in I, and of a zero block whose size j has no j - t in J for t a
+    sum of sizes in I."""
+    n, I = code.n, code.I
+    seeds = _dowling_elements(n, code.s, _indecomposable(code.J, I, n), _indecomposable(I, I, n))
+    return map(code.encode, seeds)
+
+
+def _build(family: Family, guard: int) -> BuiltLattice:
+    """The lattice of `family`, grown, with its 0-hat if it has one."""
+    built = _grow(_seeds(family.code), family.code, guard)
+    return adjoin_zero(built) if family.zero else built
+
+
+def grown_mobius(family: Family, guard: int = GUARD) -> Iterator[tuple]:
+    """`mobius_walk` from the 0-hat of `family` over its growth stream, so
+    no poset, no linear extension, no code and no table is held: (key,
+    mu(0-hat, z), whether z has no up cover) for the 0-hat and then every
+    element z in placement order (keys as in `_growth`).  An adjoined 0-hat
+    is the virtual start, key None, whose up covers are the seeds, even when
+    there is one seed.  A family with no 0-hat adjoined must have one seed,
+    its bottom, or it raises the PosetError of `Poset.bottom`.  The guard
+    counts the elements as the build does."""
+    steps = chain.from_iterable(_growth(_seeds(family.code), family.code, guard))
+    start, ups = next(steps)
+    if not family.zero:
+        if len(ups) != 1:
+            raise PosetError("poset has no unique minimal element")
+        start, ups = next(steps)
+    return mobius_walk(start, ups, steps)
+
+
+def partition_family(m: int) -> Family:
     """The partition lattice Pi_m = L_{m-1}(1) read through the bijection,
     bottom = all singletons."""
     _check_params(m=m)
     sizes = frozenset(range(1, m + 1))
-    return _marked(m, sizes, sizes, guard)
+    return Family(PartitionCode(m, sizes, sizes), zero=False)
+
+
+def build_partition_lattice(m: int, guard: int = GUARD) -> BuiltLattice:
+    """Pi_m (`partition_family`), built."""
+    return _build(partition_family(m), guard)
+
+
+def dowling_family(n: int, s: int) -> Family:
+    """The Dowling lattice L_n(s) = R_n^{[1,n],[0,n]}(s) of rank n."""
+    _check_params(n=n, s=s)
+    return Family(BlockCode(n, s), zero=False)
 
 
 def build_dowling_lattice(n: int, s: int, guard: int = GUARD) -> BuiltLattice:
-    """The Dowling lattice L_n(s) = R_n^{[1,n],[0,n]}(s) of rank n."""
-    _check_params(n=n, s=s)
-    return _restricted(BlockCode(n, s), guard)
+    """L_n(s) (`dowling_family`), built."""
+    return _build(dowling_family(n, s), guard)
 
 
 # No build path calls ambient_dowling, induce_from_ambient or
@@ -609,32 +732,48 @@ def all_types(n: int) -> Iterator[StructureType]:
 # derived partition families
 
 
-def build_r_divisible(m: int, r: int, guard: int = GUARD) -> BuiltLattice:
-    """Pi_m^r: partitions with all block sizes divisible by r, 0-hat adjoined."""
+def r_divisible_family(m: int, r: int) -> Family:
+    """Pi_m^r: partitions with all block sizes divisible by r, 0-hat
+    adjoined: Q^(r)_{m/r} with a 0-hat."""
     _check_params(m=m, r=r)
     if m % r != 0:
         raise ParameterError(f"r={r} must divide m={m}")
-    return adjoin_zero(build_Q_r(m // r, r, guard=guard))
+    return Family(Q_r_family(m // r, r).code, zero=True)
 
 
-def build_extended(m: int, r: int, j: int, guard: int = GUARD) -> BuiltLattice:
+def build_r_divisible(m: int, r: int, guard: int = GUARD) -> BuiltLattice:
+    """Pi_m^r (`r_divisible_family`), built."""
+    return _build(r_divisible_family(m, r), guard)
+
+
+def extended_family(m: int, r: int, j: int) -> Family:
     """Pi_m^{r,j}: the block containing m has size >= j, all other blocks have
     size divisible by r; 0-hat adjoined.  It is D^(r,k) at s = 1 with
-    k = (j or r) - 1, read through the bijection (`_marked`)."""
+    k = (j or r) - 1, read through the bijection (`PartitionCode`)."""
     _check_params(m=m, r=r, j=j)
     if (m - j) % r != 0 or m < j:
         raise ParameterError(f"need m = r*n + j: got m={m}, r={r}, j={j}")
     I, K = frozenset(range(r, m + 1, r)), frozenset(range(j or r, m + 1, r))
-    return adjoin_zero(_marked(m, I, K, guard))
+    return Family(PartitionCode(m, I, K), zero=True)
 
 
-def build_Q_r(n: int, r: int, guard: int = GUARD) -> BuiltLattice:
+def build_extended(m: int, r: int, j: int, guard: int = GUARD) -> BuiltLattice:
+    """Pi_m^{r,j} (`extended_family`), built."""
+    return _build(extended_family(m, r, j), guard)
+
+
+def Q_r_family(n: int, r: int) -> Family:
     """Q^(r)_n = Q_{rn}^I with I = {r, 2r, ..., rn}: the subposet of Pi_{rn} of
     r-divisible partitions (no adjoined bottom)."""
     _check_params(r=r)
     _check_n_positive(n)
     I = frozenset(range(r, r * n + 1, r))
-    return _marked(r * n, I, I, guard)
+    return Family(PartitionCode(r * n, I, I), zero=False)
+
+
+def build_Q_r(n: int, r: int, guard: int = GUARD) -> BuiltLattice:
+    """Q^(r)_n (`Q_r_family`), built."""
+    return _build(Q_r_family(n, r), guard)
 
 
 def semigroup_violation(I: frozenset, J: frozenset, window: int) -> Optional[str]:
@@ -681,47 +820,46 @@ def _indecomposable(sizes: Iterable[int], I: frozenset, n: int) -> tuple:
     return tuple(sorted(b for b in sizes if not any(b - t in sizes for t in sums if t <= b)))
 
 
-def _restricted(code: BlockCode, guard: int) -> BuiltLattice:
-    """R_n^{I,J}(s), the family of `code`; no 0-hat.  It is grown from its
-    minimal elements by the cover moves of `code`: every labelling of blocks
-    whose size is not a sum of two or more sizes in I, and of a zero block
-    whose size j has no j - t in J for t a sum of sizes in I."""
-    n, I = code.n, code.I
-    seeds = _dowling_elements(n, code.s, _indecomposable(code.J, I, n), _indecomposable(I, I, n))
-    return _grow(map(code.encode, seeds), code, guard)
-
-
-def _marked(m: int, I: frozenset, K: frozenset, guard: int) -> BuiltLattice:
-    """The partitions of [m] whose block holding m has a size in K and whose
-    other blocks have sizes in I: R_{m-1}^{I,K-1}(1) read through the
-    bijection (`PartitionCode`); no 0-hat."""
-    return _restricted(PartitionCode(m, I, K), guard)
+def restricted_partition_family(n: int, I: frozenset) -> Family:
+    """Q_n^I for Q = Pi: partitions whose block sizes all lie in I, with a
+    0-hat adjoined.  The block holding n is one of them (see
+    `PartitionCode`)."""
+    _check_n_positive(n)
+    return Family(PartitionCode(n, I, I), zero=True)
 
 
 def build_restricted_partition(n: int, I: frozenset, guard: int = GUARD) -> BuiltLattice:
-    """Q_n^I for Q = Pi: partitions whose block sizes all lie in I, with a
-    0-hat adjoined.  The block holding n is one of them (see `_marked`)."""
-    _check_n_positive(n)
-    return adjoin_zero(_marked(n, I, I, guard))
+    """Q_n^I (`restricted_partition_family`), built."""
+    return _build(restricted_partition_family(n, I), guard)
+
+
+def restricted_dowling_family(n: int, s: int, I: frozenset, J: frozenset) -> Family:
+    """R_n^{I,J} for R = Dowling(s): zero-block size in J, block sizes in I,
+    with a 0-hat adjoined."""
+    _check_params(n=n, s=s)
+    return Family(BlockCode(n, s, I, J), zero=True)
 
 
 def build_restricted_dowling(
     n: int, s: int, I: frozenset, J: frozenset, guard: int = GUARD
 ) -> BuiltLattice:
-    """R_n^{I,J} for R = Dowling(s): zero-block size in J, block sizes in I,
-    with a 0-hat adjoined (see `_restricted`)."""
-    _check_params(n=n, s=s)
-    return adjoin_zero(_restricted(BlockCode(n, s, I, J), guard))
+    """R_n^{I,J}(s) (`restricted_dowling_family`), built."""
+    return _build(restricted_dowling_family(n, s, I, J), guard)
 
 
-def build_D_rk(n: int, r: int, k: int, s: int, guard: int = GUARD) -> BuiltLattice:
+def D_rk_family(n: int, r: int, k: int, s: int) -> Family:
     """D_n^{(r,k)} = R_{rn+k}^{I,J}(s), I = {r, 2r, ...}, J = {k, k + r, ...}:
     grown from a zero block of size k and n blocks of size r, in every
     labelling; 0-hat adjoined."""
     _check_params(n=n, r=r, k=k, s=s)
     size = r * n + k
     I, J = frozenset(range(r, size + 1, r)), frozenset(range(k, size + 1, r))
-    return adjoin_zero(_restricted(BlockCode(size, s, I, J), guard))
+    return Family(BlockCode(size, s, I, J), zero=True)
+
+
+def build_D_rk(n: int, r: int, k: int, s: int, guard: int = GUARD) -> BuiltLattice:
+    """D_n^(r,k)(s) (`D_rk_family`), built."""
+    return _build(D_rk_family(n, r, k, s), guard)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +890,7 @@ def _with_marked(x: DowlingElement, marked: tuple) -> tuple:
 class PartitionCode(BlockCode):
     """The codes of L_{m-1}(1) read as the partitions of [m] that they stand
     for, m joining the zero block (`_with_marked`); every partition family is built in it, as
-    R_{m-1}^{I,K-1}(1) (`_marked`; I and K default to [1, m], Pi_m).  The
+    R_{m-1}^{I,K-1}(1) (I and K default to [1, m], Pi_m).  The
     block holding m is memoized by its zero block, and the other blocks are
     the decoded element tuples, so the partitions share every block and no
     DowlingElement is kept.  Its `encode` takes a DowlingElement of

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -327,20 +328,26 @@ def test_cache_dir_on_a_file_exits_usage(tmp_path, capsys):
     ]
 
 
-def test_unwritable_cache_file_exits_usage(tmp_path, capsys):
-    # a directory where the cached export belongs: it reads as a miss, so
-    # the lattice is built, and the rename of the written file onto it fails
+def test_unwritable_cache_file_exits_usage(tmp_path, capsys, monkeypatch):
+    # a directory where the cached export belongs: it reads as a miss, and
+    # the command exits before it builds anything it could not store
     args = ("lattice", "--family", "pi", "--m", "3", "--cache-dir", str(tmp_path))
     assert run(capsys, *args)[0] == EXIT_OK
     (cached,) = tmp_path.iterdir()
     cached.unlink()
     cached.mkdir()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an export that cannot be stored")
+
+    monkeypatch.setattr(structures, "build_partition_lattice", refuse)
+    monkeypatch.setattr(structures, "_growth", refuse)
     code = main(list(args))
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert captured.err.startswith(f"invalid parameters: cannot write --cache-dir {tmp_path}: ")
-    assert len(captured.err.splitlines()) == 1
-    assert list(tmp_path.iterdir()) == [cached]  # the partial file is removed
+    assert captured.out == ""
+    assert captured.err == f"invalid parameters: cannot write --cache-dir {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == [cached]  # no partial file is left
 
 
 # modules that no benchmarked command reads, each loaded only by the
@@ -531,6 +538,7 @@ def test_mobius_without_unique_top_exits_before_building(capsys, monkeypatch):
         raise AssertionError("built a family whose mu is undefined")
 
     monkeypatch.setattr(structures, "build_restricted_partition", refuse)
+    monkeypatch.setattr(structures, "_growth", refuse)
     code = main(["mobius", "--family", "q-I", "--n", "9", "--I", "1,2,3"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -552,6 +560,7 @@ def test_mobius_without_unique_bounds_exits_before_building(capsys, monkeypatch,
         raise AssertionError("built a family whose mu is undefined")
 
     monkeypatch.setattr(structures, builder, refuse)
+    monkeypatch.setattr(structures, "_growth", refuse)
     code = main(["mobius", "--family", family, *argv])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -610,24 +619,37 @@ def test_verify_all_builds_each_extended_lattice_once(capsys, monkeypatch):
     assert {(3, 2, 1), (4, 2, 2), (5, 2, 3), (6, 2, 2), (7, 3, 4)} <= set(built)
 
 
+def growths(monkeypatch):
+    """The (code class, n, s, I, J) of every growth from now on: a family
+    and its arguments, whether it is built or streamed into the Mobius walk."""
+    grown = []
+    growth = structures._growth
+
+    def counted(seeds, code, *args, **kwargs):
+        grown.append((type(code).__name__, code.n, code.s, code.I, code.J))
+        return growth(seeds, code, *args, **kwargs)
+
+    monkeypatch.setattr(structures, "_growth", counted)
+    return grown
+
+
 def test_verify_all_builds_each_d_1k_lattice_once(capsys, monkeypatch):
     # prop4.5 and cor4.7 both read mu of D_n^(1,1)(s) and D_n^(1,2)(s) for
-    # n <= 4 and s = 1, 2; a run builds each of them once and keeps only mu
-    built = []
-
-    def counted(n, r, k, s, *args, **kwargs):
-        built.append((n, r, k, s))
-        return structures.build_D_rk(n, r, k, s, *args, **kwargs)
-
-    monkeypatch.setattr(identities, "build_D_rk", counted)
+    # n <= 4 and s = 1, 2; a run grows each of them once, streamed into the
+    # Mobius walk, and keeps only mu
+    grown = growths(monkeypatch)
     try:
         assert main(["verify", "all"]) == EXIT_OK
     finally:
         identities.d_rk_mu.cache_clear()
     capsys.readouterr()
-    d_1k = [key for key in built if key[1:3] in ((1, 1), (1, 2))]
-    assert sorted(d_1k) == sorted(set(d_1k))
-    assert {(n, 1, k, s) for n in range(5) for k in (1, 2) for s in (1, 2)} <= set(d_1k)
+    counts = Counter(grown)
+
+    def d_1k(n, k, s):  # D_n^(1,k)(s) = R_{n+k}^{I,J}(s), I = [1, n+k], J = [k, n+k]
+        return "BlockCode", n + k, s, frozenset(range(1, n + k + 1)), frozenset(range(k, n + k + 1))
+
+    wanted = [d_1k(n, k, s) for n in range(5) for k in (1, 2) for s in (1, 2)]
+    assert {key: counts[key] for key in wanted} == dict.fromkeys(wanted, 1)
 
 
 def test_q_r_bounds_decided_before_building():
@@ -645,12 +667,13 @@ def test_q_r_bounds_decided_before_building():
 @pytest.mark.parametrize("command", ["lattice", "mobius"])
 def test_builder_exception_is_internal(capsys, monkeypatch, command, error):
     # only ParameterError (an unwritable --output or --cache-dir too) and
-    # GuardError are bad usage; a ValueError or OSError raised inside a
-    # build is a fault of the program
+    # GuardError are bad usage; a ValueError or OSError raised inside the
+    # growth, which `lattice` builds from and `mobius` streams, is a fault
+    # of the program
     def broken(*args, **kwargs):
         raise error("raised inside the builder")
 
-    monkeypatch.setattr(structures, "build_partition_lattice", broken)
+    monkeypatch.setattr(structures, "_growth", broken)
     code = main([command, "--family", "pi", "--m", "3"])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL

@@ -119,22 +119,23 @@ def chain(x):
     return {x + 1} if x < 3 else set()
 
 
-def toy_code(covers):
-    """What `_grow` reads of a BlockCode: the moves `covers`, each to the
-    next level, every seed on one level, and codes that are their own
-    elements."""
-    return SimpleNamespace(covers=lambda x: (covers(x), ()), count_blocks=lambda x: 0,
+def toy_code(covers, level=lambda x: -x):
+    """What `_grow` reads of a BlockCode: the level of each element, the
+    moves `covers`, each meant for the next level, and codes that are their
+    own elements."""
+    return SimpleNamespace(covers=lambda x: (level(x), covers(x), ()), count_blocks=level,
                            decode_all=tuple)
 
 
-@pytest.mark.parametrize("covers_fn", [
-    lambda x: chain(x) or {0},               # the top moves back to the seed
-    lambda x: {0: {1, 2}, 2: {1}}.get(x, set()),  # 2 moves to 1, placed before it
-    lambda x: {x},                            # every element covers itself
+@pytest.mark.parametrize("covers_fn,level", [
+    (lambda x: chain(x) or {0}, lambda x: -x),  # the top moves back to the seed
+    # 1 and 2 share a level, and 2 moves to 1, placed before it
+    (lambda x: {0: {1, 2}, 2: {1}}.get(x, set()), lambda x: -min(x, 1)),
+    (lambda x: {x}, lambda x: -x),  # every element covers itself
 ], ids=["to-seed", "to-earlier", "to-itself"])
-def test_grow_rejects_moves_back(covers_fn):
+def test_grow_rejects_moves_back(covers_fn, level):
     with pytest.raises(PosetError, match="goes back"):
-        structures._grow([0], toy_code(covers_fn), guard=100)
+        structures._grow([0], toy_code(covers_fn, level), guard=100)
 
 
 def test_grow_accepts_forward_moves():
@@ -152,8 +153,8 @@ def test_move_back_through_cli_is_internal(capsys, monkeypatch, command):
     def back_to_bottom(self, code):
         m = self.n + 1
         bottom = extended_to_dowling(tuple((e,) for e in range(1, m + 1)), m)
-        near, far = moves(self, code)
-        return near or [self.encode(bottom)], far
+        level, near, far = moves(self, code)
+        return level, near or [self.encode(bottom)], far
 
     monkeypatch.setattr(structures.BlockCode, "covers", back_to_bottom)
     code = main([command, "--family", "pi", "--m", "3"])

@@ -355,11 +355,14 @@ def test_extended_blocks_are_shared():
     (["--family", "dowling", "--n", "3", "--s", "2"], "-15"),
 ])
 def test_mobius_reads_no_element(monkeypatch, capsys, argv, mu):
-    grown = []
-    grow = structures._grow
-    monkeypatch.setattr(structures, "_grow", lambda *args: grown.append(grow(*args)) or grown[-1])
+    # `mobius` streams the growth into the Mobius walk: it builds no lattice
+    # and decodes no code
+    def refuse(*args):
+        raise AssertionError("mobius built a lattice or decoded an element")
+
+    for owner, name in [(structures, "_grow"), (structures, "adjoin_zero"),
+                        (structures.BlockCode, "decode"), (structures.BlockCode, "decode_all"),
+                        (structures.PartitionCode, "decode")]:
+        monkeypatch.setattr(owner, name, refuse)
     assert cli.main(["mobius", *argv]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip() == mu
-    (built,) = grown
-    assert "elements" not in vars(built)
-    assert "index" not in vars(built)

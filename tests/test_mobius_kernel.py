@@ -6,7 +6,7 @@ break a lagged row (a transitive cover pair, and a value class whose least
 element drops in a walk that is not ascending); a check that the
 mu(0-hat, 1-hat) path never builds the closure; a check that the stream
 drops each row once its element is visited; and a bound on the memory the
-stream takes on L_7(2).
+stream takes on L_7(2), on its own and fed by the growth in `mobius`.
 
 Oracle notes.
 [ORACLE] `oracle_mobius_table`, `oracle_mobius_table_to_top` and
@@ -248,8 +248,9 @@ def made_posets(monkeypatch):
     return made
 
 
-# what the mu(0-hat, 1-hat) path of each run must never build: no closure,
-# and for `mobius` no rank either (the EL labels read the rank)
+# what the mu(0-hat, 1-hat) path of each run must never build: no closure
+# (the EL labels read the rank); `mobius` (None) makes no poset at all, as it
+# streams the growth into the Mobius walk
 CLOSURE = {"down_rows", "up_rows", "covers_down"}
 
 
@@ -257,16 +258,19 @@ CLOSURE = {"down_rows", "up_rows", "covers_down"}
     (lambda: identities.brute_mu(build_dowling_lattice(4, 2)), 105, CLOSURE),
     (lambda: identities.brute_mu(build_extended(7, 2, 3)), -61, CLOSURE),
     (lambda: shelling.el_verify(7, 2, 3)["mu"], -61, CLOSURE),
-    (lambda: main(["mobius", "--family", "dowling", "--n", "4", "--s", "2"]), EXIT_OK, CLOSURE | {"rank"}),
+    (lambda: main(["mobius", "--family", "dowling", "--n", "4", "--s", "2"]), EXIT_OK, None),
     (lambda: main(["el-check", "--m", "7", "--r", "2", "--j", "3"]), EXIT_OK, CLOSURE),
     (lambda: main(["mobius", "--family", "d-rk", "--n", "2", "--r", "2", "--k", "1", "--s", "2"]), EXIT_OK,
-     CLOSURE | {"rank"}),
+     None),
 ], ids=["brute_mu-dowling4,2", "brute_mu-extended7,2,3", "el_verify7,2,3", "cli-mobius", "cli-el-check",
         "cli-mobius-adjoined"])
 def test_mu_path_never_builds_up_rows(made_posets, capsys, run, mu, unbuilt):
     assert run() == mu
-    assert made_posets
-    assert all(unbuilt.isdisjoint(vars(P)) for P in made_posets)
+    if unbuilt is None:
+        assert made_posets == []
+    else:
+        assert made_posets
+        assert all(unbuilt.isdisjoint(vars(P)) for P in made_posets)
 
 
 def test_stream_drops_each_row():
@@ -298,3 +302,19 @@ def test_stream_memory_on_dowling_7_2():
         tracemalloc.stop()
     assert table[P.top] == -135135
     assert peak < 12 * 2**20
+
+
+def test_streamed_mobius_memory_on_dowling_7_2(capsys):
+    # `mobius` streams the growth of L_7(2) into the walk, so it holds no
+    # poset, no linear extension, no codes and no table of 28,640 values:
+    # the traced peak of the whole command, growth included, stays under
+    # 15.5 MiB, where building the lattice first peaked at 17.7 MiB
+    tracemalloc.start()
+    try:
+        code = main(["mobius", "--family", "dowling", "--n", "7", "--s", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "-135135\n"
+    assert peak < 15.5 * 2**20

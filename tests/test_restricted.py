@@ -237,7 +237,7 @@ def test_no_build_compares_pairs(monkeypatch):
         raise AssertionError("induced_subposet called by a build")
 
     monkeypatch.setattr(structures, "induced_subposet", refuse)
-    for family, (builder, keys) in cli.FAMILIES.items():
+    for family, (builder, _, keys) in cli.FAMILIES.items():
         values = {"m": 6, "n": 2, "r": 2, "j": 2, "k": 1, "s": 2,
                   "I": frozenset({1, 2}), "J": frozenset({0, 2})}
         if family in ("q-I", "r-IJ"):

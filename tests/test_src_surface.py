@@ -67,6 +67,7 @@ ALLOWED = {
     "poset.Poset.down_rows": "read by the traced oracle maximal_chains",
     "poset.mobius": "package API, in expdowling.__all__",
     "poset.Poset.interval": "package API: Poset is in expdowling.__all__",
+    "poset.Poset.bottom": "package API: Poset is in expdowling.__all__",
     "series.TruncatedSeries.zero": "package API: TruncatedSeries is in expdowling.__all__",
     "series.TruncatedSeries.one": "package API: TruncatedSeries is in expdowling.__all__",
     "series.TruncatedSeries.x": "package API: TruncatedSeries is in expdowling.__all__",

@@ -190,9 +190,9 @@ def test_transitive_cover_pair(n, covers):
 
 
 def test_class_least_element_drops_in_walk_order():
-    # the walk visits 2 before 1, so the class of -1 first holds {2} and then
-    # gains 1; the row of 4 is {1}, whose top bit lies below 2, and a class
-    # still keyed by 2 would be skipped there
+    # the walk visits 2 before 1, both with mu -1: keyed by index, the class
+    # of -1 would first hold 2 and then gain 1, its least element dropping;
+    # keyed by visit label, as the kernel keys it, its least label stays put
     P = close_order(((1, 2, 3, 4), (3, 4), (4,), (4,), ()), (0, 2, 1, 3, 4))
     assert mobius_table(P, 0) == {0: 1, 2: -1, 1: -1, 3: 0, 4: 1}
     check_both_tables(P)

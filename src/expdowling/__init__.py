@@ -3,7 +3,6 @@ Mobius computations, generating function identities, descent statistics, and
 EL-labelings, all over rational arithmetic."""
 
 from .poset import Poset, mobius, mobius_table
-from .series import TruncatedSeries
 from .structures import (
     BuiltLattice,
     DowlingElement,
@@ -23,3 +22,13 @@ __all__ = [
 ]
 
 __version__ = "0.3.0"
+
+
+def __getattr__(name):
+    # `series` (and with it `fractions`) loads on first use, so a process
+    # that reads no series does not load it (see the `cli` docstring)
+    if name == "TruncatedSeries":
+        from .series import TruncatedSeries
+
+        return TruncatedSeries
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,9 +11,13 @@ mu(0-hat, 1-hat) of a poset without a unique 0-hat or 1-hat, an --output or
 error, including any other exception.
 
 Every command runs in a fresh process, so start-up imports only what every
-command needs: a module that only one command reads (hashlib for the
---cache-dir key, csv for --format csv, traceback for an internal error) is
-imported inside that command.
+command needs: a module that only one command reads is imported inside that
+command.  So hashlib (the --cache-dir key), csv (--format csv), traceback
+(an internal error) and json (exports, reports and the cache) load only
+where they are read, and so do the verify stack (`suites`, `identities`,
+`series` with fractions, `descents`, `shelling`), which `verify`,
+`series`, `descents` and `el-check` import inside the command.  A
+`mobius` run loads only `structures` and `poset`.
 """
 
 from __future__ import annotations
@@ -22,14 +26,11 @@ import argparse
 import contextlib
 import errno
 import io
-import json
 import os
-import random
 import sys
-from fractions import Fraction
 
-from . import __version__, descents, identities, shelling, structures
-from .series import coeff_den
+from . import __version__, structures
+from .poset import top_mu
 from .structures import GUARD, DowlingElement, GuardError, ParameterError
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
@@ -83,6 +84,8 @@ def _emit(text: str, output) -> None:
 
 
 def _json(data) -> str:
+    import json
+
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
@@ -122,192 +125,34 @@ def _built_json(built):
     }
 
 
-# ---------------------------------------------------------------------------
-# verification suites (names mirror the numbered results they exercise)
-
-
-def suite_census(ns):
-    out = []
-    for s in ns.s_list:
-        for n in range(1, ns.nmax + 1):
-            out.append(identities.census_check(n, s))
-    out.append(identities.minimal_count_check(2, None, 1, 3))
-    out.append(identities.minimal_count_check(2, 1, 1, 2))
-    return out
-
-
-def suite_compositional_partition(ns):
-    rng = random.Random(ns.seed)
-    out = []
-    for _ in range(5):
-        f = {i: rng.randint(-3, 3) for i in range(1, ns.nmax + 1)}
-        g = {i: rng.randint(-3, 3) for i in range(ns.nmax + 1)}
-        g[0] = 1
-        out.append(
-            identities.compositional_check_partition(f.__getitem__, g.__getitem__, ns.nmax)
-        )
-    return out
-
-
-def suite_compositional_dowling(ns):
-    rng = random.Random(ns.seed)
-    out = []
-    for s in ns.s_list:
-        for _ in range(5):
-            f = {i: rng.randint(-3, 3) for i in range(1, ns.nmax + 1)}
-            g = {i: rng.randint(-3, 3) for i in range(ns.nmax + 1)}
-            k = {i: rng.randint(-3, 3) for i in range(ns.nmax + 1)}
-            out.append(
-                identities.compositional_check_dowling(
-                    f.__getitem__, g.__getitem__, k.__getitem__, s, ns.nmax
-                )
-            )
-    return out
-
-
-# The default grids of ex3.5 and cor3.4 stop their Dowling and r-divisible
-# rows at n = 4; a given --nmax runs every row to it.
-def suite_rank_polynomials(ns):
-    t_values = [Fraction(v) for v in range(-1, ns.nmax + 2)]
-    out = [identities.rank_polynomial_check("partition", 1, t_values, ns.nmax)]
-    for s in ns.s_list:
-        out.append(identities.rank_polynomial_check("dowling", s, t_values, ns.given_nmax or 4))
-    return out
-
-
-def suite_mu_series(ns):
-    # Pi_n is Q^(1)_n and L_n(s) is D^(1,0)(s)
-    out = [identities.check_mu_series(1, None, 1, ns.nmax)]
-    out.append(identities.check_mu_series(2, None, 1, ns.given_nmax or 4))
-    for s in ns.s_list:
-        out.append(identities.check_mu_series(1, 0, s, ns.given_nmax or 4))
-    return out
-
-
-def suite_thm41(ns):
-    return [identities.restricted_mu_check(ns.I, None, 1, ns.window)]
-
-
-def suite_thm42(ns):
-    return [identities.restricted_mu_check(ns.I, ns.J, ns.s, ns.window)]
-
-
-def suite_semigroup(ns):
-    return [identities.semigroup_check(ns.I, ns.J, ns.s, ns.window)]
-
-
-def suite_prop45(ns):
-    out = []
-    for r, k in [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
-        for s in ns.s_list:
-            out.append(identities.d_rk_series_check(r, k, s, ns.nmax))
-    return out
-
-
-def suite_cor47(ns):
-    return [
-        identities.binomial_mu_check(1, [1, 2, 3], ns.nmax),
-        identities.binomial_mu_check(2, [1, 2, 3], ns.nmax),
-    ]
-
-
-def suite_cor48(ns):
-    out = []
-    for k in (0, 1, 2, 3):
-        for s in ns.s_list:
-            out.append(identities.hyperbolic_series_check(k, s, ns.nmax + 2))
-    return out
-
-
-def suite_macmahon(ns):
-    report = identities.IdentityReport("macmahon-multiplication", {"max_total": ns.nmax})
-    for total in range(2, ns.nmax + 1):
-        for n in range(1, total):
-            m = total - n
-            for u_bits in range(2 ** (n - 1)):
-                u = "".join("ab"[u_bits >> i & 1] for i in range(n - 1))
-                for v_bits in range(2 ** (m - 1)):
-                    v = "".join("ab"[v_bits >> i & 1] for i in range(m - 1))
-                    ok = descents.multiplication_check(u, v)
-                    report.add(f"u={u or 'e'},v={v or 'e'}", 1 if ok else 0, 1)
-    return [report]
-
-
-def suite_eulerian(ns):
-    report = identities.IdentityReport(
-        "alternating-eulerian", {"T": ns.nmax, "q_values": ["1", "2"]}
-    )
-    for r, w in [(2, "a"), (2, "aa"), (3, "aa")]:
-        for q in (1, 2):
-            ok = descents.eulerian_identity_check(r, w, q, ns.nmax)
-            report.add(f"r={r},w={w},q={q}", 1 if ok else 0, 1)
-    return [report]
-
-
-def suite_thm54(ns):
-    return [
-        identities.mu_descent_check(2, 1, 1),
-        identities.mu_descent_check(2, 1, 2),
-        identities.mu_descent_check(1, 1, 4),
-        identities.mu_descent_check(2, 2, 1),
-    ]
-
-
-def suite_thm55(ns):
-    return [
-        identities.theorem_j1_check(2, 1),
-        identities.theorem_j1_check(2, 2),
-        identities.theorem_j1_check(3, 1),
-    ]
-
-
-def suite_cor56(ns):
-    report = identities.IdentityReport("r-divisible-euler", {})
-    for n in (1, 2):
-        m = 2 * n + 2
-        brute = identities.brute_mu(identities.extended_lattice(m, 2, 2))
-        report.add(f"m={m}", abs(brute), descents.euler_number(2 * n + 1))
-    return [report]
-
-
-def suite_el(ns):
-    out = []
-    for m, r, j in [(3, 2, 1), (4, 2, 2), (5, 2, 3), (6, 2, 2), (7, 3, 4)]:
-        result = shelling.el_verify(m, r, j, built=identities.extended_lattice(m, r, j))
-        report = identities.IdentityReport("el-shelling", {"m": m, "r": r, "j": j})
-        report.add("rising_violations", result["rising_violations"], 0)
-        report.add("f_sigma_match", 1 if result["f_sigma_match"] else 0, 1)
-        report.add("falling_count", result["falling_count"], result["des_expected"])
-        report.add("mu_abs", abs(result["mu"]), result["falling_count"])
-        out.append(report)
-    return out
-
-
-# suite name -> (suite function, parameters it uses when they are not given)
+# suite name -> (its function in `suites`, the parameters it uses when they
+# are not given).  Suite names mirror the numbered results they exercise;
+# `suites` is imported by `cmd_verify` alone, and its functions are looked
+# up by name at each run, as FAMILIES names builders.
 SUITES = {
-    "lemma2.1": (suite_census, {"nmax": 4, "s_list": [1, 2, 3]}),
-    "prop3.2": (suite_census, {"nmax": 4, "s_list": [1, 2, 3]}),
-    "thm3.2": (suite_compositional_partition, {"nmax": 6}),
-    "thm3.3": (suite_compositional_dowling, {"nmax": 4, "s_list": [1, 2]}),
-    "ex3.5": (suite_rank_polynomials, {"nmax": 5, "s_list": [1, 2]}),
-    "cor3.4": (suite_mu_series, {"nmax": 7, "s_list": [1, 2, 3]}),
-    "thm4.1": (suite_thm41, {"I": frozenset({2}), "window": 8}),
-    "thm4.2": (suite_thm42, {"I": frozenset({2}), "J": frozenset({1}), "s": 1, "window": 8}),
+    "lemma2.1": ("suite_census", {"nmax": 4, "s_list": [1, 2, 3]}),
+    "prop3.2": ("suite_census", {"nmax": 4, "s_list": [1, 2, 3]}),
+    "thm3.2": ("suite_compositional_partition", {"nmax": 6}),
+    "thm3.3": ("suite_compositional_dowling", {"nmax": 4, "s_list": [1, 2]}),
+    "ex3.5": ("suite_rank_polynomials", {"nmax": 5, "s_list": [1, 2]}),
+    "cor3.4": ("suite_mu_series", {"nmax": 7, "s_list": [1, 2, 3]}),
+    "thm4.1": ("suite_thm41", {"I": frozenset({2}), "window": 8}),
+    "thm4.2": ("suite_thm42", {"I": frozenset({2}), "J": frozenset({1}), "s": 1, "window": 8}),
     "cor4.3": (
-        suite_semigroup,
+        "suite_semigroup",
         {"I": frozenset({2, 4, 6, 8}), "J": frozenset({1, 3, 5, 7}), "s": 1, "window": 8},
     ),
-    "prop4.5": (suite_prop45, {"nmax": 6, "s_list": [1, 2]}),
-    "cor4.7": (suite_cor47, {"nmax": 4}),
-    "cor4.8": (suite_cor48, {"nmax": 8, "s_list": [1, 2]}),
-    "lemma5.1": (suite_macmahon, {"nmax": 6}),
-    "prop5.3": (suite_eulerian, {"nmax": 9}),
-    "thm5.4": (suite_thm54, {}),
-    "thm5.5": (suite_thm55, {}),
-    "cor5.6": (suite_cor56, {}),
-    "thm6.1": (suite_el, {}),
-    "cor6.4": (suite_el, {}),
-    "cor6.5": (suite_el, {}),
+    "prop4.5": ("suite_prop45", {"nmax": 6, "s_list": [1, 2]}),
+    "cor4.7": ("suite_cor47", {"nmax": 4}),
+    "cor4.8": ("suite_cor48", {"nmax": 8, "s_list": [1, 2]}),
+    "lemma5.1": ("suite_macmahon", {"nmax": 6}),
+    "prop5.3": ("suite_eulerian", {"nmax": 9}),
+    "thm5.4": ("suite_thm54", {}),
+    "thm5.5": ("suite_thm55", {}),
+    "cor5.6": ("suite_cor56", {}),
+    "thm6.1": ("suite_el", {}),
+    "cor6.4": ("suite_el", {}),
+    "cor6.5": ("suite_el", {}),
 }
 # a suite reads exactly the options its defaults name
 SUITE_OPTIONS = sorted({key for _, defaults in SUITES.values() for key in defaults})
@@ -341,7 +186,9 @@ def cmd_verify(ns) -> int:
             if getattr(ns, key) is not None and key not in SUITES[ns.suite][1]:
                 print(f"suite {ns.suite} does not read --{key.replace('_', '-')}", file=sys.stderr)
                 return EXIT_USAGE
-    runs = {}  # suite function -> (first name, resolved parameters)
+    from . import identities, suites
+
+    runs = {}  # suite function name -> (first suite name, resolved parameters)
     for name in names:
         fn, defaults = SUITES[name]
         if fn in runs:
@@ -357,7 +204,7 @@ def cmd_verify(ns) -> int:
     results = []
     for fn, (name, local) in runs.items():
         try:
-            results.extend(fn(local))
+            results.extend(getattr(suites, fn)(local))
         except GuardError as exc:
             print(f"guard exceeded in {name}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -390,6 +237,8 @@ def _read_cache(path):
     """The text of the cached export at `path`, or None when it is missing
     or damaged (truncated, without the final newline that every export of
     this version ends in, not JSON, not an export), so that it is rebuilt."""
+    import json
+
     try:
         with open(path) as fh:
             text = fh.read()
@@ -405,6 +254,9 @@ def cmd_lattice(ns) -> int:
     if ns.cache_dir:
         with _writing("--cache-dir", ns.cache_dir):
             os.makedirs(ns.cache_dir, exist_ok=True)
+        import hashlib
+        import json
+
         key_src = json.dumps(
             {k: sorted(v) if isinstance(v, frozenset) else v
              for k, v in vars(ns).items()
@@ -412,8 +264,6 @@ def cmd_lattice(ns) -> int:
             | {"version": __version__},
             sort_keys=True,
         )
-        import hashlib
-
         key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
         cache_path = os.path.join(ns.cache_dir, f"lattice-{key}.json")
         cached = _read_cache(cache_path)
@@ -462,29 +312,37 @@ def cmd_mobius(ns) -> int:
     if reason:
         raise ParameterError(f"mu(0-hat, 1-hat) is undefined: {reason}")
     family = getattr(structures, FAMILIES[ns.family][1])(*_family_args(ns))
-    print(identities.grown_mu(family, ns.guard))
+    print(top_mu(structures.grown_mobius(family, ns.guard)))
     return EXIT_OK
 
 
+# series name -> its closed form, from the module `identities` and the options
 SERIES = {
-    "cor3.4-exponential": lambda ns: identities.exponential_form(lambda n: 1, ns.T),
-    "cor3.4-dowling": lambda ns: identities.dowling_form(lambda n: 1, lambda n: 1, ns.s, ns.T),
-    "prop4.5": lambda ns: identities.d_rk_rhs_series(ns.r, ns.k, ns.s, ns.T),
+    "cor3.4-exponential": lambda ids, ns: ids.exponential_form(lambda n: 1, ns.T),
+    "cor3.4-dowling": lambda ids, ns: ids.dowling_form(lambda n: 1, lambda n: 1, ns.s, ns.T),
+    "prop4.5": lambda ids, ns: ids.d_rk_rhs_series(ns.r, ns.k, ns.s, ns.T),
 }
 
 
 def cmd_series(ns) -> int:
-    f = SERIES[ns.name](ns)
+    from . import identities
+    from .series import coeff_den
+
+    f = SERIES[ns.name](identities, ns)
     print(", ".join(str(coeff_den(f, n)) for n in range(ns.T + 1)))
     return EXIT_OK
 
 
 def cmd_descents(ns) -> int:
+    from . import descents
+
     print(descents.des_q(ns.word) if ns.q else descents.des_count(ns.word))
     return EXIT_OK
 
 
 def cmd_el_check(ns) -> int:
+    from . import shelling
+
     result = shelling.el_verify(ns.m, ns.r, ns.j, guard=ns.guard)
     _emit(_json(result), ns.output)
     return EXIT_OK if result["passed"] else EXIT_MISMATCH

@@ -11,15 +11,17 @@ sorts arbitrary cover pairs first.
 
 The Mobius numbers read none of that closure.  One kernel, `mobius_walk`,
 runs the recursion over a stream of steps (z, the up covers of z) in a
-linear extension, whatever the keys are: the indices and covers of a built
-poset (`mobius_table`, and `mobius_table_to_top` over the down covers), or
-the growth stream itself (`structures.grown_mobius`), in which a key names
-an element before it is placed.  The start may be virtual: an adjoined
-0-hat is a start whose up covers are the minimal elements.  The walk labels
-each element it visits by its visit number.  For each element of its
-frontier it holds the labels of the lower covers visited so far and a row
-one cover level behind them, the labels strictly between the start and
-those covers; a value lives in a list indexed by label.  It yields each
+linear extension: the indices and covers of a built poset (`mobius_table`,
+and `mobius_table_to_top` over the down covers), or the growth stream
+itself (`structures.grown_mobius`), in which a key names an element before
+it is placed.  The start may be virtual: an adjoined 0-hat is a start
+whose up covers are the minimal elements.  The walk labels each element it
+visits by its visit number.  Keys are non-negative ints, and the frontier
+is a list indexed by key: for each element waiting there it holds the
+labels of the lower covers visited so far and a row one cover level behind
+them, the labels strictly between the start and those covers.  A value
+lives in a list indexed by label, each the one int object of its value
+class, so a walk holds one int per distinct value.  It yields each
 element's value at once, with whether the element has no up cover, so
 `top_mu` reads mu(start, 1-hat) without a table.  No command tests the
 lattice property or the Mobius identity: those checks are test oracles
@@ -183,40 +185,56 @@ def adjoin_bottom(P: Poset) -> Poset:
     return close_order(P.covers_up + (P.minimals,), (P.n,) + P.topo)
 
 
-def mobius_walk(start, start_ups: Iterable, steps: Iterable[tuple]) -> Iterator[tuple]:
+# `mobius_walk` grows its frontier list this many slots past a key beyond its
+# end, so growth keys, which count up, extend it once per 1,024 new keys.
+_SPARE = 1024
+
+
+def mobius_walk(start, start_ups: Sequence[int], steps: Iterable[tuple]) -> Iterator[tuple]:
     """The Mobius recursion mu(start, z) = -sum of mu(start, w) over the
     half-open segment [start, z), for every z that up covers reach from
     `start`, over a stream of steps (z, the up covers of z) in a linear
-    extension.  A key is anything hashable (a poset index, or the number
-    growth gives an element when it first finds it), and `start` need not
-    be in the stream: an adjoined 0-hat is a virtual start whose up covers
-    `start_ups` are the minimal elements.
+    extension.  A key is a non-negative int: a poset index 0..n-1, or the
+    number that growth gives an element when it first finds it, counting up
+    from 0.  `start` need not be in the stream: an adjoined 0-hat is a
+    virtual start (any key, even None) whose up covers `start_ups` are the
+    minimal elements.
     Yields (z, mu(start, z), whether z has no up cover), the start first
     (with mu 1), then each reached z at its step; a step that the start does
     not reach is skipped.
 
     Each z reached but not yet visited holds the labels of the lower covers
     visited so far and a row one cover level behind them: the union of the
-    open segments (start, c) over those covers, as a bitmask of labels.  A
-    label is a visit number, and a value is kept in a list indexed by label,
-    so the walk keeps no table keyed by element.  All lower covers of z come
-    before z in the stream, so both are complete at its step, and [start, z)
-    is start, the lower covers and the row.  A lower cover already in the
-    row (a cover pair that other covers imply) is counted once.  z takes its
-    value, passes row | its lower covers on to its up covers and drops both.
-    The start has no label and is in no row.  The row sum is a popcount per
-    value class: one bitmask per distinct nonzero value, with its least
-    label, so a class wholly above the row's top bit is skipped (Stanley,
-    EC1 3.6-3.7).
+    open segments (start, c) over those covers, as a bitmask of labels.  The
+    frontier is a list indexed by key; a key past its end grows it by
+    `_SPARE` slots, on IndexError, so no push checks bounds, and z's slot is
+    cleared when z is visited.  A label is a visit number, and a value is
+    kept in a list indexed by label as the one int object of its value
+    class, so the walk keeps no value table keyed by element and no int
+    object per element.  All lower covers of z come before z in the stream,
+    so both are complete at its step, and [start, z) is start, the lower
+    covers and the row.  A lower cover already in the row (a cover pair that
+    other covers imply) is counted once.  z takes its value, passes row |
+    its lower covers on to its up covers and drops both.  The start has no
+    label and is in no row.  The row sum is a popcount per value class: one
+    bitmask per distinct nonzero value, with its least label, so a class
+    wholly above the row's top bit is skipped (Stanley, EC1 3.6-3.7).
     """
     yield start, 1, not start_ups
-    held = {w: [0] for w in start_ups}  # z -> [row, labels of its visited lower covers...]
+    # held[z] = [row, labels of the visited lower covers of z] while z waits
+    held = [None] * (max(start_ups, default=0) + _SPARE)
+    for w in start_ups:
+        held[w] = [0]
     values = []  # values[label] = mu(start, the element visited label-th)
-    classes = {}  # value -> [least label, bitmask of the labels]
+    classes = {}  # value -> [least label, bitmask of the labels, the value]
     for z, ups in steps:
-        entry = held.pop(z, None)
+        try:
+            entry = held[z]
+        except IndexError:  # a key past the list was never pushed
+            continue
         if entry is None:
             continue
+        held[z] = None
         row = entry[0]
         lower = 0
         total = 1  # mu(start, start)
@@ -231,16 +249,21 @@ def mobius_walk(start, start_ups: Iterable, steps: Iterable[tuple]) -> Iterator[
             if cls[0] < top:
                 total += v * (row & cls[1]).bit_count()
         label, value = len(values), -total
-        values.append(value)
         if value:
             cls = classes.get(value)
             if cls is None:
-                classes[value] = [label, 1 << label]
+                classes[value] = [label, 1 << label, value]
             else:
                 cls[1] |= 1 << label
+                value = cls[2]  # the one int object of the class
+        values.append(value)
         row |= lower
         for w in ups:
-            entry = held.get(w)
+            try:
+                entry = held[w]
+            except IndexError:
+                held += [None] * (w + _SPARE - len(held))
+                entry = None
             if entry is None:
                 held[w] = [row, label]
             else:

@@ -52,15 +52,15 @@ is read (see `poset`).  A built lattice keeps its codes, and decodes them
 into partitions or DowlingElements only when `elements` or `index` is first
 read.  `grown_mobius` feeds the same steps straight into the Mobius walk
 instead, so a caller that needs only Mobius numbers holds no lattice and no
-table, and of the codes only those of the next level and those waiting for
-theirs.  Every construction stops with GuardError as soon as it has found
+table, and of the codes only those of the next level, those waiting for
+theirs and those of the current level not yet stepped, each released at
+its step.  Every construction stops with GuardError as soon as it has found
 more than `guard` elements.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import chain, combinations, islice, product, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -448,13 +448,14 @@ def _growth(
     level (one block fewer) place the next one, each element when first
     found, and the seeds of a level and the far moves that drop several
     levels to it join it just before it is processed, after the elements
-    that near moves placed there.  Only the keys of the next level and of
-    the elements waiting for their level are kept, no record of the elements
-    already stepped: each element's level is checked when it is processed
-    (`covers` returns it).  So a move back to an element of its own level or
-    an earlier one, which places it again one level down, raises PosetError
-    there.  More than `guard` elements raise GuardError as soon as they are
-    found."""
+    that near moves placed there.  Only the codes and keys of the next
+    level, of the elements waiting for their level and of the part of the
+    current level not yet stepped are kept, no record of the elements
+    already stepped: each code is released at its step, and each element's
+    level is checked when it is processed (`covers` returns it).  So a move
+    back to an element of its own level or an earlier one, which places it
+    again one level down, raises PosetError there.  More than `guard`
+    elements raise GuardError as soon as they are found."""
     found = 0  # the elements found so far
     stepped = 0  # the placement index of the next element stepped
 
@@ -482,7 +483,11 @@ def _growth(
         for x in pending.pop(at, ()):
             if x not in level:
                 level[x] = waiting.pop(x)
-        for x, k in level.items():
+        # the level reversed, so that popping takes it in placement order and
+        # releases each code and key at its step
+        xs, ks, level = list(reversed(level)), list(reversed(level.values())), None
+        while xs:
+            x, k = xs.pop(), ks.pop()
             count, near, far = code.covers(x)
             if count != at:
                 raise PosetError(f"a cover move goes back: element {stepped}, "
@@ -709,10 +714,11 @@ def count_of_type(n: int, s: int, t: StructureType) -> int:
     den = s**t.b * math.factorial(t.b)
     for i, ai in enumerate(t.a, start=1):
         den *= (s * math.factorial(i)) ** ai * math.factorial(ai)
-    value = Fraction(s**n * math.factorial(n), den)
-    if value.denominator != 1:
-        raise ValueError(f"type count for {t} is not an integer: {value}")
-    return int(value)
+    num = s**n * math.factorial(n)
+    value, rest = divmod(num, den)
+    if rest:
+        raise ValueError(f"type count for {t} is not an integer: {num}/{den}")
+    return value
 
 
 def all_types(n: int) -> Iterator[StructureType]:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import expdowling
-from expdowling import cli, identities, shelling, structures
+from expdowling import cli, identities, shelling, structures, suites
 from expdowling.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from expdowling.poset import PosetError
 
@@ -350,24 +350,43 @@ def test_unwritable_cache_file_exits_usage(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [cached]  # no partial file is left
 
 
-# modules that no benchmarked command reads, each loaded only by the
-# command that needs it
-NOT_AT_START_UP = {"hashlib", "_hashlib", "dataclasses", "inspect", "csv"}
+# modules that neither start-up nor a `mobius` run reads, each loaded only
+# by the command that needs it: the verify stack, and what only it, an
+# export or the cache reads
+NOT_AT_START_UP = {
+    "hashlib", "_hashlib", "dataclasses", "inspect", "csv", "fractions", "decimal", "json",
+    "random", "expdowling.series", "expdowling.identities", "expdowling.shelling",
+    "expdowling.descents", "expdowling.suites",
+}
 
 
-def test_start_up_imports_only_what_every_command_needs():
+def _loaded(code):
+    """The modules that `code` loads in a fresh interpreter beyond those of a
+    bare one (`site` may load some, such as `random` and `typing`)."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(expdowling.__file__)))
 
-    def loaded(code):
+    def modules(code):
         proc = subprocess.run(
             [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         return set(proc.stdout.split())
 
-    # what `site` loads in a bare interpreter does not count
-    extra = loaded("import expdowling.cli as cli; cli.make_parser()") - loaded("pass")
+    return modules(code) - modules("pass")
+
+
+def test_start_up_imports_only_what_every_command_needs():
+    extra = _loaded("import expdowling.cli as cli; cli.make_parser()")
     assert "expdowling.cli" in extra
+    assert not extra & NOT_AT_START_UP, sorted(extra & NOT_AT_START_UP)
+
+
+def test_mobius_run_loads_no_verify_stack():
+    extra = _loaded(
+        "import expdowling.cli as cli\n"
+        "assert cli.main(['mobius', '--family', 'pi', '--m', '4']) == 0"
+    )
+    assert {"expdowling.structures", "expdowling.poset"} <= extra
     assert not extra & NOT_AT_START_UP, sorted(extra & NOT_AT_START_UP)
 
 
@@ -467,7 +486,7 @@ def test_flipped_sign_fails_verify(capsys, monkeypatch):
         report.add(2, -1, 1)
         return [report]
 
-    monkeypatch.setitem(cli.SUITES, "cor3.4", (flipped, cli.SUITES["cor3.4"][1]))
+    monkeypatch.setattr(suites, cli.SUITES["cor3.4"][0], flipped)
     code, out = run(capsys, "verify", "cor3.4")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["results"][0]["epsilon"] == -1
@@ -477,7 +496,7 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     def broken(ns):
         raise PosetError("poset has no unique minimal element")
 
-    monkeypatch.setitem(cli.SUITES, "thm5.5", (broken, cli.SUITES["thm5.5"][1]))
+    monkeypatch.setattr(suites, cli.SUITES["thm5.5"][0], broken)
     code = main(["verify", "thm5.5"])
     err = capsys.readouterr().err
     assert code == EXIT_INTERNAL

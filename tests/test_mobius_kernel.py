@@ -3,10 +3,12 @@ derives on first read and the one-candidate lattice check against the
 sum-over-bits recursion, an eager closure, the popcount-ordered sweep
 (`oracles`) and the full upper-set scan they replaced; the two shapes that
 break a lagged row (a transitive cover pair, and a value class whose least
-element drops in a walk that is not ascending); a check that the
-mu(0-hat, 1-hat) path never builds the closure; a check that the stream
-drops each row once its element is visited; and a bound on the memory the
-stream takes on L_7(2), on its own and fed by the growth in `mobius`.
+element drops in a walk that is not ascending); every family with its
+indices shuffled, so the key-indexed frontier meets its keys out of order
+and grows past its end; a check that the mu(0-hat, 1-hat) path never
+builds the closure; a check that the stream drops each row once its
+element is visited; and a bound on the memory the stream takes on L_7(2),
+on its own and fed by the growth in `mobius`.
 
 Oracle notes.
 [ORACLE] `oracle_mobius_table`, `oracle_mobius_table_to_top` and
@@ -19,6 +21,7 @@ and both Mobius tables of every element with the former eager closure and
 popcount-ordered sweep (see `oracles`).
 """
 
+import random
 import tracemalloc
 
 import pytest
@@ -26,7 +29,7 @@ from hypothesis import given, settings
 from oracles import assert_matches_eager, is_lattice, verify_mobius_identity
 from hypothesis import strategies as st
 
-from expdowling import identities, shelling, structures
+from expdowling import identities, poset, shelling, structures
 from expdowling.cli import EXIT_OK, main
 from expdowling.poset import (
     PosetError,
@@ -42,6 +45,8 @@ from expdowling.structures import (
     build_extended,
     build_partition_lattice,
     build_Q_r,
+    build_r_divisible,
+    build_restricted_dowling,
     build_restricted_partition,
 )
 
@@ -141,6 +146,27 @@ def bowtie():
     return from_covers(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
 
 
+def shuffled(build, seed):
+    """The poset of `build` with its indices permuted at random, through
+    `from_covers`, so that a walk meets its keys out of numeric order."""
+    P = build().poset
+    perm = list(range(P.n))
+    random.Random(seed).shuffle(perm)
+    return from_covers(P.n, [(perm[x], perm[y]) for x in range(P.n) for y in P.covers_up[x]])
+
+
+# one small member of each of the 8 families of `cli.FAMILIES`
+FAMILY_BUILDS = [
+    ("pi6", lambda: build_partition_lattice(6)),
+    ("dowling4,2", lambda: build_dowling_lattice(4, 2)),
+    ("pi-r8,2", lambda: build_r_divisible(8, 2)),
+    ("pi-rj7,2,3", lambda: build_extended(7, 2, 3)),
+    ("q-r4,2", lambda: build_Q_r(4, 2)),
+    ("d-rk2,2,1,2", lambda: build_D_rk(2, 2, 1, 2)),
+    ("q-I7,{2,3}", lambda: build_restricted_partition(7, frozenset({2, 3}))),
+    ("r-IJ4,2", lambda: build_restricted_dowling(4, 2, frozenset({1, 2, 3}), frozenset(range(5)))),
+]
+
 CASES = (
     [(f"pi{m}", lambda m=m: build_partition_lattice(m).poset) for m in range(1, 8)]
     + [
@@ -163,11 +189,18 @@ CASES = (
         ("q-r2,3", lambda: build_Q_r(2, 3).poset),
         ("bowtie", bowtie),
     ]
+    + [
+        (f"shuffled-{name}", lambda build=build, seed=seed: shuffled(build, seed))
+        for seed, (name, build) in enumerate(FAMILY_BUILDS)
+    ]
 )
 
 
 @pytest.mark.parametrize("build", [b for _, b in CASES], ids=[name for name, _ in CASES])
-def test_kernel_matches_oracle(build):
+def test_kernel_matches_oracle(monkeypatch, build):
+    # with one spare slot, every key past the end of the frontier list grows
+    # it, and a walk down meets its largest key first
+    monkeypatch.setattr(poset, "_SPARE", 1)
     P = build()
     check_closure(P)
     assert_matches_eager(P)
@@ -273,6 +306,15 @@ def test_mu_path_never_builds_up_rows(made_posets, capsys, run, mu, unbuilt):
         assert all(unbuilt.isdisjoint(vars(P)) for P in made_posets)
 
 
+def test_one_int_object_per_value():
+    # the walk keeps each value as the one int object of its class: the
+    # 4,140 values of Pi_8 are 17 objects, though Python shares no int
+    # past 256 by itself
+    P = build_partition_lattice(8).poset
+    table = mobius_table(P, P.bottom)
+    assert len({id(v) for v in table.values()}) == len(set(table.values())) == 17
+
+
 def test_stream_drops_each_row():
     # on a chain the stream holds one row at a time; kept rows would hold
     # n^2 / 2 bits, 4 MB at n = 8000, and the table of n entries takes about
@@ -291,8 +333,9 @@ def test_stream_drops_each_row():
 
 def test_stream_memory_on_dowling_7_2():
     # L_7(2), 28,640 elements: a row one cover level behind keeps the traced
-    # peak of the walk, its table of 28,640 values included, near 10 MiB,
-    # where rows holding the whole segment [0-hat, z) took 21 MiB
+    # peak of the walk, its table of 28,640 values included, at 10.0 MiB,
+    # where rows holding the whole segment [0-hat, z) took 21 MiB and a
+    # frontier dict with one int object per value 11.0 MiB
     P = build_dowling_lattice(7, 2).poset
     tracemalloc.start()
     try:
@@ -301,14 +344,15 @@ def test_stream_memory_on_dowling_7_2():
     finally:
         tracemalloc.stop()
     assert table[P.top] == -135135
-    assert peak < 12 * 2**20
+    assert peak < 10.5 * 2**20
 
 
 def test_streamed_mobius_memory_on_dowling_7_2(capsys):
     # `mobius` streams the growth of L_7(2) into the walk, so it holds no
-    # poset, no linear extension, no codes and no table of 28,640 values:
-    # the traced peak of the whole command, growth included, stays under
-    # 15.5 MiB, where building the lattice first peaked at 17.7 MiB
+    # poset, no linear extension, no table of 28,640 values and no code of
+    # a stepped element: the traced peak of the whole command, growth
+    # included, reads 11.1 MiB, where building the lattice first peaked at
+    # 17.7 MiB and the stream into a frontier dict at 13.4 MiB
     tracemalloc.start()
     try:
         code = main(["mobius", "--family", "dowling", "--n", "7", "--s", "2"])
@@ -317,4 +361,4 @@ def test_streamed_mobius_memory_on_dowling_7_2(capsys):
         tracemalloc.stop()
     assert code == EXIT_OK
     assert capsys.readouterr().out == "-135135\n"
-    assert peak < 15.5 * 2**20
+    assert peak < 12.5 * 2**20

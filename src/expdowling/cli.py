@@ -7,8 +7,8 @@ check mismatched or showed an unexpected sign; 2 bad usage (an unknown suite,
 an option the subcommand does not read, a suite option such as --nmax or --s
 for a suite that does not read it, invalid parameters, a Mobius number
 mu(0-hat, 1-hat) of a poset without a unique 0-hat or 1-hat, an --output or
---cache-dir path that cannot be written) or an exceeded guard; 3 an internal
-error, including any other exception.
+--cache-dir path that cannot be written, a `verify` report without rows) or
+an exceeded guard; 3 an internal error, including any other exception.
 
 Every command runs in a fresh process, so start-up imports only what every
 command needs: a module that only one command reads is imported inside that
@@ -17,7 +17,8 @@ command.  So hashlib (the --cache-dir key), csv (--format csv), traceback
 where they are read, and so do the verify stack (`suites`, `identities`,
 `series` with fractions, `descents`, `shelling`), which `verify`,
 `series`, `descents` and `el-check` import inside the command.  A
-`mobius` run loads only `structures` and `poset`.
+`mobius` run loads only `structures` and `poset`.  `verify` hands each suite
+the memo of its invocation, an `identities.Run`, as `ns.run`.
 """
 
 from __future__ import annotations
@@ -188,23 +189,20 @@ def cmd_verify(ns) -> int:
                 return EXIT_USAGE
     from . import identities, suites
 
-    runs = {}  # suite function name -> (first suite name, resolved parameters)
+    runs = {}  # suite function name -> the first suite name that runs it
     for name in names:
-        fn, defaults = SUITES[name]
-        if fn in runs:
-            continue
+        runs.setdefault(SUITES[name][0], name)
+    run, results = identities.Run(), []  # run: the memo this invocation's suites share
+    for fn, name in runs.items():
         local = argparse.Namespace(
-            **vars(ns) | {k: v for k, v in defaults.items() if getattr(ns, k) is None},
-            given_nmax=ns.nmax,
+            **vars(ns) | {k: v for k, v in SUITES[name][1].items() if getattr(ns, k) is None},
+            given_nmax=ns.nmax, run=run,
         )
-        runs[fn] = (name, local)
-    # a run shares its builds with no other run
-    identities.extended_lattice.cache_clear()
-    identities.d_rk_mu.cache_clear()
-    results = []
-    for fn, (name, local) in runs.items():
         try:
-            results.extend(getattr(suites, fn)(local))
+            reports = getattr(suites, fn)(local)
+            for report in reports:  # a report without rows checks nothing
+                if not report.rows:
+                    raise ParameterError(f"the {report.name} report has no rows")
         except GuardError as exc:
             print(f"guard exceeded in {name}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -213,6 +211,7 @@ def cmd_verify(ns) -> int:
             return EXIT_USAGE
         except Exception:
             return _internal_error(f" in {name}")
+        results.extend(reports)
     if ns.format == "csv":
         import csv
 

@@ -4,12 +4,12 @@ Every check here computes two sides independently: a "brute" value obtained by
 growing the poset and running the Mobius recursion, and a "closed" value read
 off a truncated series.  A check that reads only Mobius numbers streams the
 growth into the walk (`grown_mu`, `_restricted_mu`); one that reads covers,
-ranks or elements builds the lattice, and `brute_mu` walks a built one.  The
-verdict records whether they agree exactly or up
-to one global sign (the constant epsilon), since a couple of the printed
-closed forms carry the opposite sign convention from the recursion; an
-n-dependent sign flip is always a hard mismatch.  A report passes only when
-its sign is the one expected for its identity (`EXPECTED_EPSILON`).
+ranks or elements builds the lattice, and `brute_mu` walks a built one.  A
+check shares them through its `verify` run's memo, a `Run`.  The verdict
+records whether they agree exactly or up to one global sign (the constant
+epsilon), since two printed closed forms carry the opposite sign convention
+from the recursion; an n-dependent sign flip is always a hard mismatch.  A
+report passes only when it has its identity's sign (`EXPECTED_EPSILON`).
 
 Every Mobius generating function is one of two closed forms over coefficient
 tables a, b with a(0) = 1:
@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from . import shelling
@@ -76,7 +75,18 @@ from .structures import (
 )
 
 # ---------------------------------------------------------------------------
-# reports
+# the run memo and reports
+
+
+class Run(dict):
+    """The memo of one `verify` run: (function, arguments) -> value."""
+
+    def once(self, fn: Callable, *args):
+        key = (fn, *args)
+        if key not in self:
+            self[key] = fn(*args)
+        return self[key]
+
 
 # The printed closed forms of these identities (prop4.5, thm5.4) carry the
 # opposite sign to the Mobius recursion; every other identity is exact.
@@ -242,18 +252,17 @@ def minimal_count_check(r: int, k: Optional[int], s: int, n_max: int) -> Identit
 # type census and compositional formulas
 
 
-@lru_cache(maxsize=None)
 def _type_histogram(n: int, s: Optional[int]) -> tuple:
     """The (type, element count) pairs of Pi_n (s None) or L_n(s), counted
-    on the built lattice, which each process builds once."""
+    on the built lattice."""
     built = build_partition_lattice(n) if s is None else build_dowling_lattice(n, s)
     return tuple(Counter(type_of(x, n) for x in built.elements).items())
 
 
-def _type_sum(n: int, s: Optional[int], term: Callable) -> Fraction:
+def _type_sum(n: int, s: Optional[int], term: Callable, run: Run) -> Fraction:
     """The sum of term(type of x) over the elements x of Pi_n (s None) or
     L_n(s), one term per type."""
-    return sum((count * term(t) for t, count in _type_histogram(n, s)), Fraction(0))
+    return sum((count * term(t) for t, count in run.once(_type_histogram, n, s)), Fraction(0))
 
 
 def _blocks_term(f: Callable, g: Callable, t: StructureType) -> Fraction:
@@ -264,17 +273,17 @@ def _blocks_term(f: Callable, g: Callable, t: StructureType) -> Fraction:
     return term
 
 
-def census_check(n: int, s: int) -> IdentityReport:
+def census_check(n: int, s: int, run: Run) -> IdentityReport:
     """Per-type element counts of L_n(s): closed formula versus enumeration."""
     report = IdentityReport("type-census", {"n": n, "s": s})
-    hist = dict(_type_histogram(n, s))
+    hist = dict(run.once(_type_histogram, n, s))
     for t in all_types(n):
         report.add(f"(b={t.b}; a={t.a})", hist.get(t, 0), count_of_type(n, s, t))
     return report
 
 
 def compositional_check_partition(
-    f: Callable, g: Callable, n_max: int
+    f: Callable, g: Callable, n_max: int, run: Run
 ) -> IdentityReport:
     """Type-sum h(n) over Pi_n versus the coefficient of G(F(x))."""
     report = IdentityReport("compositional-partition", {"n_max": n_max})
@@ -285,13 +294,13 @@ def compositional_check_partition(
             # the empty structure has zero blocks and contributes g(0)
             brute = Fraction(g(0))
         else:
-            brute = _type_sum(n, None, lambda t: _blocks_term(f, g, t))
+            brute = _type_sum(n, None, lambda t: _blocks_term(f, g, t), run)
         report.add(n, brute, coeff_den(H, n))
     return report
 
 
 def compositional_check_dowling(
-    f: Callable, g: Callable, k: Callable, s: int, n_max: int
+    f: Callable, g: Callable, k: Callable, s: int, n_max: int, run: Run
 ) -> IdentityReport:
     """Type-sum h(n) over L_n(s) versus the coefficient of K(x)*G(1/s*F(s*x))."""
     report = IdentityReport("compositional-dowling", {"s": s, "n_max": n_max})
@@ -299,7 +308,7 @@ def compositional_check_dowling(
     G, K = series_from_table(g, n_max), series_from_table(k, n_max)
     H = K * compose(G, F.scale_argument(s) * Fraction(1, s))
     for n in range(0, n_max + 1):
-        brute = _type_sum(n, s, lambda t: Fraction(k(t.b)) * _blocks_term(f, g, t))
+        brute = _type_sum(n, s, lambda t: Fraction(k(t.b)) * _blocks_term(f, g, t), run)
         report.add(n, brute, coeff_den(H, n))
     return report
 
@@ -361,7 +370,6 @@ def rank_polynomial_check(
 # restricted structures
 
 
-@lru_cache(maxsize=None)
 def _restricted_mu(n: int, s: int, I: frozenset, J: Optional[frozenset]):
     """(mu(0-hat, 1-hat) if n is in J, or in I with J None, else 0; m_n, the
     sum of mu(0-hat, z) over every z) of Q_n^I (J None) or R_n^{I,J}(s), in
@@ -378,17 +386,17 @@ def _restricted_mu(n: int, s: int, I: frozenset, J: Optional[frozenset]):
     return (top_mu(tops) if n in (I if J is None else J) else 0), total
 
 
-def _restricted_rows(report, I, J, s, closed: TruncatedSeries, side: str = "") -> None:
+def _restricted_rows(report, I, J, s, closed: TruncatedSeries, run: Run, side: str = "") -> None:
     """Rows n = 0..T (labelled n, or "side:n"): mu(Q_n^I) (J None) or
     mu(R_n^{I,J}(s)) over n!, 0 off I (or J), against the coefficient of x^n
     in `closed`."""
     for n in range(closed.order + 1):
-        mu = _restricted_mu(n, s, I, J)[0] if n in (I if J is None else J) else 0
+        mu = run.once(_restricted_mu, n, s, I, J)[0] if n in (I if J is None else J) else 0
         report.add(f"{side}:{n}" if side else n, Fraction(mu, math.factorial(n)), closed[n])
 
 
 def restricted_mu_check(
-    I: frozenset, J: Optional[frozenset], s: int, n_max: int
+    I: frozenset, J: Optional[frozenset], s: int, n_max: int, run: Run
 ) -> IdentityReport:
     """Restricted Mobius generating-function identity, coefficientwise.
 
@@ -397,11 +405,11 @@ def restricted_mu_check(
     I = frozenset(I)
 
     def a(n):  # 1 on {0} and I, else 1 - m_n, the Mobius sum of Q_n^I
-        return 1 if n == 0 or n in I else 1 - _restricted_mu(n, 1, I, None)[1]
+        return 1 if n == 0 or n in I else 1 - run.once(_restricted_mu, n, 1, I, None)[1]
 
     if J is None:
         report = IdentityReport("restricted-mu", {"I": sorted(I), "n_max": n_max})
-        _restricted_rows(report, I, None, 1, exponential_form(a, n_max))
+        _restricted_rows(report, I, None, 1, exponential_form(a, n_max), run)
         return report
 
     J = frozenset(J)
@@ -410,13 +418,13 @@ def restricted_mu_check(
     )
 
     def b(n):  # 1 on J, else 1 - p_n, the Mobius sum of R_n^{I,J}(s)
-        return 1 if n in J else 1 - _restricted_mu(n, s, I, J)[1]
+        return 1 if n in J else 1 - run.once(_restricted_mu, n, s, I, J)[1]
 
-    _restricted_rows(report, I, J, s, dowling_form(b, a, s, n_max))
+    _restricted_rows(report, I, J, s, dowling_form(b, a, s, n_max), run)
     return report
 
 
-def semigroup_check(I: frozenset, J: frozenset, s: int, n_max: int) -> IdentityReport:
+def semigroup_check(I: frozenset, J: frozenset, s: int, n_max: int, run: Run) -> IdentityReport:
     """The semigroup specialization (Cor 4.3): the closure hypotheses are
     verified on [0, n_max] first (ParameterError if they fail), then both
     closed forms are checked coefficientwise through x^n_max, over the
@@ -432,15 +440,15 @@ def semigroup_check(I: frozenset, J: frozenset, s: int, n_max: int) -> IdentityR
     # mechanism from the proof: the restricted posets vanish off the index sets
     for n in range(1, n_max + 1):
         if n not in I:
-            _, m_n = _restricted_mu(n, 1, I, None)
+            _, m_n = run.once(_restricted_mu, n, 1, I, None)
             if m_n != 1:
                 report.notes.append(f"Q_{n}^I unexpectedly nonempty (m_n={m_n})")
 
     def a(n):
         return int(n == 0 or n in I)
 
-    _restricted_rows(report, I, None, 1, exponential_form(a, n_max), "Q")
-    _restricted_rows(report, I, J, s, dowling_form(lambda n: int(n in J), a, s, n_max), "R")
+    _restricted_rows(report, I, None, 1, exponential_form(a, n_max), run, "Q")
+    _restricted_rows(report, I, J, s, dowling_form(lambda n: int(n in J), a, s, n_max), run, "R")
     return report
 
 
@@ -457,14 +465,13 @@ def d_rk_rhs_series(r: int, k: int, s: int, T: int) -> TruncatedSeries:
     )
 
 
-@lru_cache(maxsize=None)
 def d_rk_mu(n: int, r: int, k: int, s: int) -> int:
-    """mu(D_n^{(r,k)}(s) + 0-hat), one growth for the checks of a `verify`
-    run that read it; only the number is kept."""
+    """mu(D_n^{(r,k)}(s) + 0-hat), its growth streamed into the Mobius walk;
+    a check reads it through its `Run`, which keeps only the number."""
     return grown_mu(D_rk_family(n, r, k, s))
 
 
-def d_rk_series_check(r: int, k: int, s: int, max_rnk: int) -> IdentityReport:
+def d_rk_series_check(r: int, k: int, s: int, max_rnk: int, run: Run) -> IdentityReport:
     """Brute mu(D_n^{(r,k)} + 0-hat) against the printed closed form; the
     expected verdict is a global sign of -1 (see notes)."""
     report = IdentityReport(
@@ -473,7 +480,7 @@ def d_rk_series_check(r: int, k: int, s: int, max_rnk: int) -> IdentityReport:
     closed = d_rk_rhs_series(r, k, s, max_rnk)
     n = 0
     while r * n + k <= max_rnk:
-        report.add(n, d_rk_mu(n, r, k, s), coeff_den(closed, r * n + k))
+        report.add(n, run.once(d_rk_mu, n, r, k, s), coeff_den(closed, r * n + k))
         n += 1
     if report.epsilon == -1:
         report.notes.append(
@@ -482,12 +489,12 @@ def d_rk_series_check(r: int, k: int, s: int, max_rnk: int) -> IdentityReport:
     return report
 
 
-def binomial_mu_check(k: int, s_values: list, n_max: int) -> IdentityReport:
+def binomial_mu_check(k: int, s_values: list, n_max: int, run: Run) -> IdentityReport:
     """|mu(D_n^{(1,k)} + 0-hat)| = C(n+k-1, k-1), independent of the order s."""
     report = IdentityReport("d-1k-binomial", {"k": k, "s_values": s_values, "n_max": n_max})
     for n in range(0, n_max + 1):
         expected = math.comb(n + k - 1, k - 1)
-        values = {s: d_rk_mu(n, 1, k, s) for s in s_values}
+        values = {s: run.once(d_rk_mu, n, 1, k, s) for s in s_values}
         if len(set(values.values())) != 1:
             report.notes.append(f"n={n}: mu depends on s: {values}")
             report.add(f"n={n}", 0, 1)  # force a mismatch row
@@ -516,30 +523,24 @@ def hyperbolic_series_check(k: int, s: int, T: int) -> IdentityReport:
 # descent-statistic Mobius values
 
 
-@lru_cache(maxsize=None)
-def extended_lattice(m: int, r: int, j: int) -> BuiltLattice:
-    """Pi_m^{r,j}, one build for the checks of a `verify` run that read it."""
-    return build_extended(m, r, j)
-
-
-def mu_descent_check(r: int, k: int, n: int) -> IdentityReport:
+def mu_descent_check(r: int, k: int, n: int, run: Run) -> IdentityReport:
     """Brute mu of the extended r-divisible lattice against the signed descent
     count (m = r*n + k + 1)."""
     m = r * n + k + 1
     report = IdentityReport("mu-descent", {"r": r, "k": k, "n": n, "m": m})
     closed = (-1) ** n * shelling.descent_class_size(m, r, k + 1)
-    report.add(f"m={m}", brute_mu(extended_lattice(m, r, k + 1)), closed)
+    report.add(f"m={m}", brute_mu(run.once(build_extended, m, r, k + 1)), closed)
     if report.epsilon == -1:
         report.notes.append("brute sign is (-1)^(n+1), opposite to the printed (-1)^n")
     return report
 
 
-def theorem_j1_check(r: int, n: int) -> IdentityReport:
+def theorem_j1_check(r: int, n: int, run: Run) -> IdentityReport:
     """The j=1 case: mu vanishes, and the join of the atoms stays below the
     top."""
     m = r * n + 1
     report = IdentityReport("mu-j1-zero", {"r": r, "n": n, "m": m})
-    built = extended_lattice(m, r, 1)
+    built = run.once(build_extended, m, r, 1)
     P = built.poset
     report.add(f"m={m}", brute_mu(built), 0)
     atoms = P.covers_up[bottom_of(built)]

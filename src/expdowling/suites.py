@@ -4,7 +4,7 @@ the resolved options of its run and returning its `IdentityReport`s.
 Only `verify` imports this module, and with it `identities`, `descents`,
 `shelling` and `fractions`, so no other command loads them (see the `cli`
 docstring).  The functions are looked up by name at each run, so that a
-wrapper rebound on this module sees the call.
+wrapper rebound on this module sees the call; `ns.run` is the run's memo.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ def suite_census(ns):
     out = []
     for s in ns.s_list:
         for n in range(1, ns.nmax + 1):
-            out.append(identities.census_check(n, s))
+            out.append(identities.census_check(n, s, ns.run))
     out.append(identities.minimal_count_check(2, None, 1, 3))
     out.append(identities.minimal_count_check(2, 1, 1, 2))
     return out
@@ -33,7 +33,7 @@ def suite_compositional_partition(ns):
         g = {i: rng.randint(-3, 3) for i in range(ns.nmax + 1)}
         g[0] = 1
         out.append(
-            identities.compositional_check_partition(f.__getitem__, g.__getitem__, ns.nmax)
+            identities.compositional_check_partition(f.__getitem__, g.__getitem__, ns.nmax, ns.run)
         )
     return out
 
@@ -48,7 +48,7 @@ def suite_compositional_dowling(ns):
             k = {i: rng.randint(-3, 3) for i in range(ns.nmax + 1)}
             out.append(
                 identities.compositional_check_dowling(
-                    f.__getitem__, g.__getitem__, k.__getitem__, s, ns.nmax
+                    f.__getitem__, g.__getitem__, k.__getitem__, s, ns.nmax, ns.run
                 )
             )
     return out
@@ -74,29 +74,29 @@ def suite_mu_series(ns):
 
 
 def suite_thm41(ns):
-    return [identities.restricted_mu_check(ns.I, None, 1, ns.window)]
+    return [identities.restricted_mu_check(ns.I, None, 1, ns.window, ns.run)]
 
 
 def suite_thm42(ns):
-    return [identities.restricted_mu_check(ns.I, ns.J, ns.s, ns.window)]
+    return [identities.restricted_mu_check(ns.I, ns.J, ns.s, ns.window, ns.run)]
 
 
 def suite_semigroup(ns):
-    return [identities.semigroup_check(ns.I, ns.J, ns.s, ns.window)]
+    return [identities.semigroup_check(ns.I, ns.J, ns.s, ns.window, ns.run)]
 
 
 def suite_prop45(ns):
     out = []
     for r, k in [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
         for s in ns.s_list:
-            out.append(identities.d_rk_series_check(r, k, s, ns.nmax))
+            out.append(identities.d_rk_series_check(r, k, s, ns.nmax, ns.run))
     return out
 
 
 def suite_cor47(ns):
     return [
-        identities.binomial_mu_check(1, [1, 2, 3], ns.nmax),
-        identities.binomial_mu_check(2, [1, 2, 3], ns.nmax),
+        identities.binomial_mu_check(1, [1, 2, 3], ns.nmax, ns.run),
+        identities.binomial_mu_check(2, [1, 2, 3], ns.nmax, ns.run),
     ]
 
 
@@ -135,18 +135,18 @@ def suite_eulerian(ns):
 
 def suite_thm54(ns):
     return [
-        identities.mu_descent_check(2, 1, 1),
-        identities.mu_descent_check(2, 1, 2),
-        identities.mu_descent_check(1, 1, 4),
-        identities.mu_descent_check(2, 2, 1),
+        identities.mu_descent_check(2, 1, 1, ns.run),
+        identities.mu_descent_check(2, 1, 2, ns.run),
+        identities.mu_descent_check(1, 1, 4, ns.run),
+        identities.mu_descent_check(2, 2, 1, ns.run),
     ]
 
 
 def suite_thm55(ns):
     return [
-        identities.theorem_j1_check(2, 1),
-        identities.theorem_j1_check(2, 2),
-        identities.theorem_j1_check(3, 1),
+        identities.theorem_j1_check(2, 1, ns.run),
+        identities.theorem_j1_check(2, 2, ns.run),
+        identities.theorem_j1_check(3, 1, ns.run),
     ]
 
 
@@ -154,7 +154,7 @@ def suite_cor56(ns):
     report = identities.IdentityReport("r-divisible-euler", {})
     for n in (1, 2):
         m = 2 * n + 2
-        brute = identities.brute_mu(identities.extended_lattice(m, 2, 2))
+        brute = identities.brute_mu(ns.run.once(identities.build_extended, m, 2, 2))
         report.add(f"m={m}", abs(brute), descents.euler_number(2 * n + 1))
     return [report]
 
@@ -162,7 +162,7 @@ def suite_cor56(ns):
 def suite_el(ns):
     out = []
     for m, r, j in [(3, 2, 1), (4, 2, 2), (5, 2, 3), (6, 2, 2), (7, 3, 4)]:
-        result = shelling.el_verify(m, r, j, built=identities.extended_lattice(m, r, j))
+        result = shelling.el_verify(m, r, j, built=ns.run.once(identities.build_extended, m, r, j))
         report = identities.IdentityReport("el-shelling", {"m": m, "r": r, "j": j})
         report.add("rising_violations", result["rising_violations"], 0)
         report.add("f_sigma_match", 1 if result["f_sigma_match"] else 0, 1)

@@ -34,7 +34,7 @@ def test_criterion_1_census():
     start = time.monotonic()
     for n in range(1, 5):
         for s in (1, 2, 3):
-            assert_exact(identities.census_check(n, s))
+            assert_exact(identities.census_check(n, s, identities.Run()))
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"census took {elapsed:.1f}s"
     report(1, f"type census n<=4, s in 1..3, {elapsed:.1f}s")
@@ -58,18 +58,18 @@ def test_criterion_2_mu_series():
 
 def test_criterion_3_compositional():
     start = time.monotonic()
-    rng = random.Random(20090311)
+    rng, run = random.Random(20090311), identities.Run()
     for trial in range(5):
         f = {i: rng.randint(-3, 3) for i in range(0, 7)}
         g = {i: rng.randint(-3, 3) for i in range(0, 7)}
         k = {i: rng.randint(-3, 3) for i in range(0, 7)}
         assert_exact(
-            identities.compositional_check_partition(f.__getitem__, g.__getitem__, 6)
+            identities.compositional_check_partition(f.__getitem__, g.__getitem__, 6, run)
         )
         for s in (1, 2):
             assert_exact(
                 identities.compositional_check_dowling(
-                    f.__getitem__, g.__getitem__, k.__getitem__, s, 4
+                    f.__getitem__, g.__getitem__, k.__getitem__, s, 4, run
                 )
             )
     elapsed = time.monotonic() - start
@@ -78,12 +78,12 @@ def test_criterion_3_compositional():
 
 
 def test_criterion_4_restricted():
-    start = time.monotonic()
-    assert_exact(identities.restricted_mu_check(frozenset({2}), None, 1, 8))
-    assert_exact(identities.restricted_mu_check(frozenset({2}), frozenset({1}), 1, 8))
+    start, run = time.monotonic(), identities.Run()
+    assert_exact(identities.restricted_mu_check(frozenset({2}), None, 1, 8, run))
+    assert_exact(identities.restricted_mu_check(frozenset({2}), frozenset({1}), 1, 8, run))
     assert_exact(
         identities.semigroup_check(
-            frozenset({2, 4, 6, 8}), frozenset({1, 3, 5, 7}), 1, 8
+            frozenset({2, 4, 6, 8}), frozenset({1, 3, 5, 7}), 1, 8, run
         )
     )
     elapsed = time.monotonic() - start
@@ -92,13 +92,14 @@ def test_criterion_4_restricted():
 
 
 def test_criterion_5_rk_family():
+    run = identities.Run()
     for r, k in [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
         for s in (1, 2):
-            rep = identities.d_rk_series_check(r, k, s, 6)
+            rep = identities.d_rk_series_check(r, k, s, 6, run)
             assert rep.passed, rep.to_json_dict()
             assert rep.epsilon in (1, -1)
     for k in (1, 2):
-        assert_exact(identities.binomial_mu_check(k, [1, 2, 3], 4))
+        assert_exact(identities.binomial_mu_check(k, [1, 2, 3], 4, run))
     for k in (0, 1, 2, 3):
         for s in (1, 2):
             assert_exact(identities.hyperbolic_series_check(k, s, 8))
@@ -121,17 +122,18 @@ def test_criterion_6_q_identities():
 
 
 def test_criterion_7_descent_mu():
-    rep = identities.mu_descent_check(2, 1, 1)
+    run = identities.Run()
+    rep = identities.mu_descent_check(2, 1, 1, run)
     _, brute, _ = rep.rows[0]
     assert brute == 2 and descents.des_count("ab") == 2
-    rep = identities.mu_descent_check(2, 1, 2)
+    rep = identities.mu_descent_check(2, 1, 2, run)
     _, brute, _ = rep.rows[0]
     assert brute == -16
     assert len(descents.alternating_permutations(5)) == 16
-    rep = identities.mu_descent_check(1, 1, 4)
+    rep = identities.mu_descent_check(1, 1, 4, run)
     assert rep.passed and rep.epsilon in (1, -1)
     for r, n in [(2, 1), (2, 2), (3, 1)]:
-        rep = identities.theorem_j1_check(r, n)
+        rep = identities.theorem_j1_check(r, n, run)
         assert rep.passed
         assert rep.rows[0][1] == 0
     report(7, "descent-statistic mu values, signs constant per identity")

@@ -607,14 +607,11 @@ def test_descent_suites_build_each_extended_lattice_once(capsys, monkeypatch):
         return structures.build_extended(m, r, j, *args, **kwargs)
 
     monkeypatch.setattr(identities, "build_extended", counted)
-    try:
-        for suite in ("thm5.4", "cor5.6"):
-            built.clear()
-            assert main(["verify", suite]) == EXIT_OK
-            assert sorted(built) == sorted(set(built)), suite
-            assert {(4, 2, 2), (6, 2, 2)} <= set(built), suite
-    finally:
-        identities.extended_lattice.cache_clear()
+    for suite in ("thm5.4", "cor5.6"):
+        built.clear()
+        assert main(["verify", suite]) == EXIT_OK
+        assert sorted(built) == sorted(set(built)), suite
+        assert {(4, 2, 2), (6, 2, 2)} <= set(built), suite
     capsys.readouterr()
 
 
@@ -629,10 +626,7 @@ def test_verify_all_builds_each_extended_lattice_once(capsys, monkeypatch):
 
     monkeypatch.setattr(identities, "build_extended", counted)
     monkeypatch.setattr(shelling, "build_extended", counted)
-    try:
-        assert main(["verify", "all"]) == EXIT_OK
-    finally:
-        identities.extended_lattice.cache_clear()
+    assert main(["verify", "all"]) == EXIT_OK
     capsys.readouterr()
     assert sorted(built) == sorted(set(built))
     assert {(3, 2, 1), (4, 2, 2), (5, 2, 3), (6, 2, 2), (7, 3, 4)} <= set(built)
@@ -657,10 +651,7 @@ def test_verify_all_builds_each_d_1k_lattice_once(capsys, monkeypatch):
     # n <= 4 and s = 1, 2; a run grows each of them once, streamed into the
     # Mobius walk, and keeps only mu
     grown = growths(monkeypatch)
-    try:
-        assert main(["verify", "all"]) == EXIT_OK
-    finally:
-        identities.d_rk_mu.cache_clear()
+    assert main(["verify", "all"]) == EXIT_OK
     capsys.readouterr()
     counts = Counter(grown)
 
@@ -669,6 +660,56 @@ def test_verify_all_builds_each_d_1k_lattice_once(capsys, monkeypatch):
 
     wanted = [d_1k(n, k, s) for n in range(5) for k in (1, 2) for s in (1, 2)]
     assert {key: counts[key] for key in wanted} == dict.fromkeys(wanted, 1)
+
+
+def test_nothing_outlives_a_run(capsys, monkeypatch):
+    # a second run in the same process grows what the first grew: Q_n^I for
+    # thm4.1, and L_n(s) and D_n^(2,1)(1) for lemma2.1
+    grown = growths(monkeypatch)
+    for suite in ("thm4.1", "lemma2.1"):
+        counts = []
+        for _ in range(2):
+            grown.clear()
+            assert main(["verify", suite]) == EXIT_OK
+            counts.append(Counter(grown))
+        assert counts[0] and counts[1] == counts[0], suite
+    capsys.readouterr()
+
+
+def test_verify_all_computes_each_shared_value_once(capsys, monkeypatch):
+    # every value that a run memoizes is computed once per run, whichever
+    # suite reads it first
+    shared = ("_type_histogram", "_restricted_mu", "d_rk_mu", "build_extended")
+    calls = Counter()
+    for name in shared:
+        def counted(*args, fn=getattr(identities, name), name=name):
+            calls[(name, *args)] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(identities, name, counted)
+    for _ in range(2):
+        calls.clear()
+        assert main(["verify", "all"]) == EXIT_OK
+        assert set(calls.values()) == {1}
+        assert {key[0] for key in calls} == set(shared)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,identity", [
+    (["lemma5.1", "--nmax", "1"], "macmahon-multiplication"),
+    (["prop4.5", "--nmax", "1"], "d-rk-series"),  # k = 2 > max_rnk
+])
+def test_report_without_rows_exits_usage(capsys, argv, identity):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"invalid parameters for {argv[0]}: the {identity} report has no rows\n"
+
+
+def test_every_prop45_report_has_rows_from_nmax_2(capsys):
+    assert main(["verify", "prop4.5", "--nmax", "2"]) == EXIT_OK
+    assert all(r["rows"] for r in json.loads(capsys.readouterr().out)["results"])
 
 
 def test_q_r_bounds_decided_before_building():

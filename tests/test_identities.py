@@ -17,6 +17,7 @@ import pytest
 from expdowling import identities
 from expdowling.identities import (
     IdentityReport,
+    Run,
     binomial_mu_check,
     brute_mu,
     census_check,
@@ -58,7 +59,7 @@ def test_report_verdicts():
 
 @pytest.mark.parametrize("n,s", [(1, 1), (2, 2), (3, 3), (4, 1)])
 def test_census(n, s):
-    assert_exact(census_check(n, s))
+    assert_exact(census_check(n, s, Run()))
 
 
 def test_minimal_counts():
@@ -86,8 +87,7 @@ def test_mu_series_dowling_rk(r, k, s):
 
 
 def test_type_histogram_builds_each_lattice_once(monkeypatch):
-    identities._type_histogram.cache_clear()
-    built = []
+    run, built = Run(), []
     for name in ("build_partition_lattice", "build_dowling_lattice"):
         build = getattr(identities, name)
         monkeypatch.setattr(
@@ -98,10 +98,10 @@ def test_type_histogram_builds_each_lattice_once(monkeypatch):
     k = {n: 2 - n for n in range(5)}
     for _ in range(3):
         for n in (1, 2, 3):
-            assert_exact(census_check(n, 2))
-        assert_exact(compositional_check_partition(f.__getitem__, g.__getitem__, 4))
+            assert_exact(census_check(n, 2, run))
+        assert_exact(compositional_check_partition(f.__getitem__, g.__getitem__, 4, run))
         assert_exact(
-            compositional_check_dowling(f.__getitem__, g.__getitem__, k.__getitem__, 2, 3)
+            compositional_check_dowling(f.__getitem__, g.__getitem__, k.__getitem__, 2, 3, run)
         )
     assert sorted(built) == [(0, 2), (1,), (1, 2), (2,), (2, 2), (3,), (3, 2), (4,)]
 
@@ -109,7 +109,7 @@ def test_type_histogram_builds_each_lattice_once(monkeypatch):
 def test_compositional_partition():
     f = {n: n * n - 2 for n in range(7)}
     g = {n: 3 - n for n in range(7)}
-    assert_exact(compositional_check_partition(f.__getitem__, g.__getitem__, 5))
+    assert_exact(compositional_check_partition(f.__getitem__, g.__getitem__, 5, Run()))
 
 
 def test_compositional_dowling():
@@ -117,7 +117,7 @@ def test_compositional_dowling():
     g = {n: n + 1 for n in range(5)}
     k = {n: 2 - n for n in range(5)}
     assert_exact(
-        compositional_check_dowling(f.__getitem__, g.__getitem__, k.__getitem__, 2, 3)
+        compositional_check_dowling(f.__getitem__, g.__getitem__, k.__getitem__, 2, 3, Run())
     )
 
 
@@ -143,42 +143,42 @@ def test_rank_polynomial_needs_enough_samples():
 
 
 def test_restricted_partition_identity():
-    assert_exact(restricted_mu_check(frozenset({2}), None, 1, 8))
-    assert_exact(restricted_mu_check(frozenset({1, 3}), None, 1, 6))
+    assert_exact(restricted_mu_check(frozenset({2}), None, 1, 8, Run()))
+    assert_exact(restricted_mu_check(frozenset({1, 3}), None, 1, 6, Run()))
 
 
 def test_restricted_dowling_identity():
-    assert_exact(restricted_mu_check(frozenset({2}), frozenset({1}), 1, 7))
+    assert_exact(restricted_mu_check(frozenset({2}), frozenset({1}), 1, 7, Run()))
 
 
 def test_semigroup_identity():
     assert_exact(
-        semigroup_check(frozenset({2, 4, 6}), frozenset({1, 3, 5}), 1, 6)
+        semigroup_check(frozenset({2, 4, 6}), frozenset({1, 3, 5}), 1, 6, Run())
     )
 
 
 def test_semigroup_violation_raises():
     with pytest.raises(ValueError):
-        semigroup_check(frozenset({2, 3}), frozenset({1}), 1, 5)
+        semigroup_check(frozenset({2, 3}), frozenset({1}), 1, 5, Run())
 
 
 @pytest.mark.parametrize("r,k,s", [(1, 1, 1), (1, 2, 2), (2, 0, 1), (2, 1, 2), (2, 2, 1)])
 def test_d_rk_series_sign(r, k, s):
-    report = d_rk_series_check(r, k, s, 5)
+    report = d_rk_series_check(r, k, s, 5, Run())
     assert report.passed
     # the printed form differs from brute by a constant global sign
     assert report.epsilon in (1, -1)
 
 
 def test_d_rk_sign_is_minus_where_nonzero():
-    report = d_rk_series_check(2, 1, 1, 5)
+    report = d_rk_series_check(2, 1, 1, 5, Run())
     assert any(b != 0 for _, b, _ in report.rows)
     assert report.epsilon == -1
 
 
 def test_binomial_and_s_independence():
     for k in (1, 2):
-        assert_exact(binomial_mu_check(k, [1, 2, 3], 3))
+        assert_exact(binomial_mu_check(k, [1, 2, 3], 3, Run()))
 
 
 def test_hyperbolic_forms():
@@ -188,14 +188,14 @@ def test_hyperbolic_forms():
 
 
 def test_mu_descent_values():
-    report = mu_descent_check(2, 1, 1)
+    report = mu_descent_check(2, 1, 1, Run())
     assert report.passed and report.epsilon == -1
     _, brute, closed = report.rows[0]
     assert brute == 2 and closed == -2
-    report = mu_descent_check(2, 1, 2)
+    report = mu_descent_check(2, 1, 2, Run())
     _, brute, _ = report.rows[0]
     assert brute == -16
-    report = mu_descent_check(1, 1, 4)
+    report = mu_descent_check(1, 1, 4, Run())
     assert report.passed
 
 
@@ -204,7 +204,7 @@ def test_mu_descent_without_zero_block(r):
     # k = 0 is Pi_{rn+1}^{r,1}: mu vanishes for n >= 1 (Thm 5.5), and no
     # permutation of S_{rn} ending in rn + 1 exists
     for n in range(4):
-        report = mu_descent_check(r, 0, n)
+        report = mu_descent_check(r, 0, n, Run())
         assert report.passed, report.to_json_dict()
         _, brute, closed = report.rows[0]
         assert (brute, closed) == ((-1, 1) if n == 0 else (0, 0))
@@ -212,7 +212,7 @@ def test_mu_descent_without_zero_block(r):
 
 def test_j1_vanishing():
     for r, n in [(2, 1), (2, 2), (3, 1)]:
-        report = theorem_j1_check(r, n)
+        report = theorem_j1_check(r, n, Run())
         assert report.passed
         _, brute, closed = report.rows[0]
         assert brute == 0 and closed == 0

@@ -219,7 +219,7 @@ def cmd_verify(ns) -> int:
         writer = csv.writer(out)
         writer.writerow(["identity", "n", "brute", "closed_form", "ratio"])
         for report in results:
-            for row in report.to_csv_rows()[1:]:
+            for row in report.to_csv_rows():
                 writer.writerow([report.name] + row)
         text = out.getvalue()
     else:

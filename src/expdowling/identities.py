@@ -146,7 +146,7 @@ class IdentityReport:
         }
 
     def to_csv_rows(self) -> list:
-        out = [["n", "brute", "closed_form", "ratio"]]
+        out = []
         for label, b, c in self.rows:
             ratio = str(b / c) if c != 0 else ("0" if b == 0 else "inf")
             out.append([str(label), str(b), str(c), ratio])

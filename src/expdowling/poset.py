@@ -2,12 +2,12 @@
 
 Elements are dense integer indices 0..n-1; the semantic objects (partitions,
 enriched partitions) live in `structures` and map to indices there.  A poset
-stores only its up covers and a linear extension, `topo`.  The down covers,
-the closure as one bitmask row per element (down rows x <= y, up rows
-y >= x), the rank and the minimal and maximal elements are each built by
-one pass along `topo` when first read.  Growth in `structures` hands
-`close_order` its covers and a linear extension; `from_covers` checks and
-sorts arbitrary cover pairs first.
+stores only its up covers, in sorted rows, and a linear extension, `topo`.
+The down covers, the closure as one bitmask row per element (down rows
+x <= y, up rows y >= x), the rank and the minimal and maximal elements are
+each built by one pass along `topo` when first read.  Growth in `structures`
+hands `close_order` its covers and a linear extension; `from_covers`, the
+one constructor of arbitrary order pairs, keeps only their covers.
 
 The Mobius numbers read none of that closure.  One kernel, `mobius_walk`,
 runs the recursion over a stream of steps (z, the up covers of z) in a
@@ -21,7 +21,8 @@ is a list indexed by key: for each element waiting there it holds the
 labels of the lower covers visited so far and a row one cover level behind
 them, the labels strictly between the start and those covers.  A value
 lives in a list indexed by label, each the one int object of its value
-class, so a walk holds one int per distinct value.  It yields each
+class, so a walk holds one int per distinct value.  A lower cover found
+in the row is no cover, and raises PosetError.  It yields each
 element's value at once, with whether the element has no up cover, so
 `top_mu` reads mu(start, 1-hat) without a table.  No command tests the
 lattice property or the Mobius identity: those checks are test oracles
@@ -137,46 +138,57 @@ class Poset:
         return self.maximals[0]
 
     def to_json_dict(self) -> dict:
-        covers = sorted((x, y) for x in range(self.n) for y in self.covers_up[x])
         return {
             "n": self.n,
-            "covers": [list(c) for c in covers],
+            "covers": [[x, y] for x in range(self.n) for y in self.covers_up[x]],
             "ranks": list(self.rank) if self.rank is not None else None,
         }
 
 
 def from_covers(n: int, covers: Iterable[tuple]) -> Poset:
-    """Build a poset from arbitrary cover pairs: check them, drop duplicates
-    and find a linear extension by Kahn's sort.
+    """Build a poset from arbitrary order pairs x < y: check them, find a
+    linear extension by Kahn's sort and keep only the covers, dropping
+    duplicates and every pair that a chain x < u < y of other pairs implies.
+    It is the one constructor of arbitrary pairs, so every Poset holds
+    exactly its cover relation, in sorted rows.
 
-    Raises on cycles and on cover pairs referencing invalid indices.
+    Raises on cycles and on pairs referencing invalid indices.
     """
     up_adj = [set() for _ in range(n)]
     for x, y in covers:
         if not (0 <= x < n and 0 <= y < n) or x == y:
             raise PosetError(f"invalid cover pair ({x}, {y}) for n={n}")
         up_adj[x].add(y)
-    covers_up = tuple(tuple(sorted(ups)) for ups in up_adj)
 
     # Kahn topological sort; leftover in-degree means a cycle.
-    indeg = Counter(y for ups in covers_up for y in ups)
+    indeg = Counter(y for ups in up_adj for y in ups)
     queue = [x for x in range(n) if indeg[x] == 0]
     topo = []
     while queue:
         x = queue.pop()
         topo.append(x)
-        for y in covers_up[x]:
+        for y in up_adj[x]:
             indeg[y] -= 1
             if indeg[y] == 0:
                 queue.append(y)
     if len(topo) != n:
         raise PosetError("cover relation contains a cycle")
-    return close_order(covers_up, topo)
+
+    # Transitive reduction, top down: above[x] = bitmask of the y > x.
+    above, covers_up = [0] * n, [()] * n
+    for x in reversed(topo):
+        implied = 0
+        for u in up_adj[x]:
+            implied |= above[u]
+        covers_up[x] = tuple(sorted(y for y in up_adj[x] if not implied >> y & 1))
+        above[x] = implied | sum(1 << y for y in covers_up[x])
+    return close_order(tuple(covers_up), topo)
 
 
 def close_order(covers_up: tuple, topo: Sequence[int]) -> Poset:
     """The poset whose up covers are the sorted tuples `covers_up`, with the
-    linear extension `topo`; the caller vouches for both."""
+    linear extension `topo`; the caller vouches for both, and that the rows
+    hold covers only (`from_covers` reduces arbitrary pairs)."""
     return Poset(n=len(covers_up), covers_up=covers_up, topo=tuple(topo))
 
 
@@ -213,12 +225,13 @@ def mobius_walk(start, start_ups: Sequence[int], steps: Iterable[tuple]) -> Iter
     class, so the walk keeps no value table keyed by element and no int
     object per element.  All lower covers of z come before z in the stream,
     so both are complete at its step, and [start, z) is start, the lower
-    covers and the row.  A lower cover already in the row (a cover pair that
-    other covers imply) is counted once.  z takes its value, passes row |
-    its lower covers on to its up covers and drops both.  The start has no
-    label and is in no row.  The row sum is a popcount per value class: one
-    bitmask per distinct nonzero value, with its least label, so a class
-    wholly above the row's top bit is skipped (Stanley, EC1 3.6-3.7).
+    covers and the row.  A lower cover already in the row lies below another,
+    so its pair is no cover: it raises PosetError.  z takes its value, passes
+    row | its lower covers on to its up covers and drops both.  The start has
+    no label and is in no row, so it counts once whatever pairs list it.
+    The row sum is a popcount per value class: one bitmask per distinct
+    nonzero value, with its least label, so a class wholly above the row's
+    top bit is skipped (Stanley, EC1 3.6-3.7).
     """
     yield start, 1, not start_ups
     # held[z] = [row, labels of the visited lower covers of z] while z waits
@@ -241,9 +254,8 @@ def mobius_walk(start, start_ups: Sequence[int], steps: Iterable[tuple]) -> Iter
         for c in entry[1:]:
             lower |= 1 << c
             total += values[c]
-        twice = row & lower
-        if twice:
-            total -= sum(values[c] for c in _bits(twice))
+        if row & lower:
+            raise PosetError(f"a lower cover of {z} lies below another: the pair is not a cover")
         top = row.bit_length()
         for v, cls in classes.items():
             if cls[0] < top:

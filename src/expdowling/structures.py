@@ -624,51 +624,37 @@ def induced_subposet(
     leq_fn: Callable,
     rank_fn: Callable,
 ) -> BuiltLattice:
-    """Induced order on an explicit element list via pairwise comparison,
-    covers recovered by transitive reduction."""
+    """Induced order on an explicit element list via pairwise comparison;
+    `from_covers` keeps the covers of the order pairs."""
     V = len(elements)
     order = sorted(range(V), key=lambda i: rank_fn(elements[i]))
     elements = [elements[i] for i in order]
     ranks = [rank_fn(e) for e in elements]
-    up = [0] * V
-    down = [0] * V
-    for i in range(V):
-        for j in range(i + 1, V):
-            if ranks[i] < ranks[j] and leq_fn(elements[i], elements[j]):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    edges = []
-    for i in range(V):
-        for j in _bits(up[i]):
-            if up[i] & down[j] == 0:
-                edges.append((i, j))
-    return BuiltLattice(poset=from_covers(V, edges), codes=tuple(elements))
+    pairs = [
+        (i, j)
+        for i in range(V)
+        for j in range(i + 1, V)
+        if ranks[i] < ranks[j] and leq_fn(elements[i], elements[j])
+    ]
+    return BuiltLattice(poset=from_covers(V, pairs), codes=tuple(elements))
 
 
 def induce_from_ambient(ambient: BuiltLattice, keep: Callable) -> BuiltLattice:
-    """Induced subposet of an already-built lattice, reusing its closure rows."""
+    """Induced subposet of an already-built lattice, reading its closure rows;
+    `from_covers` keeps the covers of the order pairs."""
     kept = [i for i in range(len(ambient.elements)) if keep(ambient.elements[i])]
     old2new = {old: new for new, old in enumerate(kept)}
     mask = 0
     for old in kept:
         mask |= 1 << old
-    V = len(kept)
-    up = [0] * V
-    down = [0] * V
-    P = ambient.poset
-    for new, old in enumerate(kept):
-        row = P.up_rows[old] & mask & ~(1 << old)
-        for z in _bits(row):
-            zn = old2new[z]
-            up[new] |= 1 << zn
-            down[zn] |= 1 << new
-    edges = []
-    for i in range(V):
-        for j in _bits(up[i]):
-            if up[i] & down[j] == 0:
-                edges.append((i, j))
+    up_rows = ambient.poset.up_rows
+    pairs = [
+        (new, old2new[z])
+        for new, old in enumerate(kept)
+        for z in _bits(up_rows[old] & mask & ~(1 << old))
+    ]
     elements = tuple(ambient.elements[old] for old in kept)
-    return BuiltLattice(poset=from_covers(V, edges), codes=elements)
+    return BuiltLattice(poset=from_covers(len(kept), pairs), codes=elements)
 
 
 def adjoin_zero(built: BuiltLattice) -> BuiltLattice:

@@ -10,7 +10,8 @@ build path of `lattice` and `el-check`: the built poset and
 `poset.mobius_table` from its bottom.  Each family of `cli.FAMILIES` is
 checked at every size where the build is cheap: mu(0-hat, z) and "z has no
 up cover" of every element in placement order, mu(0-hat, 1-hat) or the same
-PosetError, and the guard.
+PosetError, and the guard.  A growth that lists a pair that is not a cover
+makes `mobius` exit 3 rather than print a number.
 """
 
 from itertools import combinations
@@ -109,6 +110,32 @@ def test_r_IJ_with_many_far_covers():
     # with a cover that drops several block counts; `mobius` prints -64
     family_value = structures.restricted_dowling_family(7, 2, frozenset({1, 2, 3}), frozenset({1, 3, 7}))
     assert identities.grown_mu(family_value) == -64
+
+
+def test_mobius_exits_3_on_an_injected_redundant_cover(monkeypatch, capsys):
+    # the first element stepped that has a near cover y with near covers of
+    # its own also lists one of those, z, as a far cover: x <| y <| z with
+    # (x, z) handed over too, which the walk must refuse, not subtract away
+    covers = structures.BlockCode.covers
+    injected = []
+
+    def with_redundant(code, x):
+        count, near, far = covers(code, x)
+        if not injected:
+            for y in near:
+                above = covers(code, y)[1]
+                if above:
+                    injected.append(above[0])
+                    return count, near, [*far, (count - 2, above[0])]
+        return count, near, far
+
+    monkeypatch.setattr(structures.BlockCode, "covers", with_redundant)
+    argv = ["mobius", "--family", "r-IJ", "--n", "5", "--s", "2", "--I", "1,2,3", "--J", "1,3,5"]
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    assert injected
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "PosetError" in err and "not a cover" in err
 
 
 def test_no_unique_top_raises_the_poset_error():

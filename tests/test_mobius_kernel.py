@@ -1,10 +1,13 @@
 """Differential tests of the streamed Mobius kernel, the structures a poset
 derives on first read and the one-candidate lattice check against the
 sum-over-bits recursion, an eager closure, the popcount-ordered sweep
-(`oracles`) and the full upper-set scan they replaced; the two shapes that
-break a lagged row (a transitive cover pair, and a value class whose least
-element drops in a walk that is not ascending); every family with its
-indices shuffled, so the key-indexed frontier meets its keys out of order
+(`oracles`) and the full upper-set scan they replaced; the rule that a
+poset holds exactly its covers, in sorted rows, on every family and on
+random order pairs, which `from_covers` reduces; the two shapes that break
+a lagged row (a transitive cover pair, which `from_covers` drops and the
+walk refuses when it is handed one, and a value class whose least element
+drops in a walk that is not ascending); every family with its indices
+shuffled, so the key-indexed frontier meets its keys out of order
 and grows past its end; a check that the mu(0-hat, 1-hat) path never
 builds the closure; a check that the stream drops each row once its
 element is visited; and a bound on the memory the stream takes on L_7(2),
@@ -213,22 +216,48 @@ def test_kernel_matches_oracle(monkeypatch, build):
     (4, [(0, 1), (1, 2), (1, 3), (2, 3)]),
 ], ids=["from-start", "above-start"])
 def test_transitive_cover_pair(n, covers):
-    # a chain with (n - 3, n - 1) given as a cover too: n - 3 is a lower
-    # cover of n - 1 and also lies in the row that n - 2 passes on, and must
-    # be counted once, in the row or as the start
+    # a chain with (n - 3, n - 1) given as a cover too: `from_covers` drops
+    # the pair the chain implies, so the walk meets the chain alone
     P = from_covers(n, covers)
+    assert P.covers_up == tuple((x + 1,) for x in range(n - 1)) + ((),)
     assert mobius_table(P, 0) == {0: 1, 1: -1, **dict.fromkeys(range(2, n), 0)}
     assert mobius_table_to_top(P, n - 1) == {n - 1: 1, n - 2: -1, **dict.fromkeys(range(n - 2), 0)}
     check_both_tables(P)
+
+
+def test_redundant_cover_pair_above_the_start_raises():
+    # 1 <| 2 <| 3 with (1, 3) handed over as a cover too: 1 is a lower cover
+    # of 3 and lies in the row that 2 passes on, so the walk refuses the
+    # pair rather than subtract it away
+    P = close_order(((1,), (2, 3), (3,), ()), (0, 1, 2, 3))
+    with pytest.raises(PosetError, match="not a cover"):
+        mobius_table(P, 0)
 
 
 def test_class_least_element_drops_in_walk_order():
     # the walk visits 2 before 1, both with mu -1: keyed by index, the class
     # of -1 would first hold 2 and then gain 1, its least element dropping;
     # keyed by visit label, as the kernel keys it, its least label stays put
-    P = close_order(((1, 2, 3, 4), (3, 4), (4,), (4,), ()), (0, 2, 1, 3, 4))
-    assert mobius_table(P, 0) == {0: 1, 2: -1, 1: -1, 3: 0, 4: 1}
+    P = close_order(((1, 2), (3,), (3,), (4,), ()), (0, 2, 1, 3, 4))
+    assert mobius_table(P, 0) == {0: 1, 2: -1, 1: -1, 3: 1, 4: 0}
     check_both_tables(P)
+
+
+def assert_covers_only(P):
+    """Each row of P's up covers is sorted and holds no pair that a chain
+    of the closure (`oracle_closure`) implies."""
+    up, _ = oracle_closure(P)
+    for ups in P.covers_up:
+        assert list(ups) == sorted(ups)
+        implied = 0
+        for u in ups:
+            implied |= up[u] & ~(1 << u)
+        assert not any(implied >> y & 1 for y in ups)
+
+
+@pytest.mark.parametrize("build", [b for _, b in FAMILY_BUILDS], ids=[name for name, _ in FAMILY_BUILDS])
+def test_families_hold_covers_only(build):
+    assert_covers_only(build().poset)  # with its adjoined 0-hat, if it has one
 
 
 def test_bowtie_and_q_r_are_not_lattices():
@@ -240,8 +269,9 @@ def test_bowtie_and_q_r_are_not_lattices():
 
 @st.composite
 def random_bounded_poset(draw):
-    # a random DAG between an adjoined bottom 0 and top n + 1; its transitive
-    # edges make it non-graded, which exercises the height fallback
+    # a random DAG between an adjoined bottom 0 and top n + 1, which
+    # `from_covers` reduces to its covers; chains of unequal length make it
+    # non-graded, which exercises the height fallback
     n = draw(st.integers(min_value=0, max_value=7))
     edges = {(0, i) for i in range(1, n + 2)} | {(i, n + 1) for i in range(n + 1)}
     for i in range(1, n + 1):
@@ -254,6 +284,7 @@ def random_bounded_poset(draw):
 @given(random_bounded_poset())
 @settings(max_examples=80, deadline=None)
 def test_random_bounded_posets_match_oracle(P):
+    assert_covers_only(P)
     check_closure(P)
     assert_matches_eager(P)
     for x in range(P.n):

@@ -4,12 +4,15 @@ Every check here computes two sides independently: a "brute" value obtained by
 growing the poset and running the Mobius recursion, and a "closed" value read
 off a truncated series.  A check that reads only Mobius numbers streams the
 growth into the walk (`grown_mu`, `_restricted_mu`); one that reads covers,
-ranks or elements builds the lattice, and `brute_mu` walks a built one.  A
-check shares them through its `verify` run's memo, a `Run`.  The verdict
-records whether they agree exactly or up to one global sign (the constant
-epsilon), since two printed closed forms carry the opposite sign convention
-from the recursion; an n-dependent sign flip is always a hard mismatch.  A
-report passes only when it has its identity's sign (`EXPECTED_EPSILON`).
+ranks or elements builds the lattice, which walks its own mu once
+(`BuiltLattice.mu`).  A check shares them through its `verify` run's memo,
+a `Run`; Pi_n and L_n(s) are built once for their census (`_census`), whose
+type counts feed the census and compositional checks and whose corank
+counts feed the rank polynomials.  The verdict records whether the two
+sides agree exactly or up to one global sign (the constant epsilon), since
+two printed closed forms carry the opposite sign convention from the
+recursion; an n-dependent sign flip is always a hard mismatch.  A report
+passes only when it has its identity's sign (`EXPECTED_EPSILON`).
 
 Every Mobius generating function is one of two closed forms over coefficient
 tables a, b with a(0) = 1:
@@ -38,7 +41,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import shelling
-from .poset import mobius_table, top_mu
+from .poset import top_mu
 from .series import (
     TruncatedSeries,
     coeff_den,
@@ -52,8 +55,6 @@ from .series import (
     sinh_series,
 )
 from .structures import (
-    GUARD,
-    BuiltLattice,
     Family,
     ParameterError,
     StructureType,
@@ -154,22 +155,13 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# brute Mobius helpers
+# streamed Mobius values
 
 
-def bottom_of(built: BuiltLattice) -> int:
-    return built.bottom if built.bottom is not None else built.poset.bottom
-
-
-def brute_mu(built: BuiltLattice) -> int:
-    """mu(0-hat, 1-hat) of a built lattice."""
-    return mobius_table(built.poset, bottom_of(built))[built.poset.top]
-
-
-def grown_mu(family: Family, guard: int = GUARD) -> int:
+def grown_mu(family: Family) -> int:
     """mu(0-hat, 1-hat) of a family, its growth streamed into the Mobius
     walk (`grown_mobius`), so nothing is built."""
-    return top_mu(grown_mobius(family, guard))
+    return top_mu(grown_mobius(family))
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +244,21 @@ def minimal_count_check(r: int, k: Optional[int], s: int, n_max: int) -> Identit
 # type census and compositional formulas
 
 
-def _type_histogram(n: int, s: Optional[int]) -> tuple:
-    """The (type, element count) pairs of Pi_n (s None) or L_n(s), counted
-    on the built lattice."""
+def _census(n: int, s: Optional[int]) -> tuple:
+    """The (type, element count) pairs and the (corank rho(x, 1-hat), element
+    count) pairs of Pi_n (s None) or L_n(s), counted on the lattice built
+    once."""
     built = build_partition_lattice(n) if s is None else build_dowling_lattice(n, s)
-    return tuple(Counter(type_of(x, n) for x in built.elements).items())
+    rank = built.poset.rank
+    top_rank = rank[built.poset.top]
+    return (tuple(Counter(type_of(x, n) for x in built.elements).items()),
+            tuple(Counter(top_rank - rank[x] for x in range(len(built.codes))).items()))
 
 
 def _type_sum(n: int, s: Optional[int], term: Callable, run: Run) -> Fraction:
     """The sum of term(type of x) over the elements x of Pi_n (s None) or
     L_n(s), one term per type."""
-    return sum((count * term(t) for t, count in run.once(_type_histogram, n, s)), Fraction(0))
+    return sum((count * term(t) for t, count in run.once(_census, n, s)[0]), Fraction(0))
 
 
 def _blocks_term(f: Callable, g: Callable, t: StructureType) -> Fraction:
@@ -276,7 +272,7 @@ def _blocks_term(f: Callable, g: Callable, t: StructureType) -> Fraction:
 def census_check(n: int, s: int, run: Run) -> IdentityReport:
     """Per-type element counts of L_n(s): closed formula versus enumeration."""
     report = IdentityReport("type-census", {"n": n, "s": s})
-    hist = dict(run.once(_type_histogram, n, s))
+    hist = dict(run.once(_census, n, s)[0])
     for t in all_types(n):
         report.add(f"(b={t.b}; a={t.a})", hist.get(t, 0), count_of_type(n, s, t))
     return report
@@ -317,19 +313,8 @@ def compositional_check_dowling(
 # rank polynomials
 
 
-def corank_census(built: BuiltLattice) -> dict:
-    """Histogram of rho(x, 1-hat) over the natural elements."""
-    P = built.poset
-    top_rank = P.rank[P.top]
-    hist = {}
-    for x in range(len(built.codes)):
-        c = top_rank - P.rank[x]
-        hist[c] = hist.get(c, 0) + 1
-    return hist
-
-
 def rank_polynomial_check(
-    family: str, s: int, t_values: list, n_max: int
+    family: str, s: int, t_values: list, n_max: int, run: Run
 ) -> IdentityReport:
     """V_n(t) / W_n(t) censuses against their exponential closed forms,
     certified by evaluation at more rational points than the degree."""
@@ -340,17 +325,18 @@ def rank_polynomial_check(
     report = IdentityReport(
         "rank-polynomial", {"family": family, "s": s, "n_max": n_max}
     )
-    # {exponent: count} of each n's census polynomial, built once for all t
+    # the (exponent, count) pairs of each n's census polynomial, read from
+    # the run's census once for all t
     censuses = []
     for n in range(0, n_max + 1):
         if family == "dowling":
-            censuses.append(corank_census(build_dowling_lattice(n, s)))
+            censuses.append(run.once(_census, n, s)[1])
         elif n == 0:
-            censuses.append({0: 1})
+            censuses.append(((0, 1),))
         else:
             # the closed form counts blocks, which is corank + 1 here
-            hist = corank_census(build_partition_lattice(n))
-            censuses.append({c + 1: count for c, count in hist.items()})
+            hist = run.once(_census, n, None)[1]
+            censuses.append(tuple((c + 1, count) for c, count in hist))
     T = n_max
     e_x = series_from_table(lambda n: 1, T)
     inner = e_x - 1  # sum_{n>=1} x^n/n!
@@ -361,7 +347,7 @@ def rank_polynomial_check(
         else:
             closed = e_x * exp(inner.scale_argument(s) * (t / s))
         for n, census in enumerate(censuses):
-            value = sum(count * t**e for e, count in census.items())
+            value = sum(count * t**e for e, count in census)
             report.add(f"n={n},t={t}", value, coeff_den(closed, n))
     return report
 
@@ -529,7 +515,7 @@ def mu_descent_check(r: int, k: int, n: int, run: Run) -> IdentityReport:
     m = r * n + k + 1
     report = IdentityReport("mu-descent", {"r": r, "k": k, "n": n, "m": m})
     closed = (-1) ** n * shelling.descent_class_size(m, r, k + 1)
-    report.add(f"m={m}", brute_mu(run.once(build_extended, m, r, k + 1)), closed)
+    report.add(f"m={m}", run.once(build_extended, m, r, k + 1).mu, closed)
     if report.epsilon == -1:
         report.notes.append("brute sign is (-1)^(n+1), opposite to the printed (-1)^n")
     return report
@@ -542,8 +528,8 @@ def theorem_j1_check(r: int, n: int, run: Run) -> IdentityReport:
     report = IdentityReport("mu-j1-zero", {"r": r, "n": n, "m": m})
     built = run.once(build_extended, m, r, 1)
     P = built.poset
-    report.add(f"m={m}", brute_mu(built), 0)
-    atoms = P.covers_up[bottom_of(built)]
+    report.add(f"m={m}", built.mu, 0)
+    atoms = P.covers_up[built.bottom]
     common = None
     for a in atoms:
         common = P.up_rows[a] if common is None else common & P.up_rows[a]

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 
 from . import descents
-from .poset import Poset, maximal_chains, mobius_table
+from .poset import Poset, maximal_chains
 from .structures import (
     GUARD,
     BuiltLattice,
@@ -292,7 +292,7 @@ def el_verify(m: int, r: int, j: int, guard: int = GUARD, built: BuiltLattice | 
     falling = set(falling_walk(P, pairs, bottom))
     explicit = {f_sigma(sigma, r, j, built) for sigma in qualifying_permutations(m, r, j)}
     expected = descent_class_size(m, r, j)
-    mu = mobius_table(P, bottom)[P.top]
+    mu = built.mu
     return {
         "m": m,
         "r": r,

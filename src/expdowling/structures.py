@@ -65,7 +65,9 @@ from functools import cache, cached_property, lru_cache
 from itertools import chain, combinations, islice, product, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .poset import Poset, PosetError, _bits, adjoin_bottom, close_order, from_covers, mobius_walk
+from .poset import (
+    Poset, PosetError, _bits, adjoin_bottom, close_order, from_covers, mobius_table, mobius_walk,
+)
 
 
 GUARD = 50_000  # default limit on the elements of one construction
@@ -421,6 +423,13 @@ class BuiltLattice:
     @cached_property
     def index(self) -> dict:
         return {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def mu(self) -> int:
+        """mu(0-hat, 1-hat), walked from the adjoined 0-hat if there is one,
+        else from the poset's own bottom."""
+        P = self.poset
+        return mobius_table(P, P.bottom if self.bottom is None else self.bottom)[P.top]
 
 
 # `_growth` hands its steps over in lists of this many, so that the growth

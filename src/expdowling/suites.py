@@ -58,9 +58,11 @@ def suite_compositional_dowling(ns):
 # rows at n = 4; a given --nmax runs every row to it.
 def suite_rank_polynomials(ns):
     t_values = [Fraction(v) for v in range(-1, ns.nmax + 2)]
-    out = [identities.rank_polynomial_check("partition", 1, t_values, ns.nmax)]
+    out = [identities.rank_polynomial_check("partition", 1, t_values, ns.nmax, ns.run)]
     for s in ns.s_list:
-        out.append(identities.rank_polynomial_check("dowling", s, t_values, ns.given_nmax or 4))
+        out.append(
+            identities.rank_polynomial_check("dowling", s, t_values, ns.given_nmax or 4, ns.run)
+        )
     return out
 
 
@@ -154,8 +156,8 @@ def suite_cor56(ns):
     report = identities.IdentityReport("r-divisible-euler", {})
     for n in (1, 2):
         m = 2 * n + 2
-        brute = identities.brute_mu(ns.run.once(identities.build_extended, m, 2, 2))
-        report.add(f"m={m}", abs(brute), descents.euler_number(2 * n + 1))
+        mu = ns.run.once(identities.build_extended, m, 2, 2).mu
+        report.add(f"m={m}", abs(mu), descents.euler_number(2 * n + 1))
     return [report]
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import expdowling
-from expdowling import cli, identities, shelling, structures, suites
+from expdowling import cli, identities, poset, shelling, structures, suites
 from expdowling.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from expdowling.poset import PosetError
 
@@ -437,6 +437,33 @@ def test_verify_all_csv_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS["csv"]
 
 
+# sha256 of the stdout of the suites that read the census or a built
+# lattice's mu, each run on its own, so that its own first read builds and
+# walks; `el-check` of Pi_9^{2,1} is pinned in EL_CHECK_DIGESTS
+VERIFY_SUITE_DIGESTS = [
+    pytest.param(["ex3.5"], "59b760c40f8ce084f029aab6e58945d5655d049a21f58e3f9e60bdcd3a89774e",
+                 id="ex3.5"),
+    pytest.param(["ex3.5", "--nmax", "6", "--s-list", "1,2,3"],
+                 "77897b83413c71b332b826c251e4570fcab226d1da2747159b1a2849cdd04bc5",
+                 id="ex3.5-nmax6-s123"),
+    pytest.param(["thm5.4"], "f5c922cb60735f78cdea663242ad44ba464fc3e04f64cb3139889d7bbfed6ffe",
+                 id="thm5.4"),
+    pytest.param(["thm5.5"], "f2d732d4cd5150a3906f72d68dc244b22a226aaeb97099f8769b50d9848a9980",
+                 id="thm5.5"),
+    pytest.param(["cor5.6"], "b684b662cf71695458b1521daf866e05831af814493a1036eabc486c848cbd36",
+                 id="cor5.6"),
+    pytest.param(["thm6.1"], "654f688ed05d6a4fc99a114176f032f127c5de9c4ce9b3252c3692195059c217",
+                 id="thm6.1"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", VERIFY_SUITE_DIGESTS)
+def test_verify_suite_output_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, "verify", *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 BASE_ARGV = {
     "verify": ["verify", "thm5.5"],
     "lattice": ["lattice", "--family", "pi", "--m", "3"],
@@ -676,10 +703,42 @@ def test_nothing_outlives_a_run(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_verify_all_builds_each_lattice_once(capsys, monkeypatch):
+    # no lattice is built twice in a run, whichever checks read it, and the
+    # mu(0-hat, 1-hat) of each of the 8 built Pi_m^{r,j} that thm5.4, thm5.5,
+    # cor5.6 and thm6.1 read is walked once
+    builds, walks = Counter(), []
+    for name in [name for name in vars(identities) if name.startswith("build_")]:
+        def counted(*args, fn=getattr(identities, name), name=name):
+            builds[(name, *args)] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(identities, name, counted)
+    table = poset.mobius_table
+
+    def walked(P, x):
+        walks.append(P)
+        return table(P, x)
+
+    # `from .poset import mobius_table` copies the name into each module that
+    # calls it
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("expdowling") and getattr(module, "mobius_table", None) is table:
+            monkeypatch.setattr(module, "mobius_table", walked)
+    assert main(["verify", "all"]) == EXIT_OK
+    capsys.readouterr()
+    assert {name for name, *_ in builds} == {
+        "build_D_rk", "build_dowling_lattice", "build_extended", "build_partition_lattice",
+        "build_r_divisible",
+    }
+    assert [key for key, count in builds.items() if count > 1] == []
+    assert len(walks) == len({id(P) for P in walks}) == 8
+
+
 def test_verify_all_computes_each_shared_value_once(capsys, monkeypatch):
     # every value that a run memoizes is computed once per run, whichever
     # suite reads it first
-    shared = ("_type_histogram", "_restricted_mu", "d_rk_mu", "build_extended")
+    shared = ("_census", "_restricted_mu", "d_rk_mu", "build_extended")
     calls = Counter()
     for name in shared:
         def counted(*args, fn=getattr(identities, name), name=name):

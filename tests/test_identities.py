@@ -19,7 +19,6 @@ from expdowling.identities import (
     IdentityReport,
     Run,
     binomial_mu_check,
-    brute_mu,
     census_check,
     check_mu_series,
     compositional_check_dowling,
@@ -86,7 +85,9 @@ def test_mu_series_dowling_rk(r, k, s):
     assert_exact(check_mu_series(r, k, s, 2))
 
 
-def test_type_histogram_builds_each_lattice_once(monkeypatch):
+def test_census_builds_each_lattice_once(monkeypatch):
+    # the census, compositional and rank-polynomial checks of one run read
+    # one build of each Pi_n and L_n(s)
     run, built = Run(), []
     for name in ("build_partition_lattice", "build_dowling_lattice"):
         build = getattr(identities, name)
@@ -96,6 +97,7 @@ def test_type_histogram_builds_each_lattice_once(monkeypatch):
     f = {n: n * n - 2 for n in range(5)}
     g = {n: 3 - n for n in range(5)}
     k = {n: 2 - n for n in range(5)}
+    t_values = [Fraction(v) for v in range(-1, 5)]
     for _ in range(3):
         for n in (1, 2, 3):
             assert_exact(census_check(n, 2, run))
@@ -103,6 +105,8 @@ def test_type_histogram_builds_each_lattice_once(monkeypatch):
         assert_exact(
             compositional_check_dowling(f.__getitem__, g.__getitem__, k.__getitem__, 2, 3, run)
         )
+        assert_exact(rank_polynomial_check("partition", 1, t_values, 4, run))
+        assert_exact(rank_polynomial_check("dowling", 2, t_values, 3, run))
     assert sorted(built) == [(0, 2), (1,), (1, 2), (2,), (2, 2), (3,), (3, 2), (4,)]
 
 
@@ -123,8 +127,8 @@ def test_compositional_dowling():
 
 def test_rank_polynomials():
     t_values = [Fraction(v) for v in range(-1, 6)]
-    assert_exact(rank_polynomial_check("partition", 1, t_values, 5))
-    assert_exact(rank_polynomial_check("dowling", 2, t_values, 3))
+    assert_exact(rank_polynomial_check("partition", 1, t_values, 5, Run()))
+    assert_exact(rank_polynomial_check("dowling", 2, t_values, 3, Run()))
 
 
 @pytest.mark.parametrize("family,builder", [("partition", "build_partition_lattice"),
@@ -133,13 +137,13 @@ def test_rank_polynomial_builds_each_lattice_once(monkeypatch, family, builder):
     built = []
     build = getattr(identities, builder)
     monkeypatch.setattr(identities, builder, lambda n, *args: built.append(n) or build(n, *args))
-    assert_exact(rank_polynomial_check(family, 2, [Fraction(v) for v in range(-1, 7)], 4))
+    assert_exact(rank_polynomial_check(family, 2, [Fraction(v) for v in range(-1, 7)], 4, Run()))
     assert built == ([1, 2, 3, 4] if family == "partition" else [0, 1, 2, 3, 4])
 
 
 def test_rank_polynomial_needs_enough_samples():
     with pytest.raises(ValueError):
-        rank_polynomial_check("partition", 1, [Fraction(1)], 3)
+        rank_polynomial_check("partition", 1, [Fraction(1)], 3, Run())
 
 
 def test_restricted_partition_identity():

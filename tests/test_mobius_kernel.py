@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from oracles import assert_matches_eager, is_lattice, verify_mobius_identity
 from hypothesis import strategies as st
 
-from expdowling import identities, poset, shelling, structures
+from expdowling import poset, shelling, structures
 from expdowling.cli import EXIT_OK, main
 from expdowling.poset import (
     PosetError,
@@ -319,14 +319,14 @@ CLOSURE = {"down_rows", "up_rows", "covers_down"}
 
 
 @pytest.mark.parametrize("run,mu,unbuilt", [
-    (lambda: identities.brute_mu(build_dowling_lattice(4, 2)), 105, CLOSURE),
-    (lambda: identities.brute_mu(build_extended(7, 2, 3)), -61, CLOSURE),
+    (lambda: build_dowling_lattice(4, 2).mu, 105, CLOSURE),
+    (lambda: build_extended(7, 2, 3).mu, -61, CLOSURE),
     (lambda: shelling.el_verify(7, 2, 3)["mu"], -61, CLOSURE),
     (lambda: main(["mobius", "--family", "dowling", "--n", "4", "--s", "2"]), EXIT_OK, None),
     (lambda: main(["el-check", "--m", "7", "--r", "2", "--j", "3"]), EXIT_OK, CLOSURE),
     (lambda: main(["mobius", "--family", "d-rk", "--n", "2", "--r", "2", "--k", "1", "--s", "2"]), EXIT_OK,
      None),
-], ids=["brute_mu-dowling4,2", "brute_mu-extended7,2,3", "el_verify7,2,3", "cli-mobius", "cli-el-check",
+], ids=["built_mu-dowling4,2", "built_mu-extended7,2,3", "el_verify7,2,3", "cli-mobius", "cli-el-check",
         "cli-mobius-adjoined"])
 def test_mu_path_never_builds_up_rows(made_posets, capsys, run, mu, unbuilt):
     assert run() == mu
